@@ -2,7 +2,7 @@
 linking predicates, exhaustive catalogues, circle-system dual trees, surveys.
 """
 
-from .circles import NestingForest, circle_count_of_tree, dual_tree, parse_nesting
+from .circles import NestingForest, dual_tree, parse_nesting
 from .enumeration import TreeCatalog, enumerate_trees, prufer_oracle_count
 from .linking import same_side, same_side_bruteforce, unlinked, unlinked_bruteforce
 from .realizability import (
@@ -59,7 +59,6 @@ __all__ = [
     "build_H",
     "canonical_code",
     "certificate_to_text",
-    "circle_count_of_tree",
     "delta",
     "dual_tree",
     "edge_mask",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import Tree
+from .tree import Tree, line_records, parse_ints
 
 
 @dataclass(frozen=True)
@@ -60,35 +60,20 @@ def dual_tree(forest: NestingForest) -> Tree:
     return Tree(forest.circle_count + 1, edges)
 
 
-def circle_count_of_tree(t: Tree) -> int:
-    """Circles in any system whose dual is ``t``: one per edge."""
-    return t.edge_count
-
-
 def parse_nesting(text: str) -> NestingForest:
     """Parse the nesting file format: one ``C <id> <parent-id|->`` line per
     circle, ids dense from 0. An empty file is the empty system."""
     entries: dict[int, int | None] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in line_records(text):
         if len(fields) != 3 or fields[0] != "C":
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-        try:
-            cid = int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad circle id {fields[1]!r}") from None
+            raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
+        (cid,) = parse_ints(lineno, fields[1:2], "circle id")
         if cid in entries:
             raise ValueError(f"line {lineno}: duplicate circle id {cid}")
         if fields[2] == "-":
             entries[cid] = None
         else:
-            try:
-                entries[cid] = int(fields[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad parent id {fields[2]!r}") from None
+            (entries[cid],) = parse_ints(lineno, fields[2:], "parent id")
     k = len(entries)
     missing = [i for i in range(k) if i not in entries]
     if missing:

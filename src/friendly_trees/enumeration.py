@@ -55,35 +55,13 @@ def prufer_oracle_count(edge_count: int) -> int:
             f"oracle supports 1..{MAX_ORACLE_EDGES} edges, got {edge_count}"
         )
     m = edge_count + 1
-    if m == 2:
-        return 1
     codes: set[str] = set()
-    add = codes.add
     for seq in product(range(m), repeat=m - 2):
-        # Inline decode straight into adjacency lists; this loop runs m^(m-2)
-        # times and dominates the census runtime.
-        degree = [1] * m
-        for x in seq:
-            degree[x] += 1
         adj: list[list[int]] = [[] for _ in range(m)]
-        ptr = 0
-        while degree[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        for v in seq:
-            adj[leaf].append(v)
-            adj[v].append(leaf)
-            degree[v] -= 1
-            if degree[v] == 1 and v < ptr:
-                leaf = v
-            else:
-                ptr += 1
-                while degree[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        adj[leaf].append(m - 1)
-        adj[m - 1].append(leaf)
-        add(code_from_adjacency(m, adj))
+        for u, v in decode_prufer(seq, m):
+            adj[u].append(v)
+            adj[v].append(u)
+        codes.add(code_from_adjacency(m, adj))
     return len(codes)
 
 

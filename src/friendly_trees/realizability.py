@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .linking import unlinked
-from .tree import Tree
+from .tree import Tree, key_values, line_records, parse_ints
 
 # Image edge id at each source edge id.
 EdgeBijection = tuple[int, ...]
@@ -231,43 +231,23 @@ def parse_certificate(text: str) -> Certificate:
     """Parse the certificate text format; timing is not part of the format."""
     verdict = None
     witness: EdgeBijection | None = None
-    nodes = 0
-    checked = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "VERDICT" and len(fields) == 2:
+    stats = {"nodes": 0, "checked": 0}
+    seen: set[str] = set()
+    for lineno, fields in line_records(text):
+        kind = fields[0]
+        if kind == "VERDICT" and len(fields) == 2:
             verdict = fields[1]
-        elif fields[0] == "WITNESS":
-            witness = tuple(int(x) for x in fields[1:])
-        elif fields[0] == "STATS":
-            stats = dict(f.split("=", 1) for f in fields[1:])
-            nodes = int(stats.get("nodes", "0"))
-            checked = int(stats.get("checked", "0"))
+            if verdict not in (FRIENDLY, UNFRIENDLY):
+                raise ValueError(f"line {lineno}: bad verdict {verdict!r}")
+        elif kind == "WITNESS":
+            witness = parse_ints(lineno, fields[1:], "witness")
+        elif kind == "STATS":
+            stats = key_values(lineno, fields[1:], nodes=int, checked=int)
         else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-    if verdict not in (FRIENDLY, UNFRIENDLY):
-        raise ValueError("missing or bad VERDICT line")
-    return Certificate(verdict, witness, nodes, checked, 0.0)
-
-
-def inverse_asymmetry_examples(k: Tree, k2: Tree) -> list[EdgeBijection]:
-    """Every realizable bijection k->k2 whose inverse is not realizable.
-
-    Whether this list can ever be nonempty is left open by the theory; the
-    test suite runs it over small catalogues and reports what it finds.
-    """
-    n = _check_edge_counts(k, k2)
-    forward = _constraint_masks(k)
-    backward = _constraint_masks(k2)
-    out = []
-    for h in permutations(range(n)):
-        if _satisfies(k2, forward, h):
-            inv = [0] * n
-            for i, f in enumerate(h):
-                inv[f] = i
-            if not _satisfies(k, backward, tuple(inv)):
-                out.append(h)
-    return out
+            raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
+        if kind in seen:
+            raise ValueError(f"line {lineno}: second {kind} line")
+        seen.add(kind)
+    if verdict is None:
+        raise ValueError("missing VERDICT line")
+    return Certificate(verdict, witness, stats["nodes"], stats["checked"], 0.0)

@@ -15,7 +15,6 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import metadata
 
 from .enumeration import enumerate_trees
 from .realizability import (
@@ -27,16 +26,9 @@ from .realizability import (
     is_realizable,
     recheck_certificate,
 )
-from .tree import Tree
+from .tree import Tree, key_values, line_records, parse_ints
 
 MAX_SURVEY_EDGES = 8
-
-
-def _tool_version() -> str:
-    try:
-        return metadata.version("friendly-trees")
-    except metadata.PackageNotFoundError:
-        return "0+unknown"
 
 
 def build_G() -> Tree:
@@ -85,7 +77,6 @@ class SurveyReport:
     friendly: int
     unfriendly: int
     seconds: float
-    tool_version: str
 
     @property
     def pair_count(self) -> int:
@@ -98,21 +89,16 @@ def _decide_pair(edge_count: int, ia: int, ib: int, recheck_witness: bool) -> Su
     b = catalog.trees[ib]
     cert = find_realizable_bijection(a, b)
     recheck_passed: bool | None = None
-    if cert.verdict == UNFRIENDLY:
-        # Pruning bugs are the one way a false counterexample could appear,
-        # so every unfriendly verdict is re-derived without pruning.
+    # Pruning bugs are the one way a false counterexample could appear, so
+    # every unfriendly verdict is re-derived without pruning.
+    if cert.verdict == UNFRIENDLY or recheck_witness:
         if not recheck_certificate(a, b, cert):
-            raise RuntimeError(
-                f"pruned and unpruned searches disagree on pair ({ia}, {ib}) "
-                f"at {edge_count} edges"
+            problem = (
+                "pruned and unpruned searches disagree"
+                if cert.verdict == UNFRIENDLY
+                else "stored witness failed re-verification"
             )
-        recheck_passed = True
-    elif recheck_witness:
-        if not recheck_certificate(a, b, cert):
-            raise RuntimeError(
-                f"stored witness failed re-verification on pair ({ia}, {ib}) "
-                f"at {edge_count} edges"
-            )
+            raise RuntimeError(f"{problem} on pair ({ia}, {ib}) at {edge_count} edges")
         recheck_passed = True
     return SurveyRow(
         index_a=ia,
@@ -134,15 +120,13 @@ def survey_pairs(
     edge_count: int,
     jobs: int = 1,
     recheck_witnesses: bool = False,
-    clock=time.perf_counter,
 ) -> SurveyReport:
     """Decide every unordered pair (self-pairs included) from the catalogue
     of trees with ``edge_count`` edges.
 
     Pair verdicts are pure functions of the catalogue indices, so any worker
     pool produces the same rows; rows are sorted before assembly and the
-    report is identical for every ``jobs`` value. ``clock`` exists so tests
-    can pin the one volatile field, the measured wall time.
+    report is identical for every ``jobs`` value.
     """
     if not 0 <= edge_count <= MAX_SURVEY_EDGES:
         raise ValueError(
@@ -150,7 +134,7 @@ def survey_pairs(
         )
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    start = clock()
+    start = time.perf_counter()
     catalog = enumerate_trees(edge_count)
     k = len(catalog)
     tasks = [
@@ -172,8 +156,7 @@ def survey_pairs(
         rows=rows,
         friendly=friendly,
         unfriendly=len(rows) - friendly,
-        seconds=clock() - start,
-        tool_version=_tool_version(),
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -201,52 +184,60 @@ def parse_report(text: str) -> SurveyReport:
 
     Node counts of friendly rows and recheck flags are not part of the file
     format, so reloaded rows carry ``nodes=0`` and ``recheck_passed=None``.
+    The header's ``pairs`` and the SUMMARY counts must agree with the rows.
     """
-    edge_count = tree_count = None
+    head = summary = None
     rows: list[SurveyRow] = []
-    friendly = unfriendly = 0
-    seconds = 0.0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "SURVEY":
-            vals = dict(f.split("=", 1) for f in fields[1:])
-            edge_count = int(vals["edges"])
-            tree_count = int(vals["trees"])
-        elif fields[0] == "PAIR":
-            ia, ib = int(fields[1]), int(fields[2])
-            code_a, code_b, verdict = fields[3], fields[4], fields[5]
+    for lineno, fields in line_records(text):
+        kind = fields[0]
+        if head is None:
+            if kind != "SURVEY":
+                raise ValueError(f"line {lineno}: missing SURVEY header line")
+            head_line = lineno
+            head = key_values(lineno, fields[1:], edges=int, trees=int, pairs=int)
+        elif kind == "PAIR" and len(fields) >= 6:
+            ia, ib = parse_ints(lineno, fields[1:3], "tree indices")
+            if not (0 <= ia < head["trees"] and 0 <= ib < head["trees"]):
+                raise ValueError(f"line {lineno}: tree index outside 0..{head['trees'] - 1}")
+            code_a, code_b, verdict = fields[3:6]
             witness: EdgeBijection | None = None
             nodes = 0
             if verdict == FRIENDLY:
-                witness = tuple(int(x) for x in fields[6:])
+                witness = parse_ints(lineno, fields[6:], "witness")
+                if sorted(witness) != list(range(head["edges"])):
+                    raise ValueError(
+                        f"line {lineno}: witness is not a permutation of 0..{head['edges'] - 1}"
+                    )
             elif verdict == UNFRIENDLY:
-                vals = dict(f.split("=", 1) for f in fields[6:])
-                nodes = int(vals.get("nodes", "0"))
+                nodes = key_values(lineno, fields[6:], nodes=int)["nodes"]
             else:
                 raise ValueError(f"line {lineno}: bad verdict {verdict!r}")
-            rows.append(
-                SurveyRow(ia, ib, code_a, code_b, verdict, witness, nodes, None)
-            )
-        elif fields[0] == "SUMMARY":
-            vals = dict(f.split("=", 1) for f in fields[1:])
-            friendly = int(vals["friendly"])
-            unfriendly = int(vals["unfriendly"])
-            seconds = float(vals["seconds"])
+            rows.append(SurveyRow(ia, ib, code_a, code_b, verdict, witness, nodes, None))
+        elif kind == "SUMMARY" and summary is None:
+            summary_line = lineno
+            summary = key_values(lineno, fields[1:], friendly=int, unfriendly=int, seconds=float)
         else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-    if edge_count is None or tree_count is None:
+            raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
+    if head is None:
         raise ValueError("missing SURVEY header line")
+    if summary is None:
+        raise ValueError("missing SUMMARY line")
+    if head["pairs"] != len(rows):
+        raise ValueError(f"line {head_line}: pairs={head['pairs']} but {len(rows)} PAIR rows")
+    friendly = sum(1 for r in rows if r.verdict == FRIENDLY)
+    unfriendly = len(rows) - friendly
+    if (summary["friendly"], summary["unfriendly"]) != (friendly, unfriendly):
+        raise ValueError(
+            f"line {summary_line}: SUMMARY counts disagree with the rows "
+            f"({friendly} friendly, {unfriendly} unfriendly)"
+        )
     return SurveyReport(
-        edge_count=edge_count,
-        tree_count=tree_count,
+        edge_count=head["edges"],
+        tree_count=head["trees"],
         rows=tuple(rows),
         friendly=friendly,
         unfriendly=unfriendly,
-        seconds=seconds,
-        tool_version="",
+        seconds=summary["seconds"],
     )
 
 

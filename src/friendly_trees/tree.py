@@ -10,7 +10,7 @@ both the cheapest and the most convenient representation.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def edge_mask(ids: Iterable[int]) -> int:
@@ -104,12 +104,11 @@ class Tree:
         return tuple(masks)
 
     @cached_property
-    def _bfs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(parent_vertex, parent_edge, depth) for a BFS rooted at vertex 0."""
+    def _bfs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(depth, root path mask) per vertex, from a BFS rooted at vertex 0."""
         n = self.vertex_count
-        parent = [-1] * n
-        parent_edge = [-1] * n
         depth = [0] * n
+        masks = [0] * n
         queue = [0]
         visited = [False] * n
         visited[0] = True
@@ -117,16 +116,15 @@ class Tree:
             for y, eid in self.adjacency[x]:
                 if not visited[y]:
                     visited[y] = True
-                    parent[y] = x
-                    parent_edge[y] = eid
                     depth[y] = depth[x] + 1
+                    masks[y] = masks[x] | (1 << eid)
                     queue.append(y)
-        return tuple(parent), tuple(parent_edge), tuple(depth)
+        return tuple(depth), tuple(masks)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         """Distance of every vertex from vertex 0."""
-        return self._bfs[2]
+        return self._bfs[0]
 
     @cached_property
     def root_path_masks(self) -> tuple[int, ...]:
@@ -135,13 +133,7 @@ class Tree:
         The path between any x and y is the symmetric difference
         ``root_path_masks[x] ^ root_path_masks[y]``: the shared stem cancels.
         """
-        parent, parent_edge, _ = self._bfs
-        masks = [0] * self.vertex_count
-        order = sorted(range(self.vertex_count), key=self.depths.__getitem__)
-        for v in order:
-            if parent[v] >= 0:
-                masks[v] = masks[parent[v]] | (1 << parent_edge[v])
-        return tuple(masks)
+        return self._bfs[1]
 
 
 def _check_vertex(t: Tree, v: int) -> None:
@@ -239,35 +231,36 @@ def centroids(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def rooted_code(n: int, adj: Sequence[Sequence[int]], root: int) -> str:
-    """Parenthesis code of the tree rooted at ``root``.
+def subtree_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> list[str]:
+    """Parenthesis code of every vertex's subtree, for the tree rooted at
+    ``root``.
 
-    A childless vertex encodes as ``()``; an inner vertex wraps the ascending
-    lexicographic concatenation of its children's codes in one more pair.
+    A vertex wraps the ascending lexicographic concatenation of its
+    children's codes in one more pair, so a childless vertex is ``()``.
+    Iterative, so no tree size can exhaust the recursion limit.
     """
     parent = [-1] * n
     order = [root]
-    visited = [False] * n
-    visited[root] = True
     for x in order:
+        px = parent[x]
         for y in adj[x]:
-            if not visited[y]:
-                visited[y] = True
+            if y != px:
                 parent[y] = x
                 order.append(y)
-    code: list[str] = [""] * n
+    code = [""] * n
     kids: list[list[str]] = [[] for _ in range(n)]
     for v in reversed(order):
         c = kids[v]
-        if c:
-            c.sort()
-            code[v] = "(" + "".join(c) + ")"
-        else:
-            code[v] = "()"
-        p = parent[v]
-        if p >= 0:
-            kids[p].append(code[v])
-    return code[root]
+        c.sort()
+        code[v] = "(" + "".join(c) + ")"
+        if v != root:
+            kids[parent[v]].append(code[v])
+    return code
+
+
+def rooted_code(n: int, adj: Sequence[Sequence[int]], root: int) -> str:
+    """Parenthesis code of the tree rooted at ``root``."""
+    return subtree_codes(n, adj, root)[root]
 
 
 def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
@@ -276,31 +269,19 @@ def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
     Roots at the centroid; with two centroids, takes the lexicographically
     smaller of the two rooted codes. Equal codes characterize isomorphism.
 
-    The bicentroidal branch builds both rooted codes from the two shared
-    half-tree codes instead of traversing twice; it is pinned against the
-    plain ``min`` of ``rooted_code`` calls by the test suite.
+    The second centroid's rooted code reuses the subtree codes of the first
+    traversal instead of traversing again; it is pinned against the plain
+    ``min`` of ``rooted_code`` calls by the test suite.
     """
-    if n == 1:
-        return "()"
-    if n == 2:
-        return "(())"
-
-    def rcode(v: int, par: int) -> str:
-        subs = [rcode(u, v) for u in adj[v] if u != par]
-        if not subs:
-            return "()"
-        subs.sort()
-        return "(" + "".join(subs) + ")"
-
     cs = centroids(n, adj)
+    c1 = cs[0]
+    code = subtree_codes(n, adj, c1)
     if len(cs) == 1:
-        return rcode(cs[0], -1)
-    c1, c2 = cs
-    half1 = sorted(rcode(u, c1) for u in adj[c1] if u != c2)
-    half2 = sorted(rcode(u, c2) for u in adj[c2] if u != c1)
-    code1 = "(" + "".join(sorted(half1 + ["(" + "".join(half2) + ")"])) + ")"
-    code2 = "(" + "".join(sorted(half2 + ["(" + "".join(half1) + ")"])) + ")"
-    return code1 if code1 <= code2 else code2
+        return code[c1]
+    c2 = cs[1]
+    half1 = "(" + "".join(sorted(code[u] for u in adj[c1] if u != c2)) + ")"
+    code2 = "(" + "".join(sorted([code[u] for u in adj[c2] if u != c1] + [half1])) + ")"
+    return min(code[c1], code2)
 
 
 def canonical_code(t: Tree) -> str:
@@ -313,34 +294,64 @@ def is_isomorphic(a: Tree, b: Tree) -> bool:
     return canonical_code(a) == canonical_code(b)
 
 
+def line_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, whitespace-split fields)`` of every non-blank line,
+    numbered from 1. Every text format of the package is read through it."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields:
+            yield lineno, fields
+
+
+def parse_ints(lineno: int, tokens: Sequence[str], what: str) -> tuple[int, ...]:
+    """``tokens`` as integers, or a ``ValueError`` naming the line."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad {what} {' '.join(tokens)!r}") from None
+
+
+def key_values(lineno: int, fields: Sequence[str], **kinds: Callable[[str], object]) -> dict:
+    """``key=value`` fields, each value converted by ``kinds[key]``.
+
+    Every key of ``kinds`` must appear exactly once and no other key may;
+    anything else is a ``ValueError`` naming the line.
+    """
+    vals: dict = {}
+    for field in fields:
+        key, sep, raw = field.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: field {field!r} is not key=value")
+        if key not in kinds or key in vals:
+            raise ValueError(f"line {lineno}: unexpected field {field!r}")
+        try:
+            vals[key] = kinds[key](raw)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad value in {field!r}") from None
+    missing = [key for key in kinds if key not in vals]
+    if missing:
+        raise ValueError(f"line {lineno}: missing field {missing[0]!r}")
+    return vals
+
+
 def parse_tree(text: str) -> Tree:
     """Parse the tree text format: ``V <n>`` then one ``E <u> <v>`` per edge.
 
     Edge lines appear in edge-id order; blank lines are ignored.
     """
     vertex_count = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
+    edges: list[tuple[int, ...]] = []
+    for lineno, fields in line_records(text):
         if fields[0] == "V" and len(fields) == 2:
             if vertex_count is not None:
                 raise ValueError(f"line {lineno}: second V line")
-            try:
-                vertex_count = int(fields[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad vertex count {fields[1]!r}") from None
+            (vertex_count,) = parse_ints(lineno, fields[1:], "vertex count")
         elif fields[0] == "E" and len(fields) == 3:
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: E line before V line")
-            try:
-                edges.append((int(fields[1]), int(fields[2])))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad edge line {line!r}") from None
+            edges.append(parse_ints(lineno, fields[1:], "edge"))
         else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
+            raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
     if vertex_count is None:
         raise ValueError("missing V line")
     return Tree(vertex_count, edges)

@@ -2,13 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from friendly_trees.circles import (
-    NestingForest,
-    circle_count_of_tree,
-    dual_tree,
-    parse_nesting,
-)
-from friendly_trees.survey import build_G
+from friendly_trees.circles import NestingForest, dual_tree, parse_nesting
 from friendly_trees.tree import Tree, canonical_code
 
 
@@ -77,17 +71,6 @@ class TestDualTree:
         assert recovered == f.parents
 
 
-class TestCircleCount:
-    def test_fixture_has_seven(self):
-        assert circle_count_of_tree(build_G()) == 7
-
-    def test_single_vertex(self):
-        assert circle_count_of_tree(Tree(1, [])) == 0
-
-    def test_star(self):
-        assert circle_count_of_tree(Tree(4, [(0, 1), (0, 2), (0, 3)])) == 3
-
-
 class TestParseNesting:
     def test_basic(self):
         f = parse_nesting("C 0 -\nC 1 0\nC 2 0\n")
@@ -115,3 +98,16 @@ class TestParseNesting:
     def test_rejects_bad_parent(self):
         with pytest.raises(ValueError, match="bad parent"):
             parse_nesting("C 0 x\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("C 0 -\nC 1\n", "line 2: unrecognized"),
+            ("\nC x -\n", "line 2: bad circle id 'x'"),
+            ("C 0 -\n\nC 1 0\nC 0 1\n", "line 4: duplicate circle id 0"),
+            ("C 0 -\nC 1 y\n", "line 2: bad parent id 'y'"),
+        ],
+    )
+    def test_rejection_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_nesting(text)

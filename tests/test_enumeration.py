@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -7,7 +9,7 @@ from friendly_trees.enumeration import (
     enumerate_trees,
     prufer_oracle_count,
 )
-from friendly_trees.tree import canonical_code
+from friendly_trees.tree import canonical_code, centroids, subtree_codes, vertex_adjacency
 
 # Class counts frozen as regression values: 1..8 produced by the Prüfer
 # census, the rest re-derived with the rooted-tree/Otter counting recurrence.
@@ -30,6 +32,28 @@ def naive_decode(seq, m):
         seq.pop(0)
     edges.append(frozenset(alive))
     return set(edges)
+
+
+def automorphism_count(t):
+    """|Aut t|: the product, over the vertices of the tree rooted at its first
+    centroid, of the multiplicity factorials of equal child codes; times 2
+    when two centroids carry equal halves, which the swap exchanges."""
+    n = t.vertex_count
+    adj = vertex_adjacency(t)
+    cs = centroids(n, adj)
+    code = subtree_codes(n, adj, cs[0])
+    count = 1
+    for v in range(n):
+        # a child's subtree is smaller than v's, the parent's larger
+        children = [code[u] for u in adj[v] if len(code[u]) < len(code[v])]
+        for multiplicity in Counter(children).values():
+            count *= factorial(multiplicity)
+    if len(cs) == 2:
+        c1, c2 = cs
+        half1 = "(" + "".join(sorted(code[u] for u in adj[c1] if u != c2)) + ")"
+        if half1 == code[c2]:
+            count *= 2
+    return count
 
 
 class TestDecodePrufer:
@@ -72,6 +96,13 @@ class TestEnumerateTrees:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complete_against_oracle(self, n):
         assert len(enumerate_trees(n)) == prufer_oracle_count(n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_orbit_stabilizer(self, n):
+        # each class of n-edge trees has (n+1)!/|Aut| labellings, and there
+        # are (n+1)^(n-1) labelled trees in all (Cayley)
+        labellings = sum(factorial(n + 1) // automorphism_count(t) for t in enumerate_trees(n).trees)
+        assert labellings == (n + 1) ** (n - 1)
 
     def test_codes_strictly_increasing(self):
         for n in range(9):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,11 @@ from friendly_trees.survey import (
     write_report,
 )
 from friendly_trees.tree import canonical_code, is_isomorphic, parity, path_edges
+
+
+GOOD_HEAD = "SURVEY edges=1 trees=1 pairs=1"
+GOOD_ROW = "PAIR 0 0 (()) (()) friendly 0"
+GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0 seconds=0.001"
 
 
 class TestFixtures:
@@ -98,15 +104,14 @@ class TestSurveyPairs:
             )
 
     def test_parallel_report_identical(self):
-        fixed = lambda: 0.0
-        solo = survey_pairs(4, jobs=1, clock=fixed)
-        pooled = survey_pairs(4, jobs=4, clock=fixed)
+        solo = replace(survey_pairs(4, jobs=1), seconds=0.0)
+        pooled = replace(survey_pairs(4, jobs=4), seconds=0.0)
         assert format_report(solo) == format_report(pooled)
 
 
 class TestReportFormat:
     def test_round_trip(self, tmp_path):
-        report = survey_pairs(3, clock=lambda: 0.0)
+        report = replace(survey_pairs(3), seconds=0.0)
         path = str(tmp_path / "r3.report")
         write_report(report, path)
         with open(path, encoding="ascii") as handle:
@@ -123,7 +128,7 @@ class TestReportFormat:
         verify_report_witnesses(again)
 
     def test_header_and_summary_lines(self):
-        text = format_report(survey_pairs(3, clock=lambda: 0.0))
+        text = format_report(replace(survey_pairs(3), seconds=0.0))
         lines = text.splitlines()
         assert lines[0] == "SURVEY edges=3 trees=2 pairs=3"
         assert lines[-1] == "SUMMARY friendly=3 unfriendly=0 seconds=0.000"
@@ -139,6 +144,31 @@ class TestReportFormat:
             parse_report("SURVEY edges=1 trees=1 pairs=1\nWAT\n")
         with pytest.raises(ValueError, match="missing SURVEY"):
             parse_report("SUMMARY friendly=0 unfriendly=0 seconds=0.0\n")
+        with pytest.raises(ValueError, match="missing SUMMARY"):
+            parse_report("SURVEY edges=0 trees=1 pairs=1\nPAIR 0 0 () () friendly\n")
+
+    @pytest.mark.parametrize(
+        "head, row, summary, message",
+        [
+            ("SURVEY edges=1 pairs=1", GOOD_ROW, GOOD_SUMMARY, "line 1: missing field 'trees'"),
+            ("SURVEY edges=1 trees 1 pairs=1", GOOD_ROW, GOOD_SUMMARY, "line 1: field 'trees' is not key=value"),
+            ("SURVEY edges=1 trees=1 pairs=2", GOOD_ROW, GOOD_SUMMARY, "line 1: pairs=2 but 1 PAIR rows"),
+            (GOOD_HEAD, "PAIR 0 1", GOOD_SUMMARY, "line 2: unrecognized line 'PAIR 0 1'"),
+            (GOOD_HEAD, "PAIR 0 1 (()) (()) friendly 0", GOOD_SUMMARY, r"line 2: tree index outside 0\.\.0"),
+            (GOOD_HEAD, "PAIR -1 0 (()) (()) friendly 0", GOOD_SUMMARY, "line 2: tree index"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) friendly 1", GOOD_SUMMARY, "line 2: witness is not a permutation"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) friendly", GOOD_SUMMARY, "line 2: witness is not a permutation"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) friendly x", GOOD_SUMMARY, "line 2: bad witness 'x'"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) maybe", GOOD_SUMMARY, "line 2: bad verdict 'maybe'"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) unfriendly nodes=x", GOOD_SUMMARY, "line 2: bad value in 'nodes=x'"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=0 unfriendly=1 seconds=0.0", "line 3: SUMMARY counts disagree"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0", "line 3: missing field 'seconds'"),
+            (GOOD_HEAD, GOOD_ROW, GOOD_SUMMARY + "\n" + GOOD_SUMMARY, "line 4: unrecognized"),
+        ],
+    )
+    def test_parse_rejection_names_the_line(self, head, row, summary, message):
+        with pytest.raises(ValueError, match=message):
+            parse_report("\n".join((head, row, summary)) + "\n")
 
 
 class TestTheorem1:

@@ -28,6 +28,9 @@ from helpers import brute_force_isomorphic, relabel, trees
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR3 = Tree(4, [(0, 1), (0, 2), (0, 3)])
+# Deep enough to exhaust the default recursion limit of a recursive code.
+LONG_PATH = Tree(3000, [(i, i + 1) for i in range(2999)])
+CATERPILLAR = Tree(3000, [(i, i + 1) for i in range(1499)] + [(i, 1500 + i) for i in range(1500)])
 
 
 class TestConstruction:
@@ -159,8 +162,9 @@ class TestCanonicalCode:
         assert canonical_code(PATH3) != canonical_code(STAR3)
 
     def test_balanced_parentheses(self):
-        for t in (PATH3, STAR3, build_G(), build_H()):
+        for t in (PATH3, STAR3, build_G(), build_H(), LONG_PATH, CATERPILLAR):
             code = canonical_code(t)
+            assert len(code) == 2 * t.vertex_count
             depth = 0
             for ch in code:
                 depth += 1 if ch == "(" else -1
@@ -253,6 +257,20 @@ class TestTextFormat:
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ValueError, match="missing V"):
             parse_tree("\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("V 2\n\nE 0 1 2\n", "line 3: unrecognized"),
+            ("V two\n", "line 1: bad vertex count 'two'"),
+            ("V 2\nE 0 x\n", "line 2: bad edge '0 x'"),
+            ("V 2\nV 2\n", "line 2: second V line"),
+            ("\nE 0 1\nV 2\n", "line 2: E line before V line"),
+        ],
+    )
+    def test_parse_rejection_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_tree(text)
 
     def test_parse_skips_blank_lines(self):
         t = parse_tree("V 2\n\nE 0 1\n")
