@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import Tree, line_records, parse_ints
+from .tree import ItemError, Tree, line_records, parse_ints
 
 
 @dataclass(frozen=True)
 class NestingForest:
     """Containment forest of disjoint circles; ``parents[i]`` is the id of
     the smallest circle enclosing circle ``i``, or ``None`` for outermost
-    circles."""
+    circles. A fault of a single circle is an ``ItemError`` carrying its
+    id."""
 
     parents: tuple[int | None, ...]
 
@@ -29,15 +30,15 @@ class NestingForest:
             if p is None:
                 continue
             if not (0 <= p < k):
-                raise ValueError(f"circle {i}: dangling parent id {p}")
+                raise ItemError(i, f"circle {i}: dangling parent id {p}")
             if p == i:
-                raise ValueError(f"circle {i} contains itself")
+                raise ItemError(i, f"circle {i} contains itself")
         for i in range(k):
             seen = set()
             v: int | None = i
             while v is not None:
                 if v in seen:
-                    raise ValueError(f"containment cycle through circle {i}")
+                    raise ItemError(i, f"containment cycle through circle {i}")
                 seen.add(v)
                 v = self.parents[v]
 
@@ -64,12 +65,14 @@ def parse_nesting(text: str) -> NestingForest:
     """Parse the nesting file format: one ``C <id> <parent-id|->`` line per
     circle, ids dense from 0. An empty file is the empty system."""
     entries: dict[int, int | None] = {}
+    lines: dict[int, int] = {}
     for lineno, fields in line_records(text):
         if len(fields) != 3 or fields[0] != "C":
             raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
         (cid,) = parse_ints(lineno, fields[1:2], "circle id")
         if cid in entries:
             raise ValueError(f"line {lineno}: duplicate circle id {cid}")
+        lines[cid] = lineno
         if fields[2] == "-":
             entries[cid] = None
         else:
@@ -78,4 +81,7 @@ def parse_nesting(text: str) -> NestingForest:
     missing = [i for i in range(k) if i not in entries]
     if missing:
         raise ValueError(f"circle ids are not dense from 0: missing {missing[0]}")
-    return NestingForest(tuple(entries[i] for i in range(k)))
+    try:
+        return NestingForest(tuple(entries[i] for i in range(k)))
+    except ItemError as err:
+        raise ValueError(f"line {lines[err.index]}: {err}") from None

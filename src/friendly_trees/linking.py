@@ -1,9 +1,17 @@
 """Side and linking predicates on edge sets of one tree.
 
-Two evaluators are kept on purpose. ``same_side``/``unlinked`` decide by
-crossing parities against precomputed root paths and sit on the solver's hot
-path; the ``*_bruteforce`` forms re-walk an explicit path for every endpoint
-pair and stay, permanently, the oracle the fast forms are tested against.
+Three forms, one idea. Colour every vertex by the parity of ``q``-edges on
+its root path; ``p`` is on one side of ``q`` when all endpoints of ``p``'s
+edges get one colour.
+
+- ``side_tables`` turns that into per-edge vertex masks, so the colouring of
+  a whole edge set is an XOR of table entries. The friendliness search's
+  kernel decides every constraint from these tables alone.
+- ``same_side``/``unlinked`` evaluate the colouring against precomputed
+  root paths. They are off the search's hot path: they serve the unpruned
+  recheck (``exhaustive_search``), ``is_realizable`` and the witness check.
+- The ``*_bruteforce`` forms re-walk an explicit path for every endpoint
+  pair and stay, permanently, the oracle the other forms are tested against.
 """
 
 from __future__ import annotations
@@ -62,6 +70,28 @@ def same_side(t: Tree, p: int, q: int) -> bool:
         if ((rp[v] & q).bit_count() & 1) != first:
             return False
     return True
+
+
+def side_tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(below, ends)``: per edge id, the vertex mask of the subtree under
+    the edge (rooted at vertex 0) and the mask of its two endpoints.
+
+    A vertex is below edge ``f`` exactly when ``f`` is on its root path, so
+    the XOR of ``below`` over an edge set ``q`` is the set of vertices whose
+    root paths cross ``q`` an odd number of times: ``q``'s side colouring.
+    With ``S(q)`` that XOR and ``E(p)`` the OR of ``ends`` over ``p``, a set
+    ``p`` disjoint from ``q`` is on one side of ``q`` exactly when
+    ``E(p) & S(q)`` is ``0`` or ``E(p)``.
+    """
+    below = [0] * t.edge_count
+    for x, path in enumerate(t.root_path_masks):
+        bit = 1 << x
+        while path:
+            low = path & -path
+            path ^= low
+            below[low.bit_length() - 1] |= bit
+    ends = tuple((1 << u) | (1 << v) for u, v in t.edges)
+    return tuple(below), ends
 
 
 def unlinked(t: Tree, p: int, q: int) -> bool:

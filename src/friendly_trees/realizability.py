@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
-from .linking import unlinked
+from .linking import side_tables, unlinked
 from .tree import Tree, key_values, line_records, parse_ints
 
 # Image edge id at each source edge id.
@@ -114,6 +114,15 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     order fixed the search is deterministic: it returns the first realizable
     bijection reached (candidate images tried in ascending edge id), or an
     exhaustion certificate.
+
+    The search is an explicit per-depth loop, so no tree size exhausts the
+    recursion limit. A constraint check is two mask tests: when a source
+    vertex's last edge is mapped, its image set's side colouring ``S`` and
+    endpoint mask ``E`` are built from ``side_tables(k2)``, and an
+    even-distance pair ``(a, b)`` is unlinked exactly when ``E[a] & S[b]`` is
+    ``0`` or ``E[a]`` and the same holds with ``a`` and ``b`` swapped. The two
+    image sets need no overlap test: vertices at even distance are not
+    adjacent, so their incident sets, and hence their images, are disjoint.
     """
     n = _check_edge_counts(k, k2)
     start = time.perf_counter()
@@ -124,52 +133,69 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     pos = [0] * n
     for depth, eid in enumerate(order):
         pos[eid] = depth
-    # Bucket each constraint at the depth where its last edge gets an image.
-    by_depth: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ma, mb in _constraint_masks(k):
-        trigger = 0
-        m = ma | mb
-        while m:
-            low = m & -m
-            m ^= low
-            d = pos[low.bit_length() - 1]
-            if d > trigger:
-                trigger = d
-        by_depth[trigger].append((ma, mb))
+    # A vertex is complete at the depth that maps its last edge; each
+    # constraint is checked at the depth where both its vertices are.
+    complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    done = []
+    for v, nbrs in enumerate(k.adjacency):
+        at = tuple(pos[e] for _, e in nbrs)
+        done.append(max(at))
+        complete[done[v]].append((v, at))
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b in even_vertex_pairs(k):
+        checks[max(done[a], done[b])].append((a, b))
+    below, ends = side_tables(k2)
 
-    img = [0] * n
-    used = [False] * n
-    nodes = 0
-    checked = 0
-
-    def extend(depth: int) -> EdgeBijection | None:
-        nonlocal nodes, checked
-        eid = order[depth]
-        last = depth == n - 1
-        for f in range(n):
-            if used[f]:
-                continue
-            used[f] = True
-            img[eid] = f
-            nodes += 1
-            ok = True
-            for ma, mb in by_depth[depth]:
-                if not unlinked(k2, _map_mask(ma, img), _map_mask(mb, img)):
-                    ok = False
-                    break
+    img = [0] * n  # image of the edge mapped at each depth
+    # S and E of each complete vertex's image set.
+    side = [0] * k.vertex_count
+    span = [0] * k.vertex_count
+    todo = [0] * n  # candidate images not yet tried at each depth
+    free = todo[0] = (1 << n) - 1
+    last = n - 1
+    depth = nodes = checked = 0
+    witness = None
+    while depth >= 0:
+        cand = todo[depth]
+        if not cand:
+            depth -= 1
+            if depth >= 0:
+                free |= 1 << img[depth]
+            continue
+        low = cand & -cand
+        todo[depth] = cand ^ low
+        img[depth] = low.bit_length() - 1
+        nodes += 1
+        for v, at in complete[depth]:
+            s = e = 0
+            for d in at:
+                f = img[d]
+                s ^= below[f]
+                e |= ends[f]
+            side[v] = s
+            span[v] = e
+        ok = True
+        for a, b in checks[depth]:
+            ea = span[a]
+            x = ea & side[b]
+            if x and x != ea:
+                ok = False
+                break
+            eb = span[b]
+            x = eb & side[a]
+            if x and x != eb:
+                ok = False
+                break
+        if depth == last:
+            checked += 1
             if ok:
-                if last:
-                    checked += 1
-                    return tuple(img)
-                w = extend(depth + 1)
-                if w is not None:
-                    return w
-            elif last:
-                checked += 1
-            used[f] = False
-        return None
+                witness = tuple(img[pos[eid]] for eid in range(n))
+                break
+        elif ok:
+            free ^= low
+            depth += 1
+            todo[depth] = free
 
-    witness = extend(0)
     elapsed = time.perf_counter() - start
     if witness is None:
         return Certificate(UNFRIENDLY, None, nodes, checked, elapsed)

@@ -185,9 +185,13 @@ def parse_report(text: str) -> SurveyReport:
     Node counts of friendly rows and recheck flags are not part of the file
     format, so reloaded rows carry ``nodes=0`` and ``recheck_passed=None``.
     The header's ``pairs`` and the SUMMARY counts must agree with the rows.
+    A survey has one row per unordered pair, in ``enumerate`` order: each
+    row has ``ia <= ib``, rows come in strictly increasing ``(ia, ib)``
+    order, and ``pairs`` is ``trees * (trees + 1) / 2``.
     """
     head = summary = None
     rows: list[SurveyRow] = []
+    previous = (-1, -1)
     for lineno, fields in line_records(text):
         kind = fields[0]
         if head is None:
@@ -199,6 +203,14 @@ def parse_report(text: str) -> SurveyReport:
             ia, ib = parse_ints(lineno, fields[1:3], "tree indices")
             if not (0 <= ia < head["trees"] and 0 <= ib < head["trees"]):
                 raise ValueError(f"line {lineno}: tree index outside 0..{head['trees'] - 1}")
+            if ia > ib:
+                raise ValueError(f"line {lineno}: tree indices {ia} > {ib}")
+            if (ia, ib) <= previous:
+                raise ValueError(
+                    f"line {lineno}: duplicate or out-of-order pair ({ia}, {ib}) "
+                    f"after {previous}"
+                )
+            previous = (ia, ib)
             code_a, code_b, verdict = fields[3:6]
             witness: EdgeBijection | None = None
             nodes = 0
@@ -224,6 +236,12 @@ def parse_report(text: str) -> SurveyReport:
         raise ValueError("missing SUMMARY line")
     if head["pairs"] != len(rows):
         raise ValueError(f"line {head_line}: pairs={head['pairs']} but {len(rows)} PAIR rows")
+    expected = head["trees"] * (head["trees"] + 1) // 2
+    if head["pairs"] != expected:
+        raise ValueError(
+            f"line {head_line}: pairs={head['pairs']} but trees={head['trees']} "
+            f"make {expected} unordered pairs"
+        )
     friendly = sum(1 for r in rows if r.verdict == FRIENDLY)
     unfriendly = len(rows) - friendly
     if (summary["friendly"], summary["unfriendly"]) != (friendly, unfriendly):

@@ -31,12 +31,23 @@ def mask_ids(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class ItemError(ValueError):
+    """A fault of one numbered item of a whole, such as an edge of a tree or
+    a circle of a nesting forest. ``index`` is the item's position, so a
+    parser can name the line the item came from."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class Tree:
     """An immutable free tree.
 
     ``edges[i]`` holds the endpoint pair of edge id ``i``. Input order is
     preserved: file formats, bijections and reports all index edges by it.
-    Construction validates every tree invariant and names the violated one.
+    Construction validates every tree invariant and names the violated one;
+    a fault of a single edge is an ``ItemError`` carrying its edge id.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
@@ -57,18 +68,18 @@ class Tree:
                 x = comp[x]
             return x
 
-        for u, v in edge_list:
+        for eid, (u, v) in enumerate(edge_list):
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has a vertex id outside 0..{n - 1}")
+                raise ItemError(eid, f"edge ({u}, {v}) has a vertex id outside 0..{n - 1}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ItemError(eid, f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise ItemError(eid, f"duplicate edge ({u}, {v})")
             seen.add(key)
             ru, rv = find(u), find(v)
             if ru == rv:
-                raise ValueError(f"contains a cycle (edge ({u}, {v}) closes it)")
+                raise ItemError(eid, f"contains a cycle (edge ({u}, {v}) closes it)")
             comp[ru] = rv
         # n-1 edges and no cycle force connectivity, so the invariants all hold.
         self.vertex_count = n
@@ -341,6 +352,7 @@ def parse_tree(text: str) -> Tree:
     """
     vertex_count = None
     edges: list[tuple[int, ...]] = []
+    edge_lines: list[int] = []
     for lineno, fields in line_records(text):
         if fields[0] == "V" and len(fields) == 2:
             if vertex_count is not None:
@@ -350,11 +362,15 @@ def parse_tree(text: str) -> Tree:
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: E line before V line")
             edges.append(parse_ints(lineno, fields[1:], "edge"))
+            edge_lines.append(lineno)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
     if vertex_count is None:
         raise ValueError("missing V line")
-    return Tree(vertex_count, edges)
+    try:
+        return Tree(vertex_count, edges)
+    except ItemError as err:
+        raise ValueError(f"line {edge_lines[err.index]}: {err}") from None
 
 
 def format_tree(t: Tree) -> str:

@@ -106,6 +106,9 @@ class TestParseNesting:
             ("\nC x -\n", "line 2: bad circle id 'x'"),
             ("C 0 -\n\nC 1 0\nC 0 1\n", "line 4: duplicate circle id 0"),
             ("C 0 -\nC 1 y\n", "line 2: bad parent id 'y'"),
+            ("C 0 -\nC 1 7\n", "line 2: circle 1: dangling parent id 7"),
+            ("C 1 -\n\nC 0 0\n", "line 3: circle 0 contains itself"),
+            ("C 0 1\nC 2 -\nC 1 0\n", "line 1: containment cycle through circle 0"),
         ],
     )
     def test_rejection_names_the_line(self, text, message):

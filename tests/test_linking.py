@@ -3,18 +3,20 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from friendly_trees.linking import (
     endpoints,
     same_side,
     same_side_bruteforce,
+    side_tables,
     unlinked,
     unlinked_bruteforce,
 )
 from friendly_trees.survey import build_H
 from friendly_trees.tree import Tree, delta, edge_mask, path_edges
 
-from helpers import random_tree, trees_with_two_edge_sets
+from helpers import random_tree, trees, trees_with_two_edge_sets
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -113,3 +115,35 @@ def test_same_edge_pair_reading_is_immaterial(case):
     # pair formed by its own endpoints can never flip the answer
     t, p, q = case
     assert same_side_bruteforce(t, p, q) == same_side_without_same_edge_pairs(t, p, q)
+
+
+@st.composite
+def trees_with_disjoint_edge_sets(draw, max_edges: int):
+    """A tree with two disjoint non-empty edge-set masks over its edges."""
+    t = draw(trees(max_edges=max_edges, min_edges=2))
+    first_p, first_q = draw(st.permutations(range(t.edge_count)))[:2]
+    owners = draw(st.lists(st.sampled_from("-pq"), min_size=t.edge_count, max_size=t.edge_count))
+    owners[first_p], owners[first_q] = "p", "q"
+    p = edge_mask(i for i, owner in enumerate(owners) if owner == "p")
+    q = edge_mask(i for i, owner in enumerate(owners) if owner == "q")
+    return t, p, q
+
+
+@given(trees_with_disjoint_edge_sets(max_edges=9))
+def test_side_masks_match_bruteforce(case):
+    """The search kernel's side test, held to the oracle.
+
+    With ``S(q)`` the XOR of ``below`` over ``q`` (the vertices whose root
+    paths cross ``q`` an odd number of times) and ``E(p)`` the OR of ``ends``
+    over ``p`` (the endpoints of ``p``'s edges), ``p`` is on one side of a
+    disjoint ``q`` exactly when ``E(p) & S(q)`` is ``0`` or ``E(p)``.
+    """
+    t, p, q = case
+    below, ends = side_tables(t)
+    s_q = e_p = 0
+    for f in range(t.edge_count):
+        if q >> f & 1:
+            s_q ^= below[f]
+        if p >> f & 1:
+            e_p |= ends[f]
+    assert ((e_p & s_q) in (0, e_p)) == same_side_bruteforce(t, p, q)

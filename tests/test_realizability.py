@@ -91,6 +91,14 @@ class TestFindRealizableBijection:
         assert cert.verdict == FRIENDLY
         assert cert.witness == ()
 
+    def test_large_star_needs_no_recursion(self):
+        # Deeper than the default recursion limit of 1,000 frames.
+        star = Tree(1101, [(0, leaf) for leaf in range(1, 1101)])
+        cert = find_realizable_bijection(star, star)
+        assert cert.verdict == FRIENDLY
+        assert cert.witness == tuple(range(1100))
+        assert cert.nodes == 1100
+
     def test_deterministic(self):
         a = find_realizable_bijection(build_H(), build_G())
         b = find_realizable_bijection(build_H(), build_G())

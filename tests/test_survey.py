@@ -1,10 +1,17 @@
+import hashlib
 import os
 from dataclasses import replace
 
 import pytest
 
 from friendly_trees.enumeration import enumerate_trees
-from friendly_trees.realizability import FRIENDLY, UNFRIENDLY, is_realizable
+from friendly_trees.realizability import (
+    FRIENDLY,
+    UNFRIENDLY,
+    certificate_to_text,
+    find_realizable_bijection,
+    is_realizable,
+)
 from friendly_trees.survey import (
     build_G,
     build_H,
@@ -22,6 +29,16 @@ from friendly_trees.tree import canonical_code, is_isomorphic, parity, path_edge
 GOOD_HEAD = "SURVEY edges=1 trees=1 pairs=1"
 GOOD_ROW = "PAIR 0 0 (()) (()) friendly 0"
 GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0 seconds=0.001"
+
+# Every witness and every unfriendly row's node count is in these bytes, so
+# they pin the search order, not just the verdicts. A change that alters the
+# search order on purpose re-pins them and says so.
+REPORT_SHA256 = {
+    7: "9ed2e3c97b56d39970a9cbaeb172ccc1d77a219a231e2496471257eb041a58cb",
+    8: "6ade394d7f720d411bbbfcecab372db9d0eea995fbac229da6a60e8c80991f23",
+}
+G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=9259 checked=1680\n"
+H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=6091 checked=400\n"
 
 
 class TestFixtures:
@@ -103,6 +120,16 @@ class TestSurveyPairs:
                 catalog.trees[row.index_a], catalog.trees[row.index_b], row.witness
             )
 
+    @pytest.mark.parametrize("edges", sorted(REPORT_SHA256))
+    def test_report_bytes_pinned(self, edges):
+        text = format_report(replace(survey_pairs(edges), seconds=0.0))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_SHA256[edges]
+
+    def test_fixture_certificates_pinned(self):
+        g, h = build_G(), build_H()
+        assert certificate_to_text(find_realizable_bijection(g, h)) == G_TO_H_CERTIFICATE
+        assert certificate_to_text(find_realizable_bijection(h, g)) == H_TO_G_CERTIFICATE
+
     def test_parallel_report_identical(self):
         solo = replace(survey_pairs(4, jobs=1), seconds=0.0)
         pooled = replace(survey_pairs(4, jobs=4), seconds=0.0)
@@ -146,6 +173,32 @@ class TestReportFormat:
             parse_report("SUMMARY friendly=0 unfriendly=0 seconds=0.0\n")
         with pytest.raises(ValueError, match="missing SUMMARY"):
             parse_report("SURVEY edges=0 trees=1 pairs=1\nPAIR 0 0 () () friendly\n")
+        duplicate = (
+            "SURVEY edges=1 trees=1 pairs=2\n" + GOOD_ROW + "\n" + GOOD_ROW + "\n"
+            "SUMMARY friendly=2 unfriendly=0 seconds=0.0\n"
+        )
+        with pytest.raises(ValueError, match=r"line 3: duplicate or out-of-order pair \(0, 0\)"):
+            parse_report(duplicate)
+        swapped = (
+            "SURVEY edges=0 trees=2 pairs=3\nPAIR 0 0 () () friendly\n"
+            "PAIR 1 0 () () friendly\nPAIR 1 1 () () friendly\n"
+            "SUMMARY friendly=3 unfriendly=0 seconds=0.0\n"
+        )
+        with pytest.raises(ValueError, match="line 3: tree indices 1 > 0"):
+            parse_report(swapped)
+        reordered = (
+            "SURVEY edges=0 trees=2 pairs=3\nPAIR 0 0 () () friendly\n"
+            "PAIR 1 1 () () friendly\nPAIR 0 1 () () friendly\n"
+            "SUMMARY friendly=3 unfriendly=0 seconds=0.0\n"
+        )
+        with pytest.raises(ValueError, match=r"line 4: duplicate or out-of-order pair \(0, 1\)"):
+            parse_report(reordered)
+        short = (
+            "SURVEY edges=0 trees=2 pairs=2\nPAIR 0 0 () () friendly\n"
+            "PAIR 1 1 () () friendly\nSUMMARY friendly=2 unfriendly=0 seconds=0.0\n"
+        )
+        with pytest.raises(ValueError, match="line 1: pairs=2 but trees=2 make 3 unordered pairs"):
+            parse_report(short)
 
     @pytest.mark.parametrize(
         "head, row, summary, message",

@@ -266,6 +266,10 @@ class TestTextFormat:
             ("V 2\nE 0 x\n", "line 2: bad edge '0 x'"),
             ("V 2\nV 2\n", "line 2: second V line"),
             ("\nE 0 1\nV 2\n", "line 2: E line before V line"),
+            ("V 3\nE 0 1\nE 1 5\n", r"line 3: edge \(1, 5\) has a vertex id outside 0\.\.2"),
+            ("V 3\n\nE 1 1\nE 0 1\n", "line 3: self-loop at vertex 1"),
+            ("V 3\nE 0 1\nE 1 0\n", r"line 3: duplicate edge \(1, 0\)"),
+            ("V 4\nE 0 1\nE 1 2\n\nE 2 0\n", r"line 5: contains a cycle \(edge \(2, 0\) closes it\)"),
         ],
     )
     def test_parse_rejection_names_the_line(self, text, message):
