@@ -8,8 +8,10 @@ edges get one colour.
   a whole edge set is an XOR of table entries. The friendliness search's
   kernel decides every constraint from these tables alone.
 - ``same_side``/``unlinked`` evaluate the colouring against precomputed
-  root paths. They are off the search's hot path: they serve the unpruned
-  recheck (``exhaustive_search``), ``is_realizable`` and the witness check.
+  root paths, validating their edge sets once per call. They are off the
+  search's hot path: they serve the unpruned recheck (``exhaustive_search``,
+  which decides each distinct image pair once), ``is_realizable`` and the
+  witness check.
 - The ``*_bruteforce`` forms re-walk an explicit path for every endpoint
   pair and stay, permanently, the oracle the other forms are tested against.
 """
@@ -50,6 +52,11 @@ def same_side(t: Tree, p: int, q: int) -> bool:
     """
     _check_edge_set(t, p, "p")
     _check_edge_set(t, q, "q")
+    return _same_side(t, p, q)
+
+
+def _same_side(t: Tree, p: int, q: int) -> bool:
+    # ``same_side`` on edge sets already checked against ``t``.
     if p & q:
         return False
     if p == 0 or q == 0:
@@ -96,7 +103,9 @@ def side_tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def unlinked(t: Tree, p: int, q: int) -> bool:
     """Whether ``p`` and ``q`` are each on the same side of the other."""
-    return same_side(t, p, q) and same_side(t, q, p)
+    _check_edge_set(t, p, "p")
+    _check_edge_set(t, q, "q")
+    return _same_side(t, p, q) and _same_side(t, q, p)
 
 
 def same_side_bruteforce(t: Tree, p: int, q: int) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .enumeration import enumerate_trees
@@ -145,6 +144,10 @@ def survey_pairs(
     if jobs == 1:
         results = [_decide_pair_task(t) for t in tasks]
     else:
+        # Imported here: loading multiprocessing costs every serial caller
+        # about 2 MB and 25 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_pair_task, tasks, chunksize=chunk))

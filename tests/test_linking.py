@@ -73,6 +73,15 @@ class TestUnlinked:
     def test_both_empty(self):
         assert unlinked(PATH3, 0, 0)
 
+    def test_rejects_out_of_range_mask(self):
+        # Each set is checked once, before either side test runs.
+        with pytest.raises(ValueError, match="^p has edge ids outside 0..2"):
+            unlinked(PATH3, edge_mask([3]), 0)
+        with pytest.raises(ValueError, match="^q has edge ids outside 0..2"):
+            unlinked(PATH3, 0, edge_mask([0, 5]))
+        with pytest.raises(ValueError, match="^q has edge ids outside"):
+            unlinked(PATH3, edge_mask([0]), -1)
+
     @given(trees_with_two_edge_sets(max_edges=10))
     def test_symmetric(self, case):
         t, p, q = case

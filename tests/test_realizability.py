@@ -1,5 +1,6 @@
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
 
@@ -7,6 +8,7 @@ from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.linking import unlinked_bruteforce
 from friendly_trees.realizability import (
     FRIENDLY,
+    MAX_RECHECK_EDGES,
     UNFRIENDLY,
     Certificate,
     certificate_to_text,
@@ -18,7 +20,7 @@ from friendly_trees.realizability import (
     recheck_certificate,
 )
 from friendly_trees.survey import build_G, build_H
-from friendly_trees.tree import Tree, delta, parity
+from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
 
 from helpers import random_tree
 
@@ -201,6 +203,10 @@ class TestCertificateText:
             ("VERDICT friendly\nSTATS nodes=1\n", "line 2: missing field 'checked'"),
             ("VERDICT friendly\nSTATS nodes=1 checked=1 nodes=2\n", "line 2: unexpected field 'nodes=2'"),
             ("VERDICT friendly\nSTATS nodes=1 checked=1\nSTATS nodes=1 checked=1\n", "line 3: second STATS"),
+            ("VERDICT unfriendly\nWITNESS 0 1 2\n", "line 2: WITNESS line in an unfriendly certificate"),
+            ("WITNESS 1 0\nSTATS nodes=1 checked=1\nVERDICT unfriendly\n", "line 1: WITNESS line in an unfriendly"),
+            ("VERDICT friendly\nWITNESS 0 0 5\n", r"line 2: witness is not a permutation of 0\.\.2"),
+            ("VERDICT friendly\nWITNESS 1 2\n", r"line 2: witness is not a permutation of 0\.\.1"),
         ],
     )
     def test_rejection_names_the_line(self, text, message):
@@ -215,9 +221,87 @@ class TestCertificateText:
 
 
 def test_exhaustive_search_counts_full_space():
-    cert = exhaustive_search(build_G(), build_H())
-    assert cert.verdict == UNFRIENDLY
-    assert cert.checked == 5040
+    g, h = build_G(), build_H()
+    for k, k2 in ((g, h), (h, g)):
+        cert = exhaustive_search(k, k2)
+        assert cert.verdict == UNFRIENDLY
+        assert cert.checked == 5040
+
+
+# The three unfriendly pairs of the 8-edge catalogue, as edge lists.
+CATALOG8_UNFRIENDLY = (
+    (
+        ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (3, 7), (4, 8)),
+        ((0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (5, 6), (0, 7), (0, 8)),
+    ),
+    (
+        ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (3, 7), (2, 8)),
+        ((0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (5, 6), (0, 7), (7, 8)),
+    ),
+    (
+        ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (2, 6), (2, 7), (3, 8)),
+        ((0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (5, 6), (0, 7), (7, 8)),
+    ),
+)
+
+
+@pytest.mark.parametrize("edges_a, edges_b", CATALOG8_UNFRIENDLY)
+def test_exhaustive_search_checks_every_bijection_at_eight_edges(edges_a, edges_b):
+    a, b = Tree(9, edges_a), Tree(9, edges_b)
+    for k, k2 in ((a, b), (b, a)):
+        cert = exhaustive_search(k, k2)
+        assert cert.verdict == UNFRIENDLY
+        assert cert.witness is None
+        assert cert.checked == cert.nodes == factorial(8) == 40320
+
+
+def bruteforce_scan(k, k2):
+    """(verdict, witness, checked) of a plain lexicographic scan that decides
+    every constraint of every bijection with ``unlinked_bruteforce``."""
+    pairs = [(delta(k, a), delta(k, b)) for a, b in even_vertex_pairs(k)]
+    checked = 0
+    for h in permutations(range(k.edge_count)):
+        checked += 1
+        if all(
+            unlinked_bruteforce(
+                k2,
+                edge_mask([h[e] for e in mask_ids(pa)]),
+                edge_mask([h[e] for e in mask_ids(pb)]),
+            )
+            for pa, pb in pairs
+        ):
+            return FRIENDLY, h, checked
+    return UNFRIENDLY, None, checked
+
+
+def test_exhaustive_search_matches_bruteforce_scan_up_to_five_edges():
+    # Up to 4 edges the target's edges are also listed in every order, which
+    # moves the first witness around the scan: a scan that skipped some
+    # bijections would report a later one.
+    for n in range(6):
+        trees = enumerate_trees(n).trees
+        orders = list(permutations(range(n))) if n <= 4 else [tuple(range(n))]
+        for a, b in product(trees, repeat=2):
+            for order in orders:
+                b2 = Tree(b.vertex_count, [b.edges[i] for i in order])
+                cert = exhaustive_search(a, b2)
+                expected = bruteforce_scan(a, b2)
+                assert (cert.verdict, cert.witness, cert.checked) == expected, (a, b2)
+
+
+def test_exhaustive_search_is_bounded():
+    n = MAX_RECHECK_EDGES + 1
+    path = Tree(n + 1, [(i, i + 1) for i in range(n)])
+    star = Tree(n + 1, [(0, i) for i in range(1, n + 1)])
+    with pytest.raises(ValueError, match=f"at most {MAX_RECHECK_EDGES} edges, got {n}"):
+        exhaustive_search(path, star)
+    claim = Certificate(UNFRIENDLY, None, 0, 0, 0.0)
+    with pytest.raises(ValueError, match=f"at most {MAX_RECHECK_EDGES} edges"):
+        recheck_certificate(path, star, claim)
+    # Friendly rechecks test one witness and have no bound.
+    cert = find_realizable_bijection(star, star)
+    assert cert.verdict == FRIENDLY
+    assert recheck_certificate(star, star, cert)
 
 
 def inverse_asymmetry_examples(k, k2):

@@ -1,9 +1,12 @@
 import hashlib
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import friendly_trees
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.realizability import (
     FRIENDLY,
@@ -134,6 +137,21 @@ class TestSurveyPairs:
         solo = replace(survey_pairs(4, jobs=1), seconds=0.0)
         pooled = replace(survey_pairs(4, jobs=4), seconds=0.0)
         assert format_report(solo) == format_report(pooled)
+
+    def test_serial_survey_loads_no_process_pool(self):
+        # Only a pooled survey imports the pool, and with it multiprocessing.
+        code = (
+            "import sys\n"
+            "from friendly_trees import survey_pairs\n"
+            "survey_pairs(3)\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(friendly_trees.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout == "[]\n"
 
 
 class TestReportFormat:
