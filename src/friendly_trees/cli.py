@@ -76,6 +76,8 @@ def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
         sys.stdout.write(
             f"recheck forward={'pass' if result.forward_recheck else 'FAIL'} "
             f"reverse={'pass' if result.reverse_recheck else 'FAIL'}\n"
+            f"recheck checked forward={result.forward_rechecked} "
+            f"reverse={result.reverse_rechecked}\n"
         )
     if result.holds:
         sys.stdout.write("theorem1 holds\n")

@@ -2,9 +2,13 @@
 
 The Prüfer census below is the independent oracle and is written first: it
 decodes every labelled tree on a fixed vertex set and buckets the results by
-canonical code. The catalogue generator that follows grows trees one leaf at
-a time; its only correctness pin is that its class counts match the census
-exactly, which the test suite checks for every census-supported size.
+an integer AHU code (Aho, Hopcroft and Ullman 1974) of the tree rooted at
+its centroid. The codes are interned in a table local to one census call and
+share no code with ``tree.canonical_code``. The catalogue generator that
+follows grows trees one leaf at a time and collapses them by the string
+canonical codes of ``tree``; its only correctness pin is that its class
+counts match the census exactly, which the test suite checks for every
+census-supported size.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .tree import Tree, canonical_code, code_from_adjacency
+from .tree import Tree, canonical_code
+from .tree import code_from_adjacency  # noqa: F401  (unused; perfbench's tracer wraps it here)
 
 MAX_ORACLE_EDGES = 8
 MAX_CATALOG_EDGES = 12
@@ -24,6 +29,11 @@ def decode_prufer(seq: tuple[int, ...], m: int) -> list[tuple[int, int]]:
 
     Pointer-scan decode: the running pointer only moves forward, so the whole
     decode is linear in ``m``.
+
+    Each edge is ``(leaf, v)`` in leaf-removal order: the first vertex of an
+    edge appears in no later edge, and the last edge ends at ``m - 1``. So
+    the list runs bottom-up through the tree rooted at ``m - 1``, with ``v``
+    the parent of ``leaf``; the census relies on this order.
     """
     degree = [1] * m
     for x in seq:
@@ -47,22 +57,93 @@ def decode_prufer(seq: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     return edges
 
 
+class _RootedCodes(dict):
+    """Interned AHU codes of rooted trees: maps the sorted tuple of a root's
+    children's codes to the root's code, numbered in order of first sight
+    from ``()``, a lone vertex, as 0. ``size[c]`` is the vertex count of the
+    rooted tree with code ``c``."""
+
+    def __init__(self) -> None:
+        super().__init__({(): 0})
+        self.size = [1]
+
+    def __missing__(self, children: tuple[int, ...]) -> int:
+        code = self[children] = len(self)
+        self.size.append(1 + sum([self.size[c] for c in children]))
+        return code
+
+
+def _census_key(edges: list[tuple[int, int]], m: int, codes: _RootedCodes) -> int | tuple[int, int]:
+    """Isomorphism key of the tree on ``0..m-1`` that ``decode_prufer``
+    returned as ``edges``: equal keys, drawn from one ``codes`` table, mean
+    isomorphic trees.
+
+    The edges are ``(child, parent)`` pairs bottom-up from root ``m - 1``,
+    so one pass finishes every vertex's code before its parent needs it. The
+    vertices other than the root whose subtrees hold at least half of the
+    tree form a path down from the root, met deepest first; the deepest is a
+    centroid. Re-rooting along that path gives the code of the tree rooted
+    at the centroid, which is the key. When the centroid's subtree holds
+    exactly half, its parent is a second centroid, and the key is instead
+    the sorted pair of the two halves' codes: a tuple, never equal to an
+    ``int`` key.
+    """
+    size = codes.size
+    half = (m + 1) // 2
+    kids: list[list[int]] = [[] for _ in range(m)]
+    # (children's codes, code) of each such half-or-more vertex; a leaf is
+    # one only in the one-edge tree
+    heavy = [([], 0)] if m == 2 else []
+    for c, p in edges:
+        k = kids[c]
+        if k:
+            k.sort()
+            x = codes[tuple(k)]
+            if size[x] >= half:
+                heavy.append((k, x))
+        else:
+            x = 0
+        kids[p].append(x)
+    above = kids[m - 1]
+    if not heavy:  # the root is the only centroid
+        above.sort()
+        return codes[tuple(above)]
+    # Top down: ``up`` holds the code of everything above the next path
+    # vertex, rooted at that vertex's parent (nothing above the root).
+    up: list[int] = []
+    for k, x in reversed(heavy):
+        rest = above + up
+        rest.remove(x)
+        rest.sort()
+        up = [codes[tuple(rest)]]
+        above = k
+    # ``above`` and ``x`` are now the centroid's
+    if 2 * size[x] == m:
+        y = up[0]
+        return (x, y) if x < y else (y, x)
+    above += up
+    above.sort()
+    return codes[tuple(above)]
+
+
 def prufer_oracle_count(edge_count: int) -> int:
     """Number of isomorphism classes of trees with ``edge_count`` edges,
-    counted by decoding every Prüfer sequence and bucketing canonical codes."""
+    counted by decoding every one of the ``(n+1)^(n-1)`` Prüfer sequences
+    and counting distinct ``_census_key`` values.
+
+    The keys are integer AHU codes interned in a table made afresh for each
+    call, independent of ``tree.canonical_code``, which the catalogue uses.
+    """
     if not 1 <= edge_count <= MAX_ORACLE_EDGES:
         raise ValueError(
             f"oracle supports 1..{MAX_ORACLE_EDGES} edges, got {edge_count}"
         )
     m = edge_count + 1
-    codes: set[str] = set()
-    for seq in product(range(m), repeat=m - 2):
-        adj: list[list[int]] = [[] for _ in range(m)]
-        for u, v in decode_prufer(seq, m):
-            adj[u].append(v)
-            adj[v].append(u)
-        codes.add(code_from_adjacency(m, adj))
-    return len(codes)
+    codes = _RootedCodes()
+    return len({
+        _census_key(decode_prufer(seq, m), m, codes)
+        for seq in product(range(m), repeat=m - 2)
+    })
 
 
 @dataclass(frozen=True)

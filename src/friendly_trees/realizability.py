@@ -269,16 +269,24 @@ def recheck_certificate(k: Tree, k2: Tree, cert: Certificate) -> bool:
     non-bijective map, comes back ``False``). Unfriendly: re-exhaust the full
     bijection space without pruning and confirm nothing is realizable.
     """
+    return recheck_with_count(k, k2, cert)[0]
+
+
+def recheck_with_count(k: Tree, k2: Tree, cert: Certificate) -> tuple[bool, int]:
+    """``recheck_certificate``'s answer and the number of bijections its
+    recheck tested: the stored witness alone for a friendly verdict (none
+    when it is missing or malformed), all ``n!`` for an unfriendly one."""
     _check_edge_counts(k, k2)
     if cert.verdict == FRIENDLY:
         if cert.witness is None:
-            return False
+            return False, 0
         try:
-            return is_realizable(k, k2, tuple(cert.witness))
+            return is_realizable(k, k2, tuple(cert.witness)), 1
         except ValueError:
-            return False
+            return False, 0
     if cert.verdict == UNFRIENDLY:
-        return exhaustive_search(k, k2).verdict == UNFRIENDLY
+        scan = exhaustive_search(k, k2)
+        return scan.verdict == UNFRIENDLY, scan.checked
     raise ValueError(f"unknown verdict {cert.verdict!r}")
 
 

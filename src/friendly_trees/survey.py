@@ -24,6 +24,7 @@ from .realizability import (
     find_realizable_bijection,
     is_realizable,
     recheck_certificate,
+    recheck_with_count,
 )
 from .tree import Tree, key_values, line_records, parse_ints
 
@@ -280,12 +281,15 @@ def write_report(report: SurveyReport, path: str) -> None:
 @dataclass(frozen=True)
 class Theorem1Result:
     """Both search directions over the fixture pair, plus optional unpruned
-    rechecks. The forward certificate is the primary payload."""
+    rechecks and how many bijections each tested. The forward certificate
+    is the primary payload."""
 
     forward: Certificate
     reverse: Certificate
     forward_recheck: bool | None
     reverse_recheck: bool | None
+    forward_rechecked: int | None = None
+    reverse_rechecked: int | None = None
 
     @property
     def holds(self) -> bool:
@@ -307,11 +311,13 @@ def verify_theorem1(recheck: bool = False) -> Theorem1Result:
     h = build_H()
     forward = find_realizable_bijection(g, h)
     reverse = find_realizable_bijection(h, g)
-    forward_recheck = reverse_recheck = None
-    if recheck:
-        forward_recheck = recheck_certificate(g, h, forward)
-        reverse_recheck = recheck_certificate(h, g, reverse)
-    return Theorem1Result(forward, reverse, forward_recheck, reverse_recheck)
+    if not recheck:
+        return Theorem1Result(forward, reverse, None, None)
+    forward_recheck, forward_rechecked = recheck_with_count(g, h, forward)
+    reverse_recheck, reverse_rechecked = recheck_with_count(h, g, reverse)
+    return Theorem1Result(
+        forward, reverse, forward_recheck, reverse_recheck, forward_rechecked, reverse_rechecked
+    )
 
 
 @dataclass(frozen=True)

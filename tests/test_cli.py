@@ -153,8 +153,15 @@ class TestVerifyTheorem1:
         assert out.endswith("theorem1 holds\n")
 
     def test_recheck_line(self, capsys):
+        # 7 edges: the unpruned recheck tests all 7! = 5040 bijections each way
         assert main(["verify-theorem1", "--recheck"]) == 0
-        assert "recheck forward=pass reverse=pass" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "forward unfriendly nodes=9259 checked=1680\n"
+            "reverse unfriendly nodes=6091 checked=400\n"
+            "recheck forward=pass reverse=pass\n"
+            "recheck checked forward=5040 reverse=5040\n"
+            "theorem1 holds\n"
+        )
 
     def test_tampered_fixture_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(survey_module, "build_G", build_H)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 from math import factorial
@@ -5,11 +6,13 @@ from math import factorial
 import pytest
 
 from friendly_trees.enumeration import (
+    _census_key,
+    _RootedCodes,
     decode_prufer,
     enumerate_trees,
     prufer_oracle_count,
 )
-from friendly_trees.tree import canonical_code, centroids, subtree_codes, vertex_adjacency
+from friendly_trees.tree import Tree, canonical_code, centroids, subtree_codes, vertex_adjacency
 
 # Class counts frozen as regression values: 1..8 produced by the Prüfer
 # census, the rest re-derived with the rooted-tree/Otter counting recurrence.
@@ -65,6 +68,58 @@ class TestDecodePrufer:
 
     def test_two_vertices(self):
         assert decode_prufer((), 2) == [(0, 1)]
+
+    def test_leaf_removal_order(self):
+        # the census reads the edges as (child, parent) pairs bottom-up from
+        # root m-1: a removed leaf never reappears, and m-1 is removed last
+        for m in range(2, 8):
+            for seq in product(range(m), repeat=m - 2):
+                edges = decode_prufer(seq, m)
+                for i, (leaf, _) in enumerate(edges):
+                    assert all(leaf not in e for e in edges[i + 1:]), (m, seq)
+                assert edges[-1][1] == m - 1, (m, seq)
+
+
+def assert_same_classes(trees):
+    """``_census_key`` over one code table and ``canonical_code`` split the
+    ``(m, edges)`` trees into the same classes: key to code is a bijection.
+    Returns the distinct keys."""
+    codes = _RootedCodes()
+    by_key: dict = {}
+    by_code: dict = {}
+    for m, edges in trees:
+        key = _census_key(edges, m, codes)
+        code = canonical_code(Tree(m, edges))
+        assert by_key.setdefault(key, code) == code, (m, edges)
+        assert by_code.setdefault(code, key) == key, (m, edges)
+    return set(by_key)
+
+
+class TestCensusKey:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_every_labelled_tree(self, m):
+        keys = assert_same_classes(
+            (m, decode_prufer(seq, m)) for seq in product(range(m), repeat=m - 2)
+        )
+        assert len(keys) == FREE_TREE_COUNTS[m - 1]
+
+    @pytest.mark.parametrize("m, kinds", [(9, {int}), (10, {int, tuple})])
+    def test_sampled_trees(self, m, kinds):
+        rng = random.Random(5000 + m)
+        seqs = [tuple(rng.randrange(m) for _ in range(m - 2)) for _ in range(2000)]
+        keys = assert_same_classes((m, decode_prufer(seq, m)) for seq in seqs)
+        # one-centroid keys are ints, two-centroid keys pairs; only an even
+        # vertex count allows two centroids
+        assert {type(k) for k in keys} == kinds
+
+    def test_two_centroid_keys_are_pairs(self):
+        codes = _RootedCodes()
+        assert _census_key(decode_prufer((), 2), 2, codes) == (0, 0)
+        # the 3-edge path 0-2-1-3 has centroids 2 and 1, with equal halves
+        path = _census_key(decode_prufer((2, 1), 4), 4, codes)
+        star = _census_key(decode_prufer((3, 3), 4), 4, codes)
+        assert isinstance(path, tuple) and path[0] == path[1]
+        assert isinstance(star, int)
 
 
 class TestOracle:

@@ -18,6 +18,7 @@ from friendly_trees.realizability import (
     is_realizable,
     parse_certificate,
     recheck_certificate,
+    recheck_with_count,
 )
 from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
@@ -149,6 +150,14 @@ class TestRecheckCertificate:
         g, h = build_G(), build_H()
         cert = find_realizable_bijection(g, h)
         assert recheck_certificate(g, h, cert)
+
+    def test_counts_tested_bijections(self):
+        cert = find_realizable_bijection(PATH3, STAR3)
+        assert recheck_with_count(PATH3, STAR3, cert) == (True, 1)
+        missing = Certificate(FRIENDLY, None, 0, 0, 0.0)
+        assert recheck_with_count(PATH3, PATH3, missing) == (False, 0)
+        g, h = build_G(), build_H()
+        assert recheck_with_count(g, h, find_realizable_bijection(g, h)) == (True, 5040)
 
     def test_rejects_mismatched_trees(self):
         cert = find_realizable_bijection(PATH3, STAR3)

@@ -254,6 +254,7 @@ class TestTheorem1:
         result = verify_theorem1(recheck=True)
         assert result.forward_recheck is True
         assert result.reverse_recheck is True
+        assert result.forward_rechecked == result.reverse_rechecked == 5040
         assert result.holds
 
 
