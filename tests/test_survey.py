@@ -1,8 +1,10 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -42,6 +44,18 @@ REPORT_SHA256 = {
 }
 G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=9259 checked=1680\n"
 H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=6091 checked=400\n"
+# The same reports with every ``nodes=`` field stripped: verdicts, witnesses
+# and codes only. A pruning that never cuts the first realizable bijection in
+# search order moves the pins above but must leave these alone.
+WITNESS_SHA256 = {
+    7: "75b0162508ba9e31c5c2743569aff5a293014b84e52bdefcfec466e08a8d7440",
+    8: "c26c4683a47de6fc0f0e1b95779b8ed375be1f1ee307634718ba60f263bcde04",
+}
+
+
+@lru_cache(maxsize=None)
+def zeroed_report_text(edges: int) -> str:
+    return format_report(replace(survey_pairs(edges), seconds=0.0))
 
 
 class TestFixtures:
@@ -125,8 +139,14 @@ class TestSurveyPairs:
 
     @pytest.mark.parametrize("edges", sorted(REPORT_SHA256))
     def test_report_bytes_pinned(self, edges):
-        text = format_report(replace(survey_pairs(edges), seconds=0.0))
+        text = zeroed_report_text(edges)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_SHA256[edges]
+
+    @pytest.mark.parametrize("edges", sorted(WITNESS_SHA256))
+    def test_report_witnesses_pinned(self, edges):
+        text = re.sub(r" nodes=\d+", "", zeroed_report_text(edges))
+        assert "nodes=" not in text
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == WITNESS_SHA256[edges]
 
     def test_fixture_certificates_pinned(self):
         g, h = build_G(), build_H()
