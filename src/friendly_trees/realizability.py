@@ -33,8 +33,9 @@ class Certificate:
     ``witness`` is present exactly for friendly verdicts. ``nodes`` counts
     edge-image assignments the search tried; ``checked`` counts complete
     bijections whose full constraint set was evaluated. An unfriendly
-    certificate asserts the whole bijection space was covered (pruning only
-    ever cut branches that provably contain no realizable completion).
+    certificate asserts the whole bijection space was covered: every branch
+    the search cut holds no realizable bijection, or only twin-swapped
+    copies of one in a branch it kept.
     """
 
     verdict: str
@@ -133,13 +134,29 @@ def _edge_order(k: Tree) -> list[int]:
 def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     """Search for a realizable bijection by backtracking over source edges.
 
-    Source edges are assigned in a fixed heuristic order; every even-distance
-    vertex pair is checked the moment both its incident sets are fully
-    mapped, and a failed check prunes the branch. Once mapped, those images
-    never change, so pruning cannot skip a realizable completion. With the
-    order fixed the search is deterministic: it returns the first realizable
-    bijection reached (candidate images tried in ascending edge id), or an
-    exhaustion certificate.
+    Source edges are assigned in a fixed heuristic order, candidate images in
+    ascending edge id, so the search reaches bijections in lexicographic
+    order of their images. Three cuts prune a branch:
+
+    - Constraint: an even-distance vertex pair is checked the moment both its
+      incident sets are fully mapped. Mapped images never change, so a
+      failed check leaves no realizable completion.
+    - Forward check: only the first argument of ``same_side`` is monotone (a
+      subset of a one-colour endpoint set is one colour). So once ``b`` is
+      complete, every depth that maps an edge of a still incomplete ``a``
+      tests the part of ``a`` mapped so far against ``b``'s side colouring.
+      A failure leaves no realizable completion either.
+    - Twin leaves: swapping two leaves on one vertex is an automorphism of
+      ``k``, so ``h`` is realizable exactly when ``h`` with those two images
+      swapped is. The search keeps only bijections whose twin images
+      increase in search order. A branch cut this way holds no realizable
+      bijection, or only twin-swapped copies of one in a kept branch.
+
+    The first realizable bijection in lexicographic order already has its
+    twin images increasing (otherwise swapping two twins would give a
+    realizable bijection earlier in that order), so no cut skips it: the
+    search is deterministic and returns that bijection, or an exhaustion
+    certificate. ``nodes`` and ``checked`` count what the cuts leave.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check is two mask tests: when a source
@@ -159,17 +176,34 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     pos = [0] * n
     for depth, eid in enumerate(order):
         pos[eid] = depth
+    deg = k.degrees
+    # Depth of the previous twin leaf edge in search order, or -1.
+    prev = [-1] * n
+    for nbrs in k.adjacency:
+        twins = sorted(pos[e] for y, e in nbrs if deg[y] == 1)
+        for before, d in zip(twins, twins[1:]):
+            prev[d] = before
     # A vertex is complete at the depth that maps its last edge; each
     # constraint is checked at the depth where both its vertices are.
+    ats = [tuple(sorted(pos[e] for _, e in nbrs)) for nbrs in k.adjacency]
+    done = [at[-1] for at in ats]
     complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    done = []
-    for v, nbrs in enumerate(k.adjacency):
-        at = tuple(pos[e] for _, e in nbrs)
-        done.append(max(at))
+    for v, at in enumerate(ats):
         complete[done[v]].append((v, at))
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    partners: list[list[int]] = [[] for _ in range(k.vertex_count)]
     for a, b in even_vertex_pairs(k):
         checks[max(done[a], done[b])].append((a, b))
+        partners[a].append(b)
+        partners[b].append(a)
+    # Forward checks: at each depth that maps an edge of an incomplete
+    # vertex, the depths of its edges mapped so far and its complete partners.
+    partial: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
+    for v, at in enumerate(ats):
+        for i, d in enumerate(at[:-1]):
+            ready = tuple(b for b in partners[v] if done[b] <= d)
+            if ready:
+                partial[d].append((at[: i + 1], ready))
     below, ends = side_tables(k2)
 
     img = [0] * n  # image of the edge mapped at each depth
@@ -212,6 +246,18 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
             if x and x != eb:
                 ok = False
                 break
+        if ok:
+            for at, ready in partial[depth]:
+                e = 0
+                for d in at:
+                    e |= ends[img[d]]
+                for b in ready:
+                    x = e & side[b]
+                    if x and x != e:
+                        ok = False
+                        break
+                if not ok:
+                    break
         if depth == last:
             checked += 1
             if ok:
@@ -220,7 +266,8 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         elif ok:
             free ^= low
             depth += 1
-            todo[depth] = free
+            twin = prev[depth]
+            todo[depth] = free if twin < 0 else free & ~((2 << img[twin]) - 1)
 
     elapsed = time.perf_counter() - start
     if witness is None:

@@ -14,7 +14,7 @@ from friendly_trees.linking import (
     unlinked_bruteforce,
 )
 from friendly_trees.survey import build_H
-from friendly_trees.tree import Tree, delta, edge_mask, path_edges
+from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, path_edges
 
 from helpers import random_tree, trees, trees_with_two_edge_sets
 
@@ -156,3 +156,45 @@ def test_side_masks_match_bruteforce(case):
         if p >> f & 1:
             e_p |= ends[f]
     assert ((e_p & s_q) in (0, e_p)) == same_side_bruteforce(t, p, q)
+
+
+@st.composite
+def trees_with_one_side_set(draw, max_edges: int):
+    """A tree, a non-empty edge set ``q`` and a ``p`` on one side of ``q``.
+
+    Colouring each vertex by the parity of ``q``-edges on its path from
+    vertex 0, every edge outside ``q`` has two ends of one colour; ``p`` is
+    drawn from the edges of one colour class.
+    """
+    t = draw(trees(max_edges=max_edges, min_edges=1))
+    q = draw(st.integers(1, (1 << t.edge_count) - 1))
+    colour = [(path_edges(t, 0, x) & q).bit_count() & 1 for x in range(t.vertex_count)]
+    side = draw(st.sampled_from(sorted({colour[u] for u, _ in t.edges})))
+    pool = [i for i, (u, _) in enumerate(t.edges) if not q >> i & 1 and colour[u] == side]
+    if not pool:
+        return t, 0, q
+    first = draw(st.sampled_from(pool))
+    more = draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
+    return t, edge_mask([first, *more]), q
+
+
+@given(trees_with_one_side_set(max_edges=9))
+def test_same_side_is_monotone_in_its_first_argument(case):
+    """The premise of the search's forward check: a subset of a set on one
+    side of ``q`` is on one side of ``q`` too, so a partly mapped incident
+    set that fails the side test has no completion that passes it."""
+    t, p, q = case
+    assert same_side_bruteforce(t, p, q)
+    ids = mask_ids(p)
+    for chosen in range(1, 1 << len(ids)):
+        sub = edge_mask(f for i, f in enumerate(ids) if chosen >> i & 1)
+        assert same_side_bruteforce(t, sub, q)
+
+
+def test_same_side_is_not_monotone_in_its_second_argument():
+    # On the path 0-1-2-3-4 the path from 1 to 3 crosses {e1, e2} twice but
+    # {e1} once, so the forward check may only shrink the first argument.
+    path4 = Tree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    p = edge_mask([0, 3])
+    assert same_side_bruteforce(path4, p, edge_mask([1, 2]))
+    assert not same_side_bruteforce(path4, p, edge_mask([1]))

@@ -1,8 +1,10 @@
 import random
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.linking import unlinked_bruteforce
@@ -23,7 +25,7 @@ from friendly_trees.realizability import (
 from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
 
-from helpers import random_tree
+from helpers import random_tree, trees
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR3 = Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -264,6 +266,31 @@ def test_exhaustive_search_checks_every_bijection_at_eight_edges(edges_a, edges_
         assert cert.checked == cert.nodes == factorial(8) == 40320
 
 
+# The unordered unfriendly pairs of the 9-edge catalogue, by index.
+CATALOG9_UNFRIENDLY = {(9, 101), (9, 102), (16, 101), (41, 97), (60, 75), (74, 87), (74, 88)}
+
+
+@pytest.mark.slow
+def test_nine_edge_sweep():
+    # All 11,236 ordered pairs of the 106 trees with 9 edges. Each unfriendly
+    # pair is unfriendly both ways, and each of the 14 directed cases is
+    # re-derived by the unpruned scan of all 9! bijections.
+    catalog = enumerate_trees(9).trees
+    assert len(catalog) == 106
+    unfriendly = [
+        (i, j)
+        for i, a in enumerate(catalog)
+        for j, b in enumerate(catalog)
+        if find_realizable_bijection(a, b).verdict == UNFRIENDLY
+    ]
+    both_ways = CATALOG9_UNFRIENDLY | {(j, i) for i, j in CATALOG9_UNFRIENDLY}
+    assert sorted(unfriendly) == sorted(both_ways)
+    for i, j in unfriendly:
+        cert = exhaustive_search(catalog[i], catalog[j])
+        assert cert.verdict == UNFRIENDLY
+        assert cert.checked == factorial(9)
+
+
 def bruteforce_scan(k, k2):
     """(verdict, witness, checked) of a plain lexicographic scan that decides
     every constraint of every bijection with ``unlinked_bruteforce``."""
@@ -355,3 +382,31 @@ def test_all_bijections_fail_on_fixture_pair():
     assert all(
         not is_realizable(g, h, p) for p in permutations(range(7))
     )
+
+
+def twin_leaf_pairs(t):
+    """Pairs of edge ids that join two leaves to one vertex."""
+    deg = t.degrees
+    leaf_edges = {}
+    for eid, (u, v) in enumerate(t.edges):
+        for hub, leaf in ((u, v), (v, u)):
+            if deg[leaf] == 1:
+                leaf_edges.setdefault(hub, []).append(eid)
+    return [pair for ids in leaf_edges.values() for pair in combinations(ids, 2)]
+
+
+@settings(deadline=None)
+@given(trees(max_edges=9, min_edges=2), st.data())
+def test_swapping_twin_leaf_images_keeps_a_witness_realizable(k, data):
+    """The premise of the search's twin-leaf cut: swapping two leaves on one
+    vertex is an automorphism of the source, so it maps realizable
+    bijections to realizable ones. The search only returns bijections with
+    twin images in increasing order; the swapped ones are those it skips."""
+    k2 = data.draw(trees(max_edges=k.edge_count, min_edges=k.edge_count))
+    cert = find_realizable_bijection(k, k2)
+    if cert.verdict == UNFRIENDLY:
+        return
+    for e1, e2 in twin_leaf_pairs(k):
+        h = list(cert.witness)
+        h[e1], h[e2] = h[e2], h[e1]
+        assert is_realizable(k, k2, tuple(h))
