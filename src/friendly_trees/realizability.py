@@ -136,16 +136,11 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
 
     Source edges are assigned in a fixed heuristic order, candidate images in
     ascending edge id, so the search reaches bijections in lexicographic
-    order of their images. Three cuts prune a branch:
+    order of their images. Two cuts prune a branch:
 
     - Constraint: an even-distance vertex pair is checked the moment both its
       incident sets are fully mapped. Mapped images never change, so a
       failed check leaves no realizable completion.
-    - Forward check: only the first argument of ``same_side`` is monotone (a
-      subset of a one-colour endpoint set is one colour). So once ``b`` is
-      complete, every depth that maps an edge of a still incomplete ``a``
-      tests the part of ``a`` mapped so far against ``b``'s side colouring.
-      A failure leaves no realizable completion either.
     - Twin leaves: swapping two leaves on one vertex is an automorphism of
       ``k``, so ``h`` is realizable exactly when ``h`` with those two images
       swapped is. The search keeps only bijections whose twin images
@@ -191,19 +186,8 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     for v, at in enumerate(ats):
         complete[done[v]].append((v, at))
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    partners: list[list[int]] = [[] for _ in range(k.vertex_count)]
     for a, b in even_vertex_pairs(k):
         checks[max(done[a], done[b])].append((a, b))
-        partners[a].append(b)
-        partners[b].append(a)
-    # Forward checks: at each depth that maps an edge of an incomplete
-    # vertex, the depths of its edges mapped so far and its complete partners.
-    partial: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
-    for v, at in enumerate(ats):
-        for i, d in enumerate(at[:-1]):
-            ready = tuple(b for b in partners[v] if done[b] <= d)
-            if ready:
-                partial[d].append((at[: i + 1], ready))
     below, ends = side_tables(k2)
 
     img = [0] * n  # image of the edge mapped at each depth
@@ -246,18 +230,6 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
             if x and x != eb:
                 ok = False
                 break
-        if ok:
-            for at, ready in partial[depth]:
-                e = 0
-                for d in at:
-                    e |= ends[img[d]]
-                for b in ready:
-                    x = e & side[b]
-                    if x and x != e:
-                        ok = False
-                        break
-                if not ok:
-                    break
         if depth == last:
             checked += 1
             if ok:

@@ -156,7 +156,7 @@ class TestVerifyTheorem1:
         # 7 edges: the unpruned recheck tests all 7! = 5040 bijections each way
         assert main(["verify-theorem1", "--recheck"]) == 0
         assert capsys.readouterr().out == (
-            "forward unfriendly nodes=3085 checked=420\n"
+            "forward unfriendly nodes=3295 checked=420\n"
             "reverse unfriendly nodes=6091 checked=400\n"
             "recheck forward=pass reverse=pass\n"
             "recheck checked forward=5040 reverse=5040\n"

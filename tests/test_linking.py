@@ -180,9 +180,9 @@ def trees_with_one_side_set(draw, max_edges: int):
 
 @given(trees_with_one_side_set(max_edges=9))
 def test_same_side_is_monotone_in_its_first_argument(case):
-    """The premise of the search's forward check: a subset of a set on one
-    side of ``q`` is on one side of ``q`` too, so a partly mapped incident
-    set that fails the side test has no completion that passes it."""
+    """``same_side`` is monotone in its first argument: a subset of a set on
+    one side of ``q`` is on one side of ``q`` too. So a partly mapped
+    incident set that fails the side test has no completion that passes it."""
     t, p, q = case
     assert same_side_bruteforce(t, p, q)
     ids = mask_ids(p)
@@ -193,7 +193,7 @@ def test_same_side_is_monotone_in_its_first_argument(case):
 
 def test_same_side_is_not_monotone_in_its_second_argument():
     # On the path 0-1-2-3-4 the path from 1 to 3 crosses {e1, e2} twice but
-    # {e1} once, so the forward check may only shrink the first argument.
+    # {e1} once, so only the first argument may be tested partly mapped.
     path4 = Tree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     p = edge_mask([0, 3])
     assert same_side_bruteforce(path4, p, edge_mask([1, 2]))
