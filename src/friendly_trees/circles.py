@@ -78,9 +78,11 @@ def parse_nesting(text: str) -> NestingForest:
         else:
             (entries[cid],) = parse_ints(lineno, fields[2:], "parent id")
     k = len(entries)
-    missing = [i for i in range(k) if i not in entries]
-    if missing:
-        raise ValueError(f"circle ids are not dense from 0: missing {missing[0]}")
+    for cid, lineno in lines.items():
+        if not 0 <= cid < k:
+            raise ValueError(
+                f"line {lineno}: circle ids are not dense from 0: {cid} is outside 0..{k - 1}"
+            )
     try:
         return NestingForest(tuple(entries[i] for i in range(k)))
     except ItemError as err:

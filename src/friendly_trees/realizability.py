@@ -10,6 +10,7 @@ search that finds none certifies the pair unfriendly.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -34,8 +35,9 @@ class Certificate:
     edge-image assignments the search tried; ``checked`` counts complete
     bijections whose full constraint set was evaluated. An unfriendly
     certificate asserts the whole bijection space was covered: every branch
-    the search cut holds no realizable bijection, or only twin-swapped
-    copies of one in a branch it kept.
+    the search cut holds no realizable bijection, or only copies of one in a
+    kept branch with the images of two source twin leaves swapped, or with
+    two target twin leaves exchanged as images.
     """
 
     verdict: str
@@ -131,27 +133,48 @@ def _edge_order(k: Tree) -> list[int]:
     return sorted(range(k.edge_count), key=key)
 
 
+def _twin_steps(t: Tree, rank: Sequence[int]) -> list[tuple[int, int]]:
+    # Consecutive twins, ranked by ``rank[edge id]``: each vertex's leaf
+    # edges sorted by rank, as (lower, next) pairs. Swapping two of them is
+    # an automorphism of ``t``.
+    deg = t.degrees
+    steps = []
+    for nbrs in t.adjacency:
+        twins = sorted(rank[e] for y, e in nbrs if deg[y] == 1)
+        steps += zip(twins, twins[1:])
+    return steps
+
+
 def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     """Search for a realizable bijection by backtracking over source edges.
 
     Source edges are assigned in a fixed heuristic order, candidate images in
     ascending edge id, so the search reaches bijections in lexicographic
-    order of their images. Two cuts prune a branch:
+    order of their images. Three cuts prune a branch:
 
     - Constraint: an even-distance vertex pair is checked the moment both its
       incident sets are fully mapped. Mapped images never change, so a
       failed check leaves no realizable completion.
-    - Twin leaves: swapping two leaves on one vertex is an automorphism of
-      ``k``, so ``h`` is realizable exactly when ``h`` with those two images
-      swapped is. The search keeps only bijections whose twin images
-      increase in search order. A branch cut this way holds no realizable
-      bijection, or only twin-swapped copies of one in a kept branch.
+    - Source twins: swapping two leaves on one vertex is an automorphism of
+      ``k``, so ``h`` is realizable exactly when ``h`` with those two
+      edges' images swapped is. The search keeps only bijections whose twin
+      images increase in search order.
+    - Target twins: swapping two leaves on one vertex of ``k2`` is an
+      automorphism ``t`` of ``k2``. Unlinkedness is a property of ``k2``'s
+      edge sets that ``t`` preserves, so ``h`` is realizable exactly when
+      ``t∘h`` is. The search keeps only bijections that use the lower-id
+      twin at the earlier depth: a twin is locked out of the candidates
+      until its next lower twin has been used as an image.
 
-    The first realizable bijection in lexicographic order already has its
-    twin images increasing (otherwise swapping two twins would give a
-    realizable bijection earlier in that order), so no cut skips it: the
-    search is deterministic and returns that bijection, or an exhaustion
-    certificate. ``nodes`` and ``checked`` count what the cuts leave.
+    Each twin rule keeps, of two bijections that differ by one swap, the
+    one that comes first in lexicographic order. So the first realizable
+    bijection in that order obeys both rules (otherwise one swap would give
+    a realizable bijection earlier still), no cut touches any prefix of it,
+    and the search is deterministic and returns it, or an exhaustion
+    certificate if there is none. ``nodes`` and ``checked`` count what the
+    cuts leave. Each twin rule costs O(1) per node: a mask on each depth's
+    candidates for the source, and for the target one OR on descent and one
+    AND on backtrack of ``free``, the images that are unused and unlocked.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check is two mask tests: when a source
@@ -171,13 +194,16 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     pos = [0] * n
     for depth, eid in enumerate(order):
         pos[eid] = depth
-    deg = k.degrees
-    # Depth of the previous twin leaf edge in search order, or -1.
+    # Depth of the previous source twin in search order, or -1.
     prev = [-1] * n
-    for nbrs in k.adjacency:
-        twins = sorted(pos[e] for y, e in nbrs if deg[y] == 1)
-        for before, d in zip(twins, twins[1:]):
-            prev[d] = before
+    for before, d in _twin_steps(k, pos):
+        prev[d] = before
+    # Each target twin but the lowest is locked until the next lower is used.
+    unlock = [0] * n
+    locked = 0
+    for f1, f2 in _twin_steps(k2, range(n)):
+        unlock[f1] = 1 << f2
+        locked |= 1 << f2
     # A vertex is complete at the depth that maps its last edge; each
     # constraint is checked at the depth where both its vertices are.
     ats = [tuple(sorted(pos[e] for _, e in nbrs)) for nbrs in k.adjacency]
@@ -195,7 +221,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     side = [0] * k.vertex_count
     span = [0] * k.vertex_count
     todo = [0] * n  # candidate images not yet tried at each depth
-    free = todo[0] = (1 << n) - 1
+    free = todo[0] = ((1 << n) - 1) & ~locked  # unused, unlocked images
     last = n - 1
     depth = nodes = checked = 0
     witness = None
@@ -204,7 +230,8 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         if not cand:
             depth -= 1
             if depth >= 0:
-                free |= 1 << img[depth]
+                f = img[depth]
+                free = (free | 1 << f) & ~unlock[f]
             continue
         low = cand & -cand
         todo[depth] = cand ^ low
@@ -236,7 +263,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
                 witness = tuple(img[pos[eid]] for eid in range(n))
                 break
         elif ok:
-            free ^= low
+            free = (free ^ low) | unlock[img[depth]]
             depth += 1
             twin = prev[depth]
             todo[depth] = free if twin < 0 else free & ~((2 << img[twin]) - 1)

@@ -358,6 +358,7 @@ def parse_tree(text: str) -> Tree:
             if vertex_count is not None:
                 raise ValueError(f"line {lineno}: second V line")
             (vertex_count,) = parse_ints(lineno, fields[1:], "vertex count")
+            v_line = lineno
         elif fields[0] == "E" and len(fields) == 3:
             if vertex_count is None:
                 raise ValueError(f"line {lineno}: E line before V line")
@@ -371,6 +372,8 @@ def parse_tree(text: str) -> Tree:
         return Tree(vertex_count, edges)
     except ItemError as err:
         raise ValueError(f"line {edge_lines[err.index]}: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"line {v_line}: {err}") from None
 
 
 def format_tree(t: Tree) -> str:

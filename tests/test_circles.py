@@ -109,6 +109,8 @@ class TestParseNesting:
             ("C 0 -\nC 1 7\n", "line 2: circle 1: dangling parent id 7"),
             ("C 1 -\n\nC 0 0\n", "line 3: circle 0 contains itself"),
             ("C 0 1\nC 2 -\nC 1 0\n", "line 1: containment cycle through circle 0"),
+            ("C 0 -\nC 5 0\n", r"line 2: circle ids are not dense from 0: 5 is outside 0\.\.1"),
+            ("C -1 -\n", r"line 1: circle ids are not dense from 0: -1 is outside 0\.\.0"),
         ],
     )
     def test_rejection_names_the_line(self, text, message):

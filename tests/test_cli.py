@@ -157,7 +157,7 @@ class TestVerifyTheorem1:
         assert main(["verify-theorem1", "--recheck"]) == 0
         assert capsys.readouterr().out == (
             "forward unfriendly nodes=3295 checked=420\n"
-            "reverse unfriendly nodes=6091 checked=400\n"
+            "reverse unfriendly nodes=1689 checked=100\n"
             "recheck forward=pass reverse=pass\n"
             "recheck checked forward=5040 reverse=5040\n"
             "theorem1 holds\n"

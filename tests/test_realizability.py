@@ -13,6 +13,7 @@ from friendly_trees.realizability import (
     MAX_RECHECK_EDGES,
     UNFRIENDLY,
     Certificate,
+    _edge_order,
     certificate_to_text,
     even_vertex_pairs,
     exhaustive_search,
@@ -117,7 +118,7 @@ class TestFindRealizableBijection:
     def test_agrees_with_unpruned_search_up_to_six_edges(self):
         for n in range(7):
             catalog = enumerate_trees(n)
-            for a, b in combinations_with_replacement(catalog.trees, 2):
+            for a, b in product(catalog.trees, repeat=2):
                 pruned = find_realizable_bijection(a, b)
                 full = exhaustive_search(a, b)
                 assert pruned.verdict == full.verdict, (n, a, b)
@@ -410,3 +411,59 @@ def test_swapping_twin_leaf_images_keeps_a_witness_realizable(k, data):
         h = list(cert.witness)
         h[e1], h[e2] = h[e2], h[e1]
         assert is_realizable(k, k2, tuple(h))
+
+
+@settings(deadline=None)
+@given(trees(max_edges=9, min_edges=2), st.data())
+def test_swapping_target_twin_leaves_keeps_a_witness_realizable(k2, data):
+    """The premise of the search's target twin-leaf cut: swapping two leaves
+    on one vertex of the target is an automorphism of it, so exchanging the
+    two images everywhere in a realizable bijection keeps it realizable. The
+    search only returns bijections that use the lower twin first; the
+    exchanged ones are those it skips."""
+    k = data.draw(trees(max_edges=k2.edge_count, min_edges=k2.edge_count))
+    cert = find_realizable_bijection(k, k2)
+    if cert.verdict == UNFRIENDLY:
+        return
+    for f1, f2 in twin_leaf_pairs(k2):
+        swap = {f1: f2, f2: f1}
+        h = tuple(swap.get(f, f) for f in cert.witness)
+        assert is_realizable(k, k2, h)
+
+
+def test_witness_is_first_realizable_in_search_order():
+    # The search reaches bijections in lexicographic order of the images it
+    # gives the source edges in ``_edge_order``. Both twin cuts claim never
+    # to skip the first realizable one, so a plain scan in that order finds
+    # exactly the search's witness, or nothing when the verdict is unfriendly.
+    for n in range(7):
+        catalog = enumerate_trees(n).trees
+        for k, k2 in product(catalog, repeat=2):
+            order = _edge_order(k)
+            first = None
+            for images in permutations(range(n)):
+                h = [0] * n
+                for eid, f in zip(order, images):
+                    h[eid] = f
+                if is_realizable(k, k2, tuple(h)):
+                    first = tuple(h)
+                    break
+            cert = find_realizable_bijection(k, k2)
+            assert cert.witness == first, (k, k2)
+            assert (cert.verdict == FRIENDLY) == (first is not None)
+
+
+@pytest.mark.slow
+def test_hardest_ten_edge_pair():
+    # (229, 38) is the 10-edge pair whose source, a spider with five legs of
+    # length 2, has no twin leaves; its target does. It is unfriendly both
+    # ways, and each direction is re-derived by the unpruned scan of all 10!
+    # bijections.
+    catalog = enumerate_trees(10).trees
+    spider, target = catalog[229], catalog[38]
+    assert find_realizable_bijection(spider, target).nodes < 20_000
+    for k, k2 in ((spider, target), (target, spider)):
+        assert find_realizable_bijection(k, k2).verdict == UNFRIENDLY
+        cert = exhaustive_search(k, k2)
+        assert cert.verdict == UNFRIENDLY
+        assert cert.checked == factorial(10)

@@ -270,6 +270,8 @@ class TestTextFormat:
             ("V 3\n\nE 1 1\nE 0 1\n", "line 3: self-loop at vertex 1"),
             ("V 3\nE 0 1\nE 1 0\n", r"line 3: duplicate edge \(1, 0\)"),
             ("V 4\nE 0 1\nE 1 2\n\nE 2 0\n", r"line 5: contains a cycle \(edge \(2, 0\) closes it\)"),
+            ("V 0\n", "line 1: vertex_count must be positive"),
+            ("\nV 3\nE 0 1\n", "line 2: a tree on 3 vertices needs 2 edges, got 1"),
         ],
     )
     def test_parse_rejection_names_the_line(self, text, message):
