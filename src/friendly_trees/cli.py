@@ -22,12 +22,20 @@ from .tree import format_tree, parse_tree
 JOBS_ENV_VAR = "FRIENDLY_TREES_JOBS"
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+def _jobs(args: argparse.Namespace) -> int:
+    # ``--jobs`` wins; without it the environment variable, else 1.
+    if args.jobs is not None:
+        return args.jobs
+    raw = os.environ.get(JOBS_ENV_VAR)
+    if raw is None:
         return 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {raw!r}")
+    return jobs
 
 
 def _read(path: str) -> str:
@@ -58,7 +66,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         raise ValueError(f"output directory does not exist: {out_dir}")
     if not os.access(out_dir, os.W_OK):
         raise ValueError(f"output directory is not writable: {out_dir}")
-    report = survey_pairs(args.edges, jobs=args.jobs, recheck_witnesses=args.recheck)
+    report = survey_pairs(args.edges, jobs=_jobs(args), recheck_witnesses=args.recheck)
     write_report(report, args.out)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0
@@ -112,7 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="decide every pair of trees with N edges")
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument(
+        "--jobs",
+        type=int,
+        help=f"worker processes (default: ${JOBS_ENV_VAR}, else 1)",
+    )
     p.add_argument(
         "--recheck",
         action="store_true",

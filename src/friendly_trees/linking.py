@@ -1,19 +1,18 @@
 """Side and linking predicates on edge sets of one tree.
 
-Three forms, one idea. Colour every vertex by the parity of ``q``-edges on
+Two forms, one idea. Colour every vertex by the parity of ``q``-edges on
 its root path; ``p`` is on one side of ``q`` when all endpoints of ``p``'s
 edges get one colour.
 
-- ``side_tables`` turns that into per-edge vertex masks, so the colouring of
-  a whole edge set is an XOR of table entries. The friendliness search's
-  kernel decides every constraint from these tables alone.
-- ``same_side``/``unlinked`` evaluate the colouring against precomputed
-  root paths, validating their edge sets once per call. They are off the
-  search's hot path: they serve the unpruned recheck (``exhaustive_search``,
-  which decides each distinct image pair once), ``is_realizable`` and the
-  witness check.
+- ``side_tables`` turns that into per-edge vertex masks, built once per
+  tree and cached on it, so the colouring of a whole edge set is an XOR of
+  table entries and the side test is one mask test. Every fast caller reads
+  these tables: the friendliness search's kernel, its witness check and
+  ``is_realizable``, and ``same_side``/``unlinked``, which validate their
+  edge sets once per call and serve the unpruned recheck
+  (``exhaustive_search``, which decides each distinct image pair once).
 - The ``*_bruteforce`` forms re-walk an explicit path for every endpoint
-  pair and stay, permanently, the oracle the other forms are tested against.
+  pair and stay, permanently, the oracle the table form is tested against.
 """
 
 from __future__ import annotations
@@ -41,47 +40,10 @@ def endpoints(t: Tree, mask: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def same_side(t: Tree, p: int, q: int) -> bool:
-    """Whether ``p`` lies on one side of ``q``: the two sets share no edge and
-    every tree path between endpoints of ``p``'s edges crosses ``q`` an even
-    number of times.
-
-    Deleting ``q`` splits the tree; coloring each vertex by the parity of
-    ``q``-edges on its root path makes the condition "all endpoints of ``p``
-    get one color", which is what is checked here.
-    """
-    _check_edge_set(t, p, "p")
-    _check_edge_set(t, q, "q")
-    return _same_side(t, p, q)
-
-
-def _same_side(t: Tree, p: int, q: int) -> bool:
-    # ``same_side`` on edge sets already checked against ``t``.
-    if p & q:
-        return False
-    if p == 0 or q == 0:
-        return True
-    rp = t.root_path_masks
-    ends = t.edges
-    first = -1
-    m = p
-    while m:
-        low = m & -m
-        m ^= low
-        u, v = ends[low.bit_length() - 1]
-        cu = (rp[u] & q).bit_count() & 1
-        if first < 0:
-            first = cu
-        elif cu != first:
-            return False
-        if ((rp[v] & q).bit_count() & 1) != first:
-            return False
-    return True
-
-
 def side_tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(below, ends)``: per edge id, the vertex mask of the subtree under
-    the edge (rooted at vertex 0) and the mask of its two endpoints.
+    the edge (rooted at vertex 0) and the mask of its two endpoints, cached
+    on ``t`` (``Tree.side_tables``).
 
     A vertex is below edge ``f`` exactly when ``f`` is on its root path, so
     the XOR of ``below`` over an edge set ``q`` is the set of vertices whose
@@ -90,22 +52,53 @@ def side_tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ``p`` disjoint from ``q`` is on one side of ``q`` exactly when
     ``E(p) & S(q)`` is ``0`` or ``E(p)``.
     """
-    below = [0] * t.edge_count
-    for x, path in enumerate(t.root_path_masks):
-        bit = 1 << x
-        while path:
-            low = path & -path
-            path ^= low
-            below[low.bit_length() - 1] |= bit
-    ends = tuple((1 << u) | (1 << v) for u, v in t.edges)
-    return tuple(below), ends
+    return t.side_tables
+
+
+def _side_and_ends(t: Tree, mask: int) -> tuple[int, int]:
+    # ``(S(mask), E(mask))`` from the side tables.
+    below, ends = t.side_tables
+    s = e = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        f = low.bit_length() - 1
+        s ^= below[f]
+        e |= ends[f]
+    return s, e
+
+
+def same_side(t: Tree, p: int, q: int) -> bool:
+    """Whether ``p`` lies on one side of ``q``: the two sets share no edge and
+    every tree path between endpoints of ``p``'s edges crosses ``q`` an even
+    number of times.
+
+    Deleting ``q`` splits the tree; colouring each vertex by the parity of
+    ``q``-edges on its root path makes the condition "all endpoints of ``p``
+    get one colour", which ``side_tables`` decides in one mask test.
+    """
+    _check_edge_set(t, p, "p")
+    _check_edge_set(t, q, "q")
+    if p & q:
+        return False
+    e_p = _side_and_ends(t, p)[1]
+    x = e_p & _side_and_ends(t, q)[0]
+    return not x or x == e_p
 
 
 def unlinked(t: Tree, p: int, q: int) -> bool:
     """Whether ``p`` and ``q`` are each on the same side of the other."""
     _check_edge_set(t, p, "p")
     _check_edge_set(t, q, "q")
-    return _same_side(t, p, q) and _same_side(t, q, p)
+    if p & q:
+        return False
+    s_p, e_p = _side_and_ends(t, p)
+    s_q, e_q = _side_and_ends(t, q)
+    x = e_p & s_q
+    if x and x != e_p:
+        return False
+    x = e_q & s_p
+    return not x or x == e_q
 
 
 def same_side_bruteforce(t: Tree, p: int, q: int) -> bool:

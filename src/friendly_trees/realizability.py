@@ -78,24 +78,18 @@ def _constraints(k: Tree) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     return tuple((ids[a], ids[b]) for a, b in even_vertex_pairs(k))
 
 
-def _bits(n: int) -> list[int]:
-    return [1 << f for f in range(n)]
-
-
 def _satisfies(
     k2: Tree,
     constraints: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
     h: EdgeBijection,
     bits: list[int],
-    memo: dict[tuple[int, int], bool] | None,
+    memo: dict[tuple[int, int], bool],
 ) -> bool:
     """Whether ``h`` maps every constraint to an unlinked pair in ``k2``.
 
-    ``bits[f]`` is ``1 << f``. ``memo``, when given, maps an image-mask pair
-    to its ``unlinked`` verdict; that verdict is a pure function of
-    ``(k2, ma, mb)``, so one memo serves every bijection into ``k2``. A
-    single bijection never repeats a pair (distinct vertex pairs have
-    distinct incident sets), so checks of one bijection pass ``None``.
+    ``bits[f]`` is ``1 << f``. ``memo`` maps an image-mask pair to its
+    ``unlinked`` verdict; that verdict is a pure function of
+    ``(k2, ma, mb)``, so one memo serves every bijection into ``k2``.
     """
     for ids_a, ids_b in constraints:
         ma = 0
@@ -104,14 +98,38 @@ def _satisfies(
         mb = 0
         for e in ids_b:
             mb |= bits[h[e]]
-        if memo is None:
-            ok = unlinked(k2, ma, mb)
-        else:
-            key = (ma, mb)
-            ok = memo.get(key)
-            if ok is None:
-                ok = memo[key] = unlinked(k2, ma, mb)
+        key = (ma, mb)
+        ok = memo.get(key)
+        if ok is None:
+            ok = memo[key] = unlinked(k2, ma, mb)
         if not ok:
+            return False
+    return True
+
+
+def _realizes(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
+    # ``is_realizable`` for a checked bijection: the search's constraint
+    # check (see ``find_realizable_bijection``) on the whole of ``h``, with
+    # ``S`` and ``E`` built once per source vertex's image set.
+    below, ends = side_tables(k2)
+    side = []
+    span = []
+    for nbrs in k.adjacency:
+        s = e = 0
+        for _, eid in nbrs:
+            f = h[eid]
+            s ^= below[f]
+            e |= ends[f]
+        side.append(s)
+        span.append(e)
+    for a, b in even_vertex_pairs(k):
+        ea = span[a]
+        x = ea & side[b]
+        if x and x != ea:
+            return False
+        eb = span[b]
+        x = eb & side[a]
+        if x and x != eb:
             return False
     return True
 
@@ -120,8 +138,9 @@ def is_realizable(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
     """Whether ``h`` maps the incident sets of every even-distance vertex pair
     of ``k`` to an unlinked pair of edge sets in ``k2``."""
     n = _check_edge_counts(k, k2)
-    _check_bijection(n, tuple(h))
-    return _satisfies(k2, _constraints(k), tuple(h), _bits(n), None)
+    h = tuple(h)
+    _check_bijection(n, h)
+    return _realizes(k, k2, h)
 
 
 def _edge_order(k: Tree) -> list[int]:
@@ -184,6 +203,9 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     ``0`` or ``E[a]`` and the same holds with ``a`` and ``b`` swapped. The two
     image sets need no overlap test: vertices at even distance are not
     adjacent, so their incident sets, and hence their images, are disjoint.
+    A witness is re-tested whole before it is returned, by the same check as
+    ``is_realizable``: it reads the same side tables but none of the
+    search's per-depth state, and a failure raises ``RuntimeError``.
     """
     n = _check_edge_counts(k, k2)
     start = time.perf_counter()
@@ -271,7 +293,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     elapsed = time.perf_counter() - start
     if witness is None:
         return Certificate(UNFRIENDLY, None, nodes, checked, elapsed)
-    if not _satisfies(k2, _constraints(k), witness, _bits(n), None):
+    if not _realizes(k, k2, witness):
         raise RuntimeError(f"search produced an unsound witness {witness!r}")
     return Certificate(FRIENDLY, witness, nodes, checked, elapsed)
 
@@ -281,11 +303,14 @@ def exhaustive_search(k: Tree, k2: Tree) -> Certificate:
 
     Used to recheck unfriendly verdicts independently of the pruned search:
     every one of the ``n!`` bijections is tested (``checked`` counts them),
-    each against every constraint until one fails. No bijection is skipped;
-    what is shared is the verdict on an image pair. Each distinct pair of
-    image masks is decided once by ``unlinked`` and memoized for the rest
-    of the call: the two masks are disjoint, so there are at most 3^n
-    distinct pairs (6,561 at 8 edges, against 40,320 bijections).
+    each against every constraint until one fails. It shares no edge order,
+    cut or per-depth table with the search, only the side test of
+    ``linking``, which is held to the brute-force oracle. No bijection is
+    skipped; what bijections share is the verdict on an image pair. Each
+    distinct pair of image masks is decided once by ``unlinked`` and
+    memoized for the rest of the call: the two masks are disjoint, so there
+    are at most 3^n distinct pairs (6,561 at 8 edges, against 40,320
+    bijections).
     Above ``MAX_RECHECK_EDGES`` edges the scan is refused with a
     ``ValueError``.
     """
@@ -298,7 +323,7 @@ def exhaustive_search(k: Tree, k2: Tree) -> Certificate:
     if n == 0:
         return Certificate(FRIENDLY, (), 0, 1, time.perf_counter() - start)
     constraints = _constraints(k)
-    bits = _bits(n)
+    bits = [1 << f for f in range(n)]
     memo: dict[tuple[int, int], bool] = {}
     checked = 0
     for h in permutations(range(n)):
@@ -313,26 +338,19 @@ def recheck_certificate(k: Tree, k2: Tree, cert: Certificate) -> bool:
 
     Friendly: re-test the stored witness (any corruption, including a
     non-bijective map, comes back ``False``). Unfriendly: re-exhaust the full
-    bijection space without pruning and confirm nothing is realizable.
+    bijection space without pruning (``exhaustive_search``) and confirm
+    nothing is realizable.
     """
-    return recheck_with_count(k, k2, cert)[0]
-
-
-def recheck_with_count(k: Tree, k2: Tree, cert: Certificate) -> tuple[bool, int]:
-    """``recheck_certificate``'s answer and the number of bijections its
-    recheck tested: the stored witness alone for a friendly verdict (none
-    when it is missing or malformed), all ``n!`` for an unfriendly one."""
     _check_edge_counts(k, k2)
     if cert.verdict == FRIENDLY:
         if cert.witness is None:
-            return False, 0
+            return False
         try:
-            return is_realizable(k, k2, tuple(cert.witness)), 1
+            return is_realizable(k, k2, cert.witness)
         except ValueError:
-            return False, 0
+            return False
     if cert.verdict == UNFRIENDLY:
-        scan = exhaustive_search(k, k2)
-        return scan.verdict == UNFRIENDLY, scan.checked
+        return exhaustive_search(k, k2).verdict == UNFRIENDLY
     raise ValueError(f"unknown verdict {cert.verdict!r}")
 
 
@@ -349,12 +367,13 @@ def certificate_to_text(cert: Certificate, include_witness: bool = True) -> str:
 def parse_certificate(text: str) -> Certificate:
     """Parse the certificate text format; timing is not part of the format.
 
-    A WITNESS line must be a permutation of ``0..len-1`` and may appear only
-    under a friendly verdict, wherever the VERDICT line is.
+    The VERDICT and STATS lines are required. A WITNESS line must be a
+    permutation of ``0..len-1`` and may appear only under a friendly
+    verdict, wherever the VERDICT line is.
     """
     verdict = None
     witness: EdgeBijection | None = None
-    stats = {"nodes": 0, "checked": 0}
+    stats: dict = {}
     seen: set[str] = set()
     for lineno, fields in line_records(text):
         kind = fields[0]
@@ -380,4 +399,6 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError("missing VERDICT line")
     if verdict == UNFRIENDLY and witness is not None:
         raise ValueError(f"line {witness_line}: WITNESS line in an unfriendly certificate")
+    if not stats:
+        raise ValueError("missing STATS line")
     return Certificate(verdict, witness, stats["nodes"], stats["checked"], 0.0)

@@ -21,10 +21,10 @@ from .realizability import (
     UNFRIENDLY,
     Certificate,
     EdgeBijection,
+    exhaustive_search,
     find_realizable_bijection,
     is_realizable,
     recheck_certificate,
-    recheck_with_count,
 )
 from .tree import Tree, key_values, line_records, parse_ints
 
@@ -305,7 +305,8 @@ def verify_theorem1(recheck: bool = False) -> Theorem1Result:
     """Decide the fixture pair in both directions.
 
     Both directions are expected unfriendly; with ``recheck`` the unpruned
-    enumeration re-derives each verdict over the full bijection space.
+    enumeration re-derives each verdict over the full bijection space, and
+    each recheck passes when its scan reaches the search's verdict.
     """
     g = build_G()
     h = build_H()
@@ -313,10 +314,15 @@ def verify_theorem1(recheck: bool = False) -> Theorem1Result:
     reverse = find_realizable_bijection(h, g)
     if not recheck:
         return Theorem1Result(forward, reverse, None, None)
-    forward_recheck, forward_rechecked = recheck_with_count(g, h, forward)
-    reverse_recheck, reverse_rechecked = recheck_with_count(h, g, reverse)
+    forward_scan = exhaustive_search(g, h)
+    reverse_scan = exhaustive_search(h, g)
     return Theorem1Result(
-        forward, reverse, forward_recheck, reverse_recheck, forward_rechecked, reverse_rechecked
+        forward,
+        reverse,
+        forward_scan.verdict == forward.verdict,
+        reverse_scan.verdict == reverse.verdict,
+        forward_scan.checked,
+        reverse_scan.checked,
     )
 
 

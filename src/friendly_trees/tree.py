@@ -146,6 +146,24 @@ class Tree:
         """
         return self._bfs[1]
 
+    @cached_property
+    def side_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(below, ends)``: per edge id, the mask of the vertices under the
+        edge (rooted at vertex 0) and the mask of its two endpoints.
+
+        A vertex is below edge ``f`` exactly when ``f`` is on its root path.
+        ``linking.side_tables`` says how every side test reads them.
+        """
+        below = [0] * self.edge_count
+        for x, path in enumerate(self.root_path_masks):
+            bit = 1 << x
+            while path:
+                low = path & -path
+                path ^= low
+                below[low.bit_length() - 1] |= bit
+        ends = tuple((1 << u) | (1 << v) for u, v in self.edges)
+        return tuple(below), ends
+
 
 def _check_vertex(t: Tree, v: int) -> None:
     if not (0 <= v < t.vertex_count):

@@ -143,6 +143,26 @@ class TestSurvey:
         with open(out, encoding="ascii") as handle:
             assert parse_report(handle.read()).friendly == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_jobs_environment(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("FRIENDLY_TREES_JOBS", value)
+        out = tmp_path / "env.report"
+        assert main(["survey", "--edges", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: FRIENDLY_TREES_JOBS must be a positive integer, got {value!r}\n"
+        )
+        assert not out.exists()
+
+    def test_jobs_flag_overrides_bad_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRIENDLY_TREES_JOBS", "abc")
+        out = str(tmp_path / "flag.report")
+        assert main(["survey", "--edges", "1", "--out", out, "--jobs", "1"]) == 0
+
+    def test_other_commands_ignore_bad_jobs_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("FRIENDLY_TREES_JOBS", "abc")
+        assert main(["enumerate", "--edges", "1"]) == 0
+        assert capsys.readouterr().out == "--- 0\n(())\nV 2\nE 0 1\n"
+
 
 class TestVerifyTheorem1:
     def test_passes(self, capsys):

@@ -158,6 +158,13 @@ def test_side_masks_match_bruteforce(case):
     assert ((e_p & s_q) in (0, e_p)) == same_side_bruteforce(t, p, q)
 
 
+def test_side_tables_are_built_once_per_tree():
+    # The kernel, ``same_side``/``unlinked`` and ``is_realizable`` all read
+    # one pair of tables, cached on the tree.
+    t = build_H()
+    assert side_tables(t) is side_tables(t) is t.side_tables
+
+
 @st.composite
 def trees_with_one_side_set(draw, max_edges: int):
     """A tree, a non-empty edge set ``q`` and a ``p`` on one side of ``q``.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from friendly_trees import realizability
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.linking import unlinked_bruteforce
 from friendly_trees.realizability import (
@@ -21,7 +22,6 @@ from friendly_trees.realizability import (
     is_realizable,
     parse_certificate,
     recheck_certificate,
-    recheck_with_count,
 )
 from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
@@ -154,13 +154,25 @@ class TestRecheckCertificate:
         cert = find_realizable_bijection(g, h)
         assert recheck_certificate(g, h, cert)
 
-    def test_counts_tested_bijections(self):
+    def test_counts_tested_bijections(self, monkeypatch):
+        # A friendly recheck tests the stored witness alone and runs no
+        # scan; an unfriendly one is the unpruned scan of all 7! bijections.
+        scans = []
+
+        def scan(k, k2):
+            cert = exhaustive_search(k, k2)
+            scans.append(cert.checked)
+            return cert
+
+        monkeypatch.setattr(realizability, "exhaustive_search", scan)
         cert = find_realizable_bijection(PATH3, STAR3)
-        assert recheck_with_count(PATH3, STAR3, cert) == (True, 1)
+        assert recheck_certificate(PATH3, STAR3, cert) is True
         missing = Certificate(FRIENDLY, None, 0, 0, 0.0)
-        assert recheck_with_count(PATH3, PATH3, missing) == (False, 0)
+        assert recheck_certificate(PATH3, PATH3, missing) is False
+        assert scans == []
         g, h = build_G(), build_H()
-        assert recheck_with_count(g, h, find_realizable_bijection(g, h)) == (True, 5040)
+        assert recheck_certificate(g, h, find_realizable_bijection(g, h)) is True
+        assert scans == [5040]
 
     def test_rejects_mismatched_trees(self):
         cert = find_realizable_bijection(PATH3, STAR3)
@@ -219,6 +231,8 @@ class TestCertificateText:
             ("WITNESS 1 0\nSTATS nodes=1 checked=1\nVERDICT unfriendly\n", "line 1: WITNESS line in an unfriendly"),
             ("VERDICT friendly\nWITNESS 0 0 5\n", r"line 2: witness is not a permutation of 0\.\.2"),
             ("VERDICT friendly\nWITNESS 1 2\n", r"line 2: witness is not a permutation of 0\.\.1"),
+            ("VERDICT unfriendly\n", "^missing STATS line$"),
+            ("VERDICT friendly\nWITNESS 0\n", "^missing STATS line$"),
         ],
     )
     def test_rejection_names_the_line(self, text, message):
@@ -292,21 +306,37 @@ def test_nine_edge_sweep():
         assert cert.checked == factorial(9)
 
 
+def realizable_bruteforce(k, k2, h):
+    """Realizability of ``h`` decided constraint by constraint with
+    ``unlinked_bruteforce``."""
+    def image(v):
+        return edge_mask([h[e] for e in mask_ids(delta(k, v))])
+
+    return all(unlinked_bruteforce(k2, image(a), image(b)) for a, b in even_vertex_pairs(k))
+
+
+@settings(deadline=None)
+@given(trees(max_edges=8), st.data())
+def test_is_realizable_matches_bruteforce(k, data):
+    """``is_realizable`` against the oracle, on a random bijection (mostly
+    not realizable) and on the search's witness (realizable)."""
+    n = k.edge_count
+    k2 = data.draw(trees(max_edges=n, min_edges=n))
+    h = tuple(data.draw(st.permutations(range(n))))
+    assert is_realizable(k, k2, h) == realizable_bruteforce(k, k2, h)
+    cert = find_realizable_bijection(k, k2)
+    if cert.verdict == FRIENDLY:
+        assert is_realizable(k, k2, cert.witness)
+        assert realizable_bruteforce(k, k2, cert.witness)
+
+
 def bruteforce_scan(k, k2):
     """(verdict, witness, checked) of a plain lexicographic scan that decides
     every constraint of every bijection with ``unlinked_bruteforce``."""
-    pairs = [(delta(k, a), delta(k, b)) for a, b in even_vertex_pairs(k)]
     checked = 0
     for h in permutations(range(k.edge_count)):
         checked += 1
-        if all(
-            unlinked_bruteforce(
-                k2,
-                edge_mask([h[e] for e in mask_ids(pa)]),
-                edge_mask([h[e] for e in mask_ids(pb)]),
-            )
-            for pa, pb in pairs
-        ):
+        if realizable_bruteforce(k, k2, h):
             return FRIENDLY, h, checked
     return UNFRIENDLY, None, checked
 
