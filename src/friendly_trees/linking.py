@@ -4,12 +4,12 @@ Two forms, one idea. Colour every vertex by the parity of ``q``-edges on
 its root path; ``p`` is on one side of ``q`` when all endpoints of ``p``'s
 edges get one colour.
 
-- ``side_tables`` turns that into per-edge vertex masks, built once per
-  tree and cached on it, so the colouring of a whole edge set is an XOR of
-  table entries and the side test is one mask test. Every fast caller reads
-  these tables: the friendliness search's kernel, its witness check and
-  ``is_realizable``, and ``same_side``/``unlinked``, which validate their
-  edge sets once per call and serve the unpruned recheck
+- ``Tree.side_tables`` turns that into per-edge vertex masks, built once
+  per tree and cached on it, so the colouring of a whole edge set is an XOR
+  of table entries and the side test is one mask test. Every fast caller
+  reads these tables: the friendliness search's kernel, its witness check
+  and ``is_realizable``, and ``same_side``/``unlinked`` here, which validate
+  their edge sets once per call and serve the unpruned recheck
   (``exhaustive_search``, which decides each distinct image pair once).
 - The ``*_bruteforce`` forms re-walk an explicit path for every endpoint
   pair and stay, permanently, the oracle the table form is tested against.
@@ -40,21 +40,6 @@ def endpoints(t: Tree, mask: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def side_tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(below, ends)``: per edge id, the vertex mask of the subtree under
-    the edge (rooted at vertex 0) and the mask of its two endpoints, cached
-    on ``t`` (``Tree.side_tables``).
-
-    A vertex is below edge ``f`` exactly when ``f`` is on its root path, so
-    the XOR of ``below`` over an edge set ``q`` is the set of vertices whose
-    root paths cross ``q`` an odd number of times: ``q``'s side colouring.
-    With ``S(q)`` that XOR and ``E(p)`` the OR of ``ends`` over ``p``, a set
-    ``p`` disjoint from ``q`` is on one side of ``q`` exactly when
-    ``E(p) & S(q)`` is ``0`` or ``E(p)``.
-    """
-    return t.side_tables
-
-
 def _side_and_ends(t: Tree, mask: int) -> tuple[int, int]:
     # ``(S(mask), E(mask))`` from the side tables.
     below, ends = t.side_tables
@@ -75,7 +60,7 @@ def same_side(t: Tree, p: int, q: int) -> bool:
 
     Deleting ``q`` splits the tree; colouring each vertex by the parity of
     ``q``-edges on its root path makes the condition "all endpoints of ``p``
-    get one colour", which ``side_tables`` decides in one mask test.
+    get one colour", which ``Tree.side_tables`` decides in one mask test.
     """
     _check_edge_set(t, p, "p")
     _check_edge_set(t, q, "q")

@@ -10,6 +10,7 @@ format written atomically.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import time
@@ -74,13 +75,19 @@ class SurveyReport:
     edge_count: int
     tree_count: int
     rows: tuple[SurveyRow, ...]
-    friendly: int
-    unfriendly: int
     seconds: float
 
     @property
     def pair_count(self) -> int:
         return len(self.rows)
+
+    @property
+    def friendly(self) -> int:
+        return sum(1 for r in self.rows if r.verdict == FRIENDLY)
+
+    @property
+    def unfriendly(self) -> int:
+        return len(self.rows) - self.friendly
 
 
 def _decide_pair(edge_count: int, ia: int, ib: int, recheck_witness: bool) -> SurveyRow:
@@ -152,14 +159,10 @@ def survey_pairs(
         chunk = max(1, len(tasks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_pair_task, tasks, chunksize=chunk))
-    rows = tuple(sorted(results, key=lambda r: (r.index_a, r.index_b)))
-    friendly = sum(1 for r in rows if r.verdict == FRIENDLY)
     return SurveyReport(
         edge_count=edge_count,
         tree_count=k,
-        rows=rows,
-        friendly=friendly,
-        unfriendly=len(rows) - friendly,
+        rows=tuple(sorted(results, key=lambda r: (r.index_a, r.index_b))),
         seconds=time.perf_counter() - start,
     )
 
@@ -183,6 +186,13 @@ def format_report(report: SurveyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seconds(raw: str) -> float:
+    value = float(raw)
+    if not 0 <= value < math.inf:
+        raise ValueError(raw)
+    return value
+
+
 def parse_report(text: str) -> SurveyReport:
     """Parse a survey report file back into rows.
 
@@ -191,13 +201,16 @@ def parse_report(text: str) -> SurveyReport:
     The header's ``pairs`` and the SUMMARY counts must agree with the rows.
     A survey has one row per unordered pair, in ``enumerate`` order: each
     row has ``ia <= ib``, rows come in strictly increasing ``(ia, ib)``
-    order, and ``pairs`` is ``trees * (trees + 1) / 2``.
+    order, and ``pairs`` is ``trees * (trees + 1) / 2``. SUMMARY is the last
+    line, and its ``seconds`` is finite and not negative.
     """
     head = summary = None
     rows: list[SurveyRow] = []
     previous = (-1, -1)
     for lineno, fields in line_records(text):
         kind = fields[0]
+        if summary is not None:
+            raise ValueError(f"line {lineno}: line after SUMMARY {' '.join(fields)!r}")
         if head is None:
             if kind != "SURVEY":
                 raise ValueError(f"line {lineno}: missing SURVEY header line")
@@ -229,9 +242,9 @@ def parse_report(text: str) -> SurveyReport:
             else:
                 raise ValueError(f"line {lineno}: bad verdict {verdict!r}")
             rows.append(SurveyRow(ia, ib, code_a, code_b, verdict, witness, nodes, None))
-        elif kind == "SUMMARY" and summary is None:
+        elif kind == "SUMMARY":
             summary_line = lineno
-            summary = key_values(lineno, fields[1:], friendly=int, unfriendly=int, seconds=float)
+            summary = key_values(lineno, fields[1:], friendly=int, unfriendly=int, seconds=_seconds)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
     if head is None:
@@ -246,21 +259,14 @@ def parse_report(text: str) -> SurveyReport:
             f"line {head_line}: pairs={head['pairs']} but trees={head['trees']} "
             f"make {expected} unordered pairs"
         )
-    friendly = sum(1 for r in rows if r.verdict == FRIENDLY)
-    unfriendly = len(rows) - friendly
-    if (summary["friendly"], summary["unfriendly"]) != (friendly, unfriendly):
+    report = SurveyReport(head["edges"], head["trees"], tuple(rows), summary["seconds"])
+    counts = (report.friendly, report.unfriendly)
+    if (summary["friendly"], summary["unfriendly"]) != counts:
         raise ValueError(
             f"line {summary_line}: SUMMARY counts disagree with the rows "
-            f"({friendly} friendly, {unfriendly} unfriendly)"
+            f"({counts[0]} friendly, {counts[1]} unfriendly)"
         )
-    return SurveyReport(
-        edge_count=head["edges"],
-        tree_count=head["trees"],
-        rows=tuple(rows),
-        friendly=friendly,
-        unfriendly=unfriendly,
-        seconds=summary["seconds"],
-    )
+    return report
 
 
 def write_report(report: SurveyReport, path: str) -> None:

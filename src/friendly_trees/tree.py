@@ -138,24 +138,20 @@ class Tree:
         return self._bfs[0]
 
     @cached_property
-    def root_path_masks(self) -> tuple[int, ...]:
-        """Mask of edges on the path from vertex 0 to each vertex.
-
-        The path between any x and y is the symmetric difference
-        ``root_path_masks[x] ^ root_path_masks[y]``: the shared stem cancels.
-        """
-        return self._bfs[1]
-
-    @cached_property
     def side_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(below, ends)``: per edge id, the mask of the vertices under the
-        edge (rooted at vertex 0) and the mask of its two endpoints.
+        """``(below, ends)``: per edge id, the vertex mask of the subtree
+        under the edge (rooted at vertex 0) and the mask of its two
+        endpoints. Built once per tree; every fast side test reads them.
 
-        A vertex is below edge ``f`` exactly when ``f`` is on its root path.
-        ``linking.side_tables`` says how every side test reads them.
+        A vertex is below edge ``f`` exactly when ``f`` is on its root path,
+        so the XOR of ``below`` over an edge set ``q`` is the set of vertices
+        whose root paths cross ``q`` an odd number of times: ``q``'s side
+        colouring. With ``S(q)`` that XOR and ``E(p)`` the OR of ``ends``
+        over ``p``, a set ``p`` disjoint from ``q`` is on one side of ``q``
+        exactly when ``E(p) & S(q)`` is ``0`` or ``E(p)``.
         """
         below = [0] * self.edge_count
-        for x, path in enumerate(self.root_path_masks):
+        for x, path in enumerate(self._bfs[1]):
             bit = 1 << x
             while path:
                 low = path & -path
@@ -173,8 +169,9 @@ def _check_vertex(t: Tree, v: int) -> None:
 def path_edges(t: Tree, a: int, b: int) -> int:
     """Edges on the unique a-b path, as a bitmask; empty when a == b.
 
-    Walks the tree explicitly (BFS from ``a``, then backtrack from ``b``), so
-    it stays an independent reference for the precomputed-path fast paths.
+    Walks the tree explicitly (BFS from ``a``, then backtrack from ``b``):
+    the path walker of ``linking.same_side_bruteforce``, the oracle that the
+    side tables are tested against.
     """
     _check_vertex(t, a)
     _check_vertex(t, b)
@@ -287,30 +284,13 @@ def subtree_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> list[str]:
     return code
 
 
-def rooted_code(n: int, adj: Sequence[Sequence[int]], root: int) -> str:
-    """Parenthesis code of the tree rooted at ``root``."""
-    return subtree_codes(n, adj, root)[root]
-
-
 def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
     """Canonical code of a free tree given as neighbor lists.
 
     Roots at the centroid; with two centroids, takes the lexicographically
     smaller of the two rooted codes. Equal codes characterize isomorphism.
-
-    The second centroid's rooted code reuses the subtree codes of the first
-    traversal instead of traversing again; it is pinned against the plain
-    ``min`` of ``rooted_code`` calls by the test suite.
     """
-    cs = centroids(n, adj)
-    c1 = cs[0]
-    code = subtree_codes(n, adj, c1)
-    if len(cs) == 1:
-        return code[c1]
-    c2 = cs[1]
-    half1 = "(" + "".join(sorted(code[u] for u in adj[c1] if u != c2)) + ")"
-    code2 = "(" + "".join(sorted([code[u] for u in adj[c2] if u != c1] + [half1])) + ")"
-    return min(code[c1], code2)
+    return min(subtree_codes(n, adj, c)[c] for c in centroids(n, adj))
 
 
 def canonical_code(t: Tree) -> str:

@@ -9,7 +9,6 @@ from friendly_trees.linking import (
     endpoints,
     same_side,
     same_side_bruteforce,
-    side_tables,
     unlinked,
     unlinked_bruteforce,
 )
@@ -148,7 +147,7 @@ def test_side_masks_match_bruteforce(case):
     disjoint ``q`` exactly when ``E(p) & S(q)`` is ``0`` or ``E(p)``.
     """
     t, p, q = case
-    below, ends = side_tables(t)
+    below, ends = t.side_tables
     s_q = e_p = 0
     for f in range(t.edge_count):
         if q >> f & 1:
@@ -162,7 +161,7 @@ def test_side_tables_are_built_once_per_tree():
     # The kernel, ``same_side``/``unlinked`` and ``is_realizable`` all read
     # one pair of tables, cached on the tree.
     t = build_H()
-    assert side_tables(t) is side_tables(t) is t.side_tables
+    assert t.side_tables is t.side_tables
 
 
 @st.composite

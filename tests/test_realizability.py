@@ -60,6 +60,9 @@ class TestIsRealizable:
             is_realizable(PATH3, STAR3, (0, 0, 2))
         with pytest.raises(ValueError, match="not a bijection"):
             is_realizable(PATH3, STAR3, (0, 1))
+        # Float entries sort like a permutation but are not edge ids.
+        with pytest.raises(ValueError, match="not a bijection"):
+            is_realizable(build_G(), build_G(), tuple(map(float, range(7))))
 
 
 class TestEvenVertexPairs:
@@ -107,13 +110,7 @@ class TestFindRealizableBijection:
 
     def test_deterministic(self):
         a = find_realizable_bijection(build_H(), build_G())
-        b = find_realizable_bijection(build_H(), build_G())
-        assert (a.verdict, a.witness, a.nodes, a.checked) == (
-            b.verdict,
-            b.witness,
-            b.nodes,
-            b.checked,
-        )
+        assert a == find_realizable_bijection(build_H(), build_G())
 
     def test_agrees_with_unpruned_search_up_to_six_edges(self):
         for n in range(7):
@@ -140,14 +137,16 @@ class TestRecheckCertificate:
 
     def test_corrupted_witness(self):
         cert = find_realizable_bijection(PATH3, PATH3)
-        bad_map = Certificate(FRIENDLY, (1, 0, 2), cert.nodes, cert.checked, 0.0)
+        bad_map = Certificate(FRIENDLY, (1, 0, 2), cert.nodes, cert.checked)
         # (1, 0, 2) breaks the even pair (0, 2): images of the incident sets share edge 1
         assert not is_realizable(PATH3, PATH3, (1, 0, 2))
         assert not recheck_certificate(PATH3, PATH3, bad_map)
-        not_a_bijection = Certificate(FRIENDLY, (0, 0, 2), 0, 0, 0.0)
+        not_a_bijection = Certificate(FRIENDLY, (0, 0, 2), 0, 0)
         assert not recheck_certificate(PATH3, PATH3, not_a_bijection)
-        missing = Certificate(FRIENDLY, None, 0, 0, 0.0)
+        missing = Certificate(FRIENDLY, None, 0, 0)
         assert not recheck_certificate(PATH3, PATH3, missing)
+        floats = Certificate(FRIENDLY, tuple(map(float, range(7))), 0, 0)
+        assert not recheck_certificate(build_G(), build_G(), floats)
 
     def test_unfriendly_fixture_pair(self):
         g, h = build_G(), build_H()
@@ -167,7 +166,7 @@ class TestRecheckCertificate:
         monkeypatch.setattr(realizability, "exhaustive_search", scan)
         cert = find_realizable_bijection(PATH3, STAR3)
         assert recheck_certificate(PATH3, STAR3, cert) is True
-        missing = Certificate(FRIENDLY, None, 0, 0, 0.0)
+        missing = Certificate(FRIENDLY, None, 0, 0)
         assert recheck_certificate(PATH3, PATH3, missing) is False
         assert scans == []
         g, h = build_G(), build_H()
@@ -181,7 +180,7 @@ class TestRecheckCertificate:
 
     def test_rejects_unknown_verdict(self):
         with pytest.raises(ValueError, match="unknown verdict"):
-            recheck_certificate(PATH3, STAR3, Certificate("maybe", None, 0, 0, 0.0))
+            recheck_certificate(PATH3, STAR3, Certificate("maybe", None, 0, 0))
 
 
 class TestCertificateText:
@@ -190,11 +189,7 @@ class TestCertificateText:
         text = certificate_to_text(cert)
         assert text.startswith("VERDICT friendly\nWITNESS ")
         assert text.endswith("\n")
-        again = parse_certificate(text)
-        assert again.verdict == cert.verdict
-        assert again.witness == cert.witness
-        assert again.nodes == cert.nodes
-        assert again.checked == cert.checked
+        assert parse_certificate(text) == cert
 
     def test_witness_suppressed(self):
         cert = find_realizable_bijection(PATH3, STAR3)
@@ -211,10 +206,21 @@ class TestCertificateText:
         assert again.nodes == cert.nodes
 
     def test_empty_witness_line(self):
-        cert = Certificate(FRIENDLY, (), 0, 1, 0.0)
+        cert = Certificate(FRIENDLY, (), 0, 1)
         text = certificate_to_text(cert)
         assert "\nWITNESS\n" in text
         assert parse_certificate(text).witness == ()
+
+    def test_certificates_are_plain_values(self):
+        # A certificate holds no timing: equal searches give equal
+        # certificates, and the text format loses nothing.
+        pairs = [(build_G(), build_H()), (build_H(), build_G())]
+        for n in range(6):
+            pairs += product(enumerate_trees(n).trees, repeat=2)
+        for a, b in pairs:
+            cert = find_realizable_bijection(a, b)
+            assert find_realizable_bijection(a, b) == cert
+            assert parse_certificate(certificate_to_text(cert)) == cert
 
     @pytest.mark.parametrize(
         "text, message",
@@ -362,7 +368,7 @@ def test_exhaustive_search_is_bounded():
     star = Tree(n + 1, [(0, i) for i in range(1, n + 1)])
     with pytest.raises(ValueError, match=f"at most {MAX_RECHECK_EDGES} edges, got {n}"):
         exhaustive_search(path, star)
-    claim = Certificate(UNFRIENDLY, None, 0, 0, 0.0)
+    claim = Certificate(UNFRIENDLY, None, 0, 0)
     with pytest.raises(ValueError, match=f"at most {MAX_RECHECK_EDGES} edges"):
         recheck_certificate(path, star, claim)
     # Friendly rechecks test one witness and have no bound.

@@ -254,7 +254,12 @@ class TestReportFormat:
             (GOOD_HEAD, "PAIR 0 0 (()) (()) unfriendly nodes=x", GOOD_SUMMARY, "line 2: bad value in 'nodes=x'"),
             (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=0 unfriendly=1 seconds=0.0", "line 3: SUMMARY counts disagree"),
             (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0", "line 3: missing field 'seconds'"),
-            (GOOD_HEAD, GOOD_ROW, GOOD_SUMMARY + "\n" + GOOD_SUMMARY, "line 4: unrecognized"),
+            (GOOD_HEAD, GOOD_ROW, GOOD_SUMMARY + "\n" + GOOD_SUMMARY, "line 4: line after SUMMARY"),
+            (GOOD_HEAD, GOOD_SUMMARY, GOOD_ROW, r"line 3: line after SUMMARY 'PAIR 0 0 \(\(\)\)"),
+            (GOOD_HEAD, GOOD_ROW, GOOD_SUMMARY + "\nWAT", "line 4: line after SUMMARY 'WAT'"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0 seconds=-5", "line 3: bad value in 'seconds=-5'"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0 seconds=nan", "line 3: bad value in 'seconds=nan'"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0 seconds=inf", "line 3: bad value in 'seconds=inf'"),
         ],
     )
     def test_parse_rejection_names_the_line(self, head, row, summary, message):

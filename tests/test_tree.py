@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from friendly_trees.enumeration import enumerate_trees
@@ -10,8 +10,6 @@ from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import (
     Tree,
     canonical_code,
-    centroids,
-    code_from_adjacency,
     delta,
     edge_mask,
     format_tree,
@@ -20,8 +18,6 @@ from friendly_trees.tree import (
     parity,
     parse_tree,
     path_edges,
-    rooted_code,
-    vertex_adjacency,
 )
 
 from helpers import brute_force_isomorphic, relabel, trees
@@ -185,14 +181,6 @@ class TestCanonicalCode:
         perm = data.draw(st.permutations(range(t.vertex_count)))
         assert canonical_code(relabel(t, list(perm))) == canonical_code(t)
 
-    @given(trees(max_edges=10))
-    def test_matches_plain_centroid_min(self, t):
-        # pins the shared-half bicentroid construction to the direct form
-        n = t.vertex_count
-        adj = vertex_adjacency(t)
-        direct = min(rooted_code(n, adj, c) for c in centroids(n, adj))
-        assert code_from_adjacency(n, adj) == direct
-
 
 class TestIsIsomorphic:
     def test_reflexive(self):
@@ -282,14 +270,3 @@ class TestTextFormat:
         t = parse_tree("V 2\n\nE 0 1\n")
         assert t.edges == ((0, 1),)
 
-
-@settings(max_examples=30)
-@given(trees(max_edges=10))
-def test_root_path_mask_identity(t):
-    # the cached root paths reproduce explicit path walks by symmetric difference
-    for a in range(t.vertex_count):
-        for b in range(t.vertex_count):
-            assert (
-                t.root_path_masks[a] ^ t.root_path_masks[b]
-                == path_edges(t, a, b)
-            )
