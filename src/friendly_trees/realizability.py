@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .linking import unlinked
-from .tree import Tree, key_values, line_records, mask_ids, parse_ints
+from .tree import Tree, count, key_values, line_records, parse_ints
 
 # Image edge id at each source edge id.
 EdgeBijection = tuple[int, ...]
@@ -75,7 +75,7 @@ def even_vertex_pairs(k: Tree) -> tuple[tuple[int, int], ...]:
 
 def _constraints(k: Tree) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     # Source edge ids incident to each vertex of every even-distance pair.
-    ids = [mask_ids(m) for m in k.delta_masks]
+    ids = [tuple(eid for _, eid in nbrs) for nbrs in k.adjacency]
     return tuple((ids[a], ids[b]) for a, b in even_vertex_pairs(k))
 
 
@@ -387,7 +387,7 @@ def parse_certificate(text: str) -> Certificate:
                     f"line {lineno}: witness is not a permutation of 0..{len(witness) - 1}"
                 )
         elif kind == "STATS":
-            stats = key_values(lineno, fields[1:], nodes=int, checked=int)
+            stats = key_values(lineno, fields[1:], nodes=count, checked=count)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
         if kind in seen:

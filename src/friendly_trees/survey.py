@@ -15,6 +15,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .enumeration import enumerate_trees
 from .realizability import (
@@ -27,7 +28,7 @@ from .realizability import (
     is_realizable,
     recheck_certificate,
 )
-from .tree import Tree, key_values, line_records, parse_ints
+from .tree import Tree, count, key_values, line_records, parse_ints
 
 MAX_SURVEY_EDGES = 8
 
@@ -90,7 +91,7 @@ class SurveyReport:
         return len(self.rows) - self.friendly
 
 
-def _decide_pair(edge_count: int, ia: int, ib: int, recheck_witness: bool) -> SurveyRow:
+def _decide_pair(edge_count: int, recheck_witness: bool, ia: int, ib: int) -> SurveyRow:
     catalog = enumerate_trees(edge_count)
     a = catalog.trees[ia]
     b = catalog.trees[ib]
@@ -119,10 +120,6 @@ def _decide_pair(edge_count: int, ia: int, ib: int, recheck_witness: bool) -> Su
     )
 
 
-def _decide_pair_task(task: tuple[int, int, int, bool]) -> SurveyRow:
-    return _decide_pair(*task)
-
-
 def survey_pairs(
     edge_count: int,
     jobs: int = 1,
@@ -132,8 +129,8 @@ def survey_pairs(
     of trees with ``edge_count`` edges.
 
     Pair verdicts are pure functions of the catalogue indices, so any worker
-    pool produces the same rows; rows are sorted before assembly and the
-    report is identical for every ``jobs`` value.
+    pool produces the same rows, and ``Executor.map`` returns them in input
+    order: the report is identical for every ``jobs`` value.
     """
     if not 0 <= edge_count <= MAX_SURVEY_EDGES:
         raise ValueError(
@@ -144,25 +141,23 @@ def survey_pairs(
     start = time.perf_counter()
     catalog = enumerate_trees(edge_count)
     k = len(catalog)
-    tasks = [
-        (edge_count, ia, ib, recheck_witnesses)
-        for ia in range(k)
-        for ib in range(ia, k)
-    ]
+    index_a = [ia for ia in range(k) for ib in range(ia, k)]
+    index_b = [ib for ia in range(k) for ib in range(ia, k)]
+    decide = partial(_decide_pair, edge_count, recheck_witnesses)
     if jobs == 1:
-        results = [_decide_pair_task(t) for t in tasks]
+        rows = tuple(map(decide, index_a, index_b))
     else:
         # Imported here: loading multiprocessing costs every serial caller
         # about 2 MB and 25 ms.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(tasks) // (4 * jobs))
+        chunk = max(1, len(index_a) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_decide_pair_task, tasks, chunksize=chunk))
+            rows = tuple(pool.map(decide, index_a, index_b, chunksize=chunk))
     return SurveyReport(
         edge_count=edge_count,
         tree_count=k,
-        rows=tuple(sorted(results, key=lambda r: (r.index_a, r.index_b))),
+        rows=rows,
         seconds=time.perf_counter() - start,
     )
 
@@ -193,12 +188,30 @@ def _seconds(raw: str) -> float:
     return value
 
 
+def _is_tree_code(code: str, vertex_count: int) -> bool:
+    # A parenthesis code of a rooted tree on ``vertex_count`` vertices: one
+    # pair per vertex, and only the last character closes the root's pair.
+    if len(code) != 2 * vertex_count:
+        return False
+    depth = 0
+    for ch in code[:-1]:
+        if ch == "(":
+            depth += 1
+        elif ch == ")" and depth > 1:
+            depth -= 1
+        else:
+            return False
+    return code[-1] == ")" and depth == 1
+
+
 def parse_report(text: str) -> SurveyReport:
     """Parse a survey report file back into rows.
 
     Node counts of friendly rows and recheck flags are not part of the file
     format, so reloaded rows carry ``nodes=0`` and ``recheck_passed=None``.
     The header's ``pairs`` and the SUMMARY counts must agree with the rows.
+    Counts are not negative, ``trees`` is at least 1, and every row code is
+    the parenthesis code of a tree with ``edges`` edges.
     A survey has one row per unordered pair, in ``enumerate`` order: each
     row has ``ia <= ib``, rows come in strictly increasing ``(ia, ib)``
     order, and ``pairs`` is ``trees * (trees + 1) / 2``. SUMMARY is the last
@@ -215,7 +228,11 @@ def parse_report(text: str) -> SurveyReport:
             if kind != "SURVEY":
                 raise ValueError(f"line {lineno}: missing SURVEY header line")
             head_line = lineno
-            head = key_values(lineno, fields[1:], edges=int, trees=int, pairs=int)
+            head = key_values(lineno, fields[1:], edges=count, trees=count, pairs=count)
+            if head["trees"] < 1:
+                raise ValueError(
+                    f"line {lineno}: trees={head['trees']} but every catalogue has a tree"
+                )
         elif kind == "PAIR" and len(fields) >= 6:
             ia, ib = parse_ints(lineno, fields[1:3], "tree indices")
             if not (0 <= ia < head["trees"] and 0 <= ib < head["trees"]):
@@ -229,6 +246,12 @@ def parse_report(text: str) -> SurveyReport:
                 )
             previous = (ia, ib)
             code_a, code_b, verdict = fields[3:6]
+            for code in (code_a, code_b):
+                if not _is_tree_code(code, head["edges"] + 1):
+                    raise ValueError(
+                        f"line {lineno}: {code!r} is not the code of a tree "
+                        f"on {head['edges'] + 1} vertices"
+                    )
             witness: EdgeBijection | None = None
             nodes = 0
             if verdict == FRIENDLY:
@@ -238,13 +261,13 @@ def parse_report(text: str) -> SurveyReport:
                         f"line {lineno}: witness is not a permutation of 0..{head['edges'] - 1}"
                     )
             elif verdict == UNFRIENDLY:
-                nodes = key_values(lineno, fields[6:], nodes=int)["nodes"]
+                nodes = key_values(lineno, fields[6:], nodes=count)["nodes"]
             else:
                 raise ValueError(f"line {lineno}: bad verdict {verdict!r}")
             rows.append(SurveyRow(ia, ib, code_a, code_b, verdict, witness, nodes, None))
         elif kind == "SUMMARY":
             summary_line = lineno
-            summary = key_values(lineno, fields[1:], friendly=int, unfriendly=int, seconds=_seconds)
+            summary = key_values(lineno, fields[1:], friendly=count, unfriendly=count, seconds=_seconds)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
     if head is None:
@@ -366,14 +389,25 @@ def verify_conjecture(max_edge_count: int = 6, jobs: int = 1) -> ConjectureCheck
 
 
 def verify_report_witnesses(report: SurveyReport) -> None:
-    """Re-run every friendly row's witness; raises on any failure."""
+    """Check the report against the catalogue of its edge count and re-run
+    every friendly row's witness; raises ``RuntimeError`` on any failure.
+
+    The tree count and every row's two codes must be the catalogue's, so
+    each witness is tested on the trees its row names.
+    """
     catalog = enumerate_trees(report.edge_count)
+    if report.tree_count != len(catalog):
+        raise RuntimeError(
+            f"report has trees={report.tree_count} but the catalogue of "
+            f"{report.edge_count}-edge trees has {len(catalog)}"
+        )
     for row in report.rows:
+        pair = (row.index_a, row.index_b)
+        if (row.code_a, row.code_b) != (catalog.codes[row.index_a], catalog.codes[row.index_b]):
+            raise RuntimeError(f"row {pair} has codes that are not the catalogue's")
         if row.verdict != FRIENDLY:
             continue
         a = catalog.trees[row.index_a]
         b = catalog.trees[row.index_b]
         if row.witness is None or not is_realizable(a, b, row.witness):
-            raise RuntimeError(
-                f"friendly row ({row.index_a}, {row.index_b}) has no valid witness"
-            )
+            raise RuntimeError(f"friendly row {pair} has no valid witness")

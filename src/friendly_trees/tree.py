@@ -2,9 +2,10 @@
 
 Vertices are dense integers ``0..vertex_count-1``. Edges are unordered vertex
 pairs kept in a fixed list; the list position is the edge id, and every edge
-set in this package is a plain ``int`` bitmask over those ids. All trees
-handled here are small (a few dozen edges at most), so bitmask set algebra is
-both the cheapest and the most convenient representation.
+set in this package is a plain ``int`` bitmask over those ids, the cheapest
+and most convenient representation here. Every per-tree table derives from
+one rooted traversal, ``_rooted``, in linear passes, so trees of thousands
+of vertices are served as well as the dozen-edge trees of a survey.
 """
 
 from __future__ import annotations
@@ -51,10 +52,13 @@ class Tree:
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        n = int(vertex_count)
+        # A float such as 1.5 would truncate silently under ``int()``.
+        if type(vertex_count) is not int:
+            raise ValueError(f"vertex_count must be an int, got {vertex_count!r}")
+        n = vertex_count
         if n < 1:
             raise ValueError("vertex_count must be positive")
-        edge_list = tuple((int(u), int(v)) for u, v in edges)
+        edge_list = tuple((u, v) for u, v in edges)
         if len(edge_list) != n - 1:
             raise ValueError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}"
@@ -69,6 +73,8 @@ class Tree:
             return x
 
         for eid, (u, v) in enumerate(edge_list):
+            if type(u) is not int or type(v) is not int:
+                raise ItemError(eid, f"edge ({u!r}, {v!r}) has a vertex id that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ItemError(eid, f"edge ({u}, {v}) has a vertex id outside 0..{n - 1}")
             if u == v:
@@ -106,36 +112,18 @@ class Tree:
         return tuple(len(a) for a in self.adjacency)
 
     @cached_property
-    def delta_masks(self) -> tuple[int, ...]:
-        """Incident-edge mask per vertex."""
-        masks = [0] * self.vertex_count
-        for eid, (u, v) in enumerate(self.edges):
-            masks[u] |= 1 << eid
-            masks[v] |= 1 << eid
-        return tuple(masks)
-
-    @cached_property
-    def _bfs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(depth, root path mask) per vertex, from a BFS rooted at vertex 0."""
-        n = self.vertex_count
-        depth = [0] * n
-        masks = [0] * n
-        queue = [0]
-        visited = [False] * n
-        visited[0] = True
-        for x in queue:
-            for y, eid in self.adjacency[x]:
-                if not visited[y]:
-                    visited[y] = True
-                    depth[y] = depth[x] + 1
-                    masks[y] = masks[x] | (1 << eid)
-                    queue.append(y)
-        return tuple(depth), tuple(masks)
+    def _bfs(self) -> tuple[list[int], list[int]]:
+        """``(order, parent)`` of the tree rooted at vertex 0."""
+        return _rooted(vertex_adjacency(self), 0)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         """Distance of every vertex from vertex 0."""
-        return self._bfs[0]
+        order, parent = self._bfs
+        depth = [0] * self.vertex_count
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        return tuple(depth)
 
     @cached_property
     def side_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -143,22 +131,22 @@ class Tree:
         under the edge (rooted at vertex 0) and the mask of its two
         endpoints. Built once per tree; every fast side test reads them.
 
-        A vertex is below edge ``f`` exactly when ``f`` is on its root path,
-        so the XOR of ``below`` over an edge set ``q`` is the set of vertices
-        whose root paths cross ``q`` an odd number of times: ``q``'s side
-        colouring. With ``S(q)`` that XOR and ``E(p)`` the OR of ``ends``
-        over ``p``, a set ``p`` disjoint from ``q`` is on one side of ``q``
-        exactly when ``E(p) & S(q)`` is ``0`` or ``E(p)``.
+        One bottom-up pass gives each vertex's subtree mask, and ``below``
+        of an edge is the subtree mask of its child endpoint: ``n - 1`` ORs
+        in all. A vertex is below edge ``f`` exactly when ``f`` is on its
+        root path, so the XOR of ``below`` over an edge set ``q`` is the set
+        of vertices whose root paths cross ``q`` an odd number of times:
+        ``q``'s side colouring. With ``S(q)`` that XOR and ``E(p)`` the OR
+        of ``ends`` over ``p``, a set ``p`` disjoint from ``q`` is on one
+        side of ``q`` exactly when ``E(p) & S(q)`` is ``0`` or ``E(p)``.
         """
-        below = [0] * self.edge_count
-        for x, path in enumerate(self._bfs[1]):
-            bit = 1 << x
-            while path:
-                low = path & -path
-                path ^= low
-                below[low.bit_length() - 1] |= bit
+        order, parent = self._bfs
+        sub = [1 << v for v in range(self.vertex_count)]
+        for v in reversed(order[1:]):
+            sub[parent[v]] |= sub[v]
+        below = tuple(sub[v] if parent[v] == u else sub[u] for u, v in self.edges)
         ends = tuple((1 << u) | (1 << v) for u, v in self.edges)
-        return tuple(below), ends
+        return below, ends
 
 
 def _check_vertex(t: Tree, v: int) -> None:
@@ -171,7 +159,9 @@ def path_edges(t: Tree, a: int, b: int) -> int:
 
     Walks the tree explicitly (BFS from ``a``, then backtrack from ``b``):
     the path walker of ``linking.same_side_bruteforce``, the oracle that the
-    side tables are tested against.
+    side tables are tested against. It keeps its own walk rather than share
+    ``_rooted`` with the tables, so one traversal bug cannot break both the
+    tables and the oracle that checks them.
     """
     _check_vertex(t, a)
     _check_vertex(t, b)
@@ -214,7 +204,22 @@ def parity(t: Tree, a: int, b: int) -> str:
 def delta(t: Tree, v: int) -> int:
     """Mask of the edges incident to vertex ``v``."""
     _check_vertex(t, v)
-    return t.delta_masks[v]
+    return edge_mask(eid for _, eid in t.adjacency[v])
+
+
+def _rooted(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """``(order, parent)`` of the tree with neighbor lists ``adj`` rooted at
+    ``root``: its vertices in BFS order, and each vertex's parent, ``-1`` at
+    the root. The one traversal every per-tree table is derived from."""
+    parent = [-1] * len(adj)
+    order = [root]
+    for x in order:
+        px = parent[x]
+        for y in adj[x]:
+            if y != px:
+                parent[y] = x
+                order.append(y)
+    return order, parent
 
 
 def vertex_adjacency(t: Tree) -> list[list[int]]:
@@ -225,16 +230,7 @@ def vertex_adjacency(t: Tree) -> list[list[int]]:
 def centroids(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     """The one or two vertices minimizing the largest component left by
     their removal."""
-    if n == 1:
-        return [0]
-    parent = [-1] * n
-    order = [0]
-    for x in order:
-        px = parent[x]
-        for y in adj[x]:
-            if y != px:
-                parent[y] = x
-                order.append(y)
+    order, parent = _rooted(adj, 0)
     size = [1] * n
     heaviest_child = [0] * n
     for v in reversed(order):
@@ -265,14 +261,7 @@ def subtree_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> list[str]:
     children's codes in one more pair, so a childless vertex is ``()``.
     Iterative, so no tree size can exhaust the recursion limit.
     """
-    parent = [-1] * n
-    order = [root]
-    for x in order:
-        px = parent[x]
-        for y in adj[x]:
-            if y != px:
-                parent[y] = x
-                order.append(y)
+    order, parent = _rooted(adj, root)
     code = [""] * n
     kids: list[list[str]] = [[] for _ in range(n)]
     for v in reversed(order):
@@ -318,6 +307,15 @@ def parse_ints(lineno: int, tokens: Sequence[str], what: str) -> tuple[int, ...]
         return tuple(map(int, tokens))
     except ValueError:
         raise ValueError(f"line {lineno}: bad {what} {' '.join(tokens)!r}") from None
+
+
+def count(raw: str) -> int:
+    """``raw`` as a count: an ``int`` that is not negative. A converter for
+    ``key_values``."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
 
 
 def key_values(lineno: int, fields: Sequence[str], **kinds: Callable[[str], object]) -> dict:

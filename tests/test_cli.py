@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from friendly_trees import survey as survey_module
@@ -40,6 +42,22 @@ class TestEnumerate:
         first = capsys.readouterr().out
         main(["enumerate", "--edges", "4"])
         assert capsys.readouterr().out == first
+
+    # SHA-256 of the whole stdout: codes, representatives and their edge
+    # lists are all pinned.
+    @pytest.mark.parametrize(
+        "edges, digest",
+        [
+            (9, "d3f21cde16bc5b0202f8d857226435d86d41f48d035f3f6561c86011f32a536b"),
+            (10, "abf5d228b7ea39cc8306d383ac6104759ac4ce262062939ca2b032e4cf427083"),
+            (11, "37bde33c6c4ad959b9b299c9a0c1bfd0e9995c8b79f3a878ed6750c24271763c"),
+            (12, "d7ff586109e35aa691a2e57e4a188dd9f31e41533869ddf3f60d512c1a8b14ba"),
+        ],
+    )
+    def test_stdout_pinned(self, capsys, edges, digest):
+        assert main(["enumerate", "--edges", str(edges)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_out_of_range(self, capsys):
         assert main(["enumerate", "--edges", "13"]) == 1

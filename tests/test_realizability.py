@@ -107,6 +107,12 @@ class TestFindRealizableBijection:
         assert cert.verdict == FRIENDLY
         assert cert.witness == tuple(range(1100))
         assert cert.nodes == 1100
+        # A deep tree as well: side tables of a 300-level subtree chain.
+        path = Tree(301, [(i, i + 1) for i in range(300)])
+        cert = find_realizable_bijection(path, path)
+        assert cert.verdict == FRIENDLY
+        assert cert.witness == (299,) + tuple(range(299))
+        assert (cert.nodes, cert.checked) == (302, 2)
 
     def test_deterministic(self):
         a = find_realizable_bijection(build_H(), build_G())
@@ -238,6 +244,8 @@ class TestCertificateText:
             ("VERDICT friendly\nWITNESS 0 0 5\n", r"line 2: witness is not a permutation of 0\.\.2"),
             ("VERDICT friendly\nWITNESS 1 2\n", r"line 2: witness is not a permutation of 0\.\.1"),
             ("VERDICT unfriendly\n", "^missing STATS line$"),
+            ("VERDICT unfriendly\nSTATS nodes=-5 checked=1\n", "line 2: bad value in 'nodes=-5'"),
+            ("VERDICT unfriendly\nSTATS nodes=5 checked=-1\n", "line 2: bad value in 'checked=-1'"),
             ("VERDICT friendly\nWITNESS 0\n", "^missing STATS line$"),
         ],
     )

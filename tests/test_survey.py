@@ -192,6 +192,26 @@ class TestReportFormat:
         assert again.friendly == report.friendly
         verify_report_witnesses(again)
 
+    def test_witness_check_rejects_more_trees_than_the_catalogue(self):
+        # Parses, but the 2-edge catalogue holds one tree, not three.
+        rows = [f"PAIR {a} {b} (()()) (()()) friendly 0 1" for a in range(3) for b in range(a, 3)]
+        text = "\n".join(
+            ["SURVEY edges=2 trees=3 pairs=6", *rows, "SUMMARY friendly=6 unfriendly=0 seconds=0.0"]
+        )
+        report = parse_report(text + "\n")
+        with pytest.raises(RuntimeError, match="trees=3 but the catalogue of 2-edge trees has 1"):
+            verify_report_witnesses(report)
+
+    def test_witness_check_rejects_codes_not_the_catalogues(self):
+        # The two 3-edge trees' codes swapped: every witness still holds for
+        # the trees at the row's indices, but the codes name the other ones.
+        text = format_report(survey_pairs(3))
+        c0, c1 = enumerate_trees(3).codes
+        swapped = text.replace(c0, "X").replace(c1, c0).replace("X", c1)
+        report = parse_report(swapped)
+        with pytest.raises(RuntimeError, match=r"row \(0, 0\) has codes that are not the catalogue's"):
+            verify_report_witnesses(report)
+
     def test_header_and_summary_lines(self):
         text = format_report(replace(survey_pairs(3), seconds=0.0))
         lines = text.splitlines()
@@ -252,6 +272,16 @@ class TestReportFormat:
             (GOOD_HEAD, "PAIR 0 0 (()) (()) friendly x", GOOD_SUMMARY, "line 2: bad witness 'x'"),
             (GOOD_HEAD, "PAIR 0 0 (()) (()) maybe", GOOD_SUMMARY, "line 2: bad verdict 'maybe'"),
             (GOOD_HEAD, "PAIR 0 0 (()) (()) unfriendly nodes=x", GOOD_SUMMARY, "line 2: bad value in 'nodes=x'"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) unfriendly nodes=-7", GOOD_SUMMARY, "line 2: bad value in 'nodes=-7'"),
+            ("SURVEY edges=-1 trees=1 pairs=1", "PAIR 0 0 x y friendly", GOOD_SUMMARY, "line 1: bad value in 'edges=-1'"),
+            ("SURVEY edges=1 trees=-1 pairs=0", "", "SUMMARY friendly=0 unfriendly=0 seconds=0.0", "line 1: bad value in 'trees=-1'"),
+            ("SURVEY edges=1 trees=0 pairs=0", "", "SUMMARY friendly=0 unfriendly=0 seconds=0.0", "line 1: trees=0 but every catalogue has a tree"),
+            (GOOD_HEAD, "PAIR 0 0 x (()) friendly 0", GOOD_SUMMARY, "line 2: 'x' is not the code of a tree on 2 vertices"),
+            (GOOD_HEAD, "PAIR 0 0 (()) () friendly 0", GOOD_SUMMARY, r"line 2: '\(\)' is not the code"),
+            (GOOD_HEAD, "PAIR 0 0 ()() (()) friendly 0", GOOD_SUMMARY, r"line 2: '\(\)\(\)' is not the code"),
+            (GOOD_HEAD, "PAIR 0 0 (()) )(() friendly 0", GOOD_SUMMARY, r"line 2: '\)\(\(\)' is not the code"),
+            (GOOD_HEAD, "PAIR 0 0 (()) ((() friendly 0", GOOD_SUMMARY, r"line 2: '\(\(\(\)' is not the code"),
+            (GOOD_HEAD, "PAIR 0 0 (()) ((x) friendly 0", GOOD_SUMMARY, r"line 2: '\(\(x\)' is not the code"),
             (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=0 unfriendly=1 seconds=0.0", "line 3: SUMMARY counts disagree"),
             (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0", "line 3: missing field 'seconds'"),
             (GOOD_HEAD, GOOD_ROW, GOOD_SUMMARY + "\n" + GOOD_SUMMARY, "line 4: line after SUMMARY"),

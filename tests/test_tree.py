@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import (
+    ItemError,
     Tree,
     canonical_code,
     delta,
@@ -58,6 +59,20 @@ class TestConstruction:
     def test_rejects_cycle(self):
         with pytest.raises(ValueError, match="cycle"):
             Tree(4, [(0, 1), (1, 2), (2, 0)])
+
+    @pytest.mark.parametrize("count", [3.9, 3.0, "3", True])
+    def test_rejects_non_int_vertex_count(self, count):
+        with pytest.raises(ValueError, match="vertex_count must be an int"):
+            Tree(count, [(0, 1), (1, 2)])
+
+    def test_rejects_non_int_endpoint(self):
+        # An edge fault carries its edge id, so a parser can name the line.
+        with pytest.raises(ItemError, match=r"edge \(0, 1\.5\) has a vertex id that is not an int") as err:
+            Tree(3, [(0, 1.5), (1, 2)])
+        assert err.value.index == 0
+        with pytest.raises(ItemError, match="not an int") as err:
+            Tree(3, [(0, 1), (1.0, 2)])
+        assert err.value.index == 1
 
 
 class TestPathEdges:
@@ -147,6 +162,27 @@ class TestDelta:
     def test_degree_sum(self, t):
         assert sum(delta(t, v).bit_count() for v in range(t.vertex_count)) == (
             2 * t.edge_count
+        )
+
+
+class TestSideTables:
+    def test_long_path(self):
+        below, ends = LONG_PATH.side_tables
+        # Edge (i, i+1) has vertices i+1..2999 below it.
+        everything = (1 << 3000) - 1
+        assert below == tuple(everything ^ ((1 << (i + 1)) - 1) for i in range(2999))
+        assert ends == tuple(3 << i for i in range(2999))
+
+    def test_caterpillar(self):
+        below, ends = CATERPILLAR.side_tables
+        # Spine edge (i, i+1) has spine vertices i+1..1499 and their legs
+        # below it; leg edge (i, 1500+i) has its leaf alone.
+        spine = [(1 << 1500) - (1 << (i + 1)) for i in range(1499)]
+        assert below == tuple(m | m << 1500 for m in spine) + tuple(
+            1 << (1500 + i) for i in range(1500)
+        )
+        assert ends == tuple(3 << i for i in range(1499)) + tuple(
+            (1 << i) | (1 << (1500 + i)) for i in range(1500)
         )
 
 
