@@ -33,14 +33,22 @@ class NestingForest:
                 raise ItemError(i, f"circle {i}: dangling parent id {p}")
             if p == i:
                 raise ItemError(i, f"circle {i} contains itself")
+        # Each circle is marked once: 0 unvisited, 1 on the current walk,
+        # 2 known to reach a root. A walk that meets a 1 has closed a cycle.
+        # Walks start in id order, so the error names the lowest circle
+        # whose walk reaches a cycle.
+        mark = [0] * k
         for i in range(k):
-            seen = set()
+            walk = []
             v: int | None = i
-            while v is not None:
-                if v in seen:
-                    raise ItemError(i, f"containment cycle through circle {i}")
-                seen.add(v)
+            while v is not None and mark[v] == 0:
+                mark[v] = 1
+                walk.append(v)
                 v = self.parents[v]
+            if v is not None and mark[v] == 1:
+                raise ItemError(i, f"containment cycle through circle {i}")
+            for u in walk:
+                mark[u] = 2
 
     @property
     def circle_count(self) -> int:

@@ -81,11 +81,11 @@ def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
         f"nodes={result.reverse.nodes} checked={result.reverse.checked}\n"
     )
     if args.recheck:
+        fwd, rev = result.forward_scan, result.reverse_scan
         sys.stdout.write(
-            f"recheck forward={'pass' if result.forward_recheck else 'FAIL'} "
-            f"reverse={'pass' if result.reverse_recheck else 'FAIL'}\n"
-            f"recheck checked forward={result.forward_rechecked} "
-            f"reverse={result.reverse_rechecked}\n"
+            f"recheck forward={'pass' if fwd.verdict == result.forward.verdict else 'FAIL'} "
+            f"reverse={'pass' if rev.verdict == result.reverse.verdict else 'FAIL'}\n"
+            f"recheck checked forward={fwd.checked} reverse={rev.checked}\n"
         )
     if result.holds:
         sys.stdout.write("theorem1 holds\n")

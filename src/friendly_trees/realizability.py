@@ -35,10 +35,10 @@ class Certificate:
     ``witness`` is present exactly for friendly verdicts. ``nodes`` counts
     edge-image assignments the search tried; ``checked`` counts complete
     bijections whose full constraint set was evaluated. An unfriendly
-    certificate asserts the whole bijection space was covered: every branch
-    the search cut holds no realizable bijection, or only copies of one in a
-    kept branch with the images of two source twin leaves swapped, or with
-    two target twin leaves exchanged as images.
+    certificate asserts the whole bijection space was covered: the search's
+    cuts (constraint, source twins, target twins) remove only branches that
+    hold no realizable bijection, or only copies of one in a kept branch;
+    ``find_realizable_bijection`` gives each cut's rule.
     """
 
     verdict: str
@@ -71,41 +71,6 @@ def even_vertex_pairs(k: Tree) -> tuple[tuple[int, int], ...]:
         for b in range(a + 1, n)
         if ((depths[a] ^ depths[b]) & 1) == 0
     )
-
-
-def _constraints(k: Tree) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    # Source edge ids incident to each vertex of every even-distance pair.
-    ids = [tuple(eid for _, eid in nbrs) for nbrs in k.adjacency]
-    return tuple((ids[a], ids[b]) for a, b in even_vertex_pairs(k))
-
-
-def _satisfies(
-    k2: Tree,
-    constraints: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-    h: EdgeBijection,
-    bits: list[int],
-    memo: dict[tuple[int, int], bool],
-) -> bool:
-    """Whether ``h`` maps every constraint to an unlinked pair in ``k2``.
-
-    ``bits[f]`` is ``1 << f``. ``memo`` maps an image-mask pair to its
-    ``unlinked`` verdict; that verdict is a pure function of
-    ``(k2, ma, mb)``, so one memo serves every bijection into ``k2``.
-    """
-    for ids_a, ids_b in constraints:
-        ma = 0
-        for e in ids_a:
-            ma |= bits[h[e]]
-        mb = 0
-        for e in ids_b:
-            mb |= bits[h[e]]
-        key = (ma, mb)
-        ok = memo.get(key)
-        if ok is None:
-            ok = memo[key] = unlinked(k2, ma, mb)
-        if not ok:
-            return False
-    return True
 
 
 def _realizes(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
@@ -309,7 +274,8 @@ def exhaustive_search(k: Tree, k2: Tree) -> Certificate:
     distinct pair of image masks is decided once by ``unlinked`` and
     memoized for the rest of the call: the two masks are disjoint, so there
     are at most 3^n distinct pairs (6,561 at 8 edges, against 40,320
-    bijections).
+    bijections). Every scan has ``nodes == checked``, the empty bijection of
+    a zero-edge pair included.
     Above ``MAX_RECHECK_EDGES`` edges the scan is refused with a
     ``ValueError``.
     """
@@ -318,15 +284,29 @@ def exhaustive_search(k: Tree, k2: Tree) -> Certificate:
         raise ValueError(
             f"the unpruned scan supports at most {MAX_RECHECK_EDGES} edges, got {n}"
         )
-    if n == 0:
-        return Certificate(FRIENDLY, (), 0, 1)
-    constraints = _constraints(k)
+    # Source edge ids incident to each vertex of every even-distance pair.
+    ids = [tuple(eid for _, eid in nbrs) for nbrs in k.adjacency]
+    constraints = [(ids[a], ids[b]) for a, b in even_vertex_pairs(k)]
     bits = [1 << f for f in range(n)]
+    # ``unlinked`` is pure in ``(k2, ma, mb)``, so one memo serves every bijection.
     memo: dict[tuple[int, int], bool] = {}
     checked = 0
     for h in permutations(range(n)):
         checked += 1
-        if _satisfies(k2, constraints, h, bits, memo):
+        for ids_a, ids_b in constraints:
+            ma = 0
+            for e in ids_a:
+                ma |= bits[h[e]]
+            mb = 0
+            for e in ids_b:
+                mb |= bits[h[e]]
+            key = (ma, mb)
+            ok = memo.get(key)
+            if ok is None:
+                ok = memo[key] = unlinked(k2, ma, mb)
+            if not ok:
+                break
+        else:
             return Certificate(FRIENDLY, h, checked, checked)
     return Certificate(UNFRIENDLY, None, checked, checked)
 

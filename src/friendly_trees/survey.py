@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .enumeration import enumerate_trees
+from .enumeration import MAX_CATALOG_EDGES, enumerate_trees
 from .realizability import (
     FRIENDLY,
     UNFRIENDLY,
@@ -130,7 +130,9 @@ def survey_pairs(
 
     Pair verdicts are pure functions of the catalogue indices, so any worker
     pool produces the same rows, and ``Executor.map`` returns them in input
-    order: the report is identical for every ``jobs`` value.
+    order: the report is identical for every ``jobs`` value. ``jobs`` above
+    1 starts a pool of at most ``os.cpu_count()`` workers, and never more
+    workers than pairs.
     """
     if not 0 <= edge_count <= MAX_SURVEY_EDGES:
         raise ValueError(
@@ -151,8 +153,11 @@ def survey_pairs(
         # about 2 MB and 25 ms.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(index_a) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all its workers at the first submit, so never more
+        # than there are cores or pairs.
+        workers = min(jobs, os.cpu_count() or 1, len(index_a))
+        chunk = max(1, len(index_a) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(decide, index_a, index_b, chunksize=chunk))
     return SurveyReport(
         edge_count=edge_count,
@@ -309,33 +314,27 @@ def write_report(report: SurveyReport, path: str) -> None:
 
 @dataclass(frozen=True)
 class Theorem1Result:
-    """Both search directions over the fixture pair, plus optional unpruned
-    rechecks and how many bijections each tested. The forward certificate
-    is the primary payload."""
+    """Both search directions over the fixture pair and, after a recheck,
+    the unpruned scan of each direction (``None`` when no recheck ran). The
+    theorem holds when every certificate present is unfriendly. The forward
+    certificate is the primary payload."""
 
     forward: Certificate
     reverse: Certificate
-    forward_recheck: bool | None
-    reverse_recheck: bool | None
-    forward_rechecked: int | None = None
-    reverse_rechecked: int | None = None
+    forward_scan: Certificate | None
+    reverse_scan: Certificate | None
 
     @property
     def holds(self) -> bool:
-        return (
-            self.forward.verdict == UNFRIENDLY
-            and self.reverse.verdict == UNFRIENDLY
-            and self.forward_recheck is not False
-            and self.reverse_recheck is not False
-        )
+        certs = (self.forward, self.reverse, self.forward_scan, self.reverse_scan)
+        return all(c.verdict == UNFRIENDLY for c in certs if c is not None)
 
 
 def verify_theorem1(recheck: bool = False) -> Theorem1Result:
     """Decide the fixture pair in both directions.
 
     Both directions are expected unfriendly; with ``recheck`` the unpruned
-    enumeration re-derives each verdict over the full bijection space, and
-    each recheck passes when its scan reaches the search's verdict.
+    enumeration re-derives each verdict over the full bijection space.
     """
     g = build_G()
     h = build_H()
@@ -343,31 +342,30 @@ def verify_theorem1(recheck: bool = False) -> Theorem1Result:
     reverse = find_realizable_bijection(h, g)
     if not recheck:
         return Theorem1Result(forward, reverse, None, None)
-    forward_scan = exhaustive_search(g, h)
-    reverse_scan = exhaustive_search(h, g)
-    return Theorem1Result(
-        forward,
-        reverse,
-        forward_scan.verdict == forward.verdict,
-        reverse_scan.verdict == reverse.verdict,
-        forward_scan.checked,
-        reverse_scan.checked,
-    )
+    return Theorem1Result(forward, reverse, exhaustive_search(g, h), exhaustive_search(h, g))
 
 
 @dataclass(frozen=True)
 class ConjectureCheck:
     """Outcome of surveying every pair at every edge count up to the bound.
 
-    ``findings`` lists every unfriendly row (with its edge count); the check
-    holds when there are none. Unfriendly rows always carry a passed
-    unpruned recheck, so a finding is a certified counterexample, not a
-    search artifact.
+    ``findings`` lists every unfriendly row of the reports (with its edge
+    count); the check holds when there are none. Unfriendly rows always
+    carry a passed unpruned recheck, so a finding is a certified
+    counterexample, not a search artifact.
     """
 
     max_edge_count: int
     reports: tuple[SurveyReport, ...]
-    findings: tuple[tuple[int, SurveyRow], ...]
+
+    @property
+    def findings(self) -> tuple[tuple[int, SurveyRow], ...]:
+        return tuple(
+            (report.edge_count, row)
+            for report in self.reports
+            for row in report.rows
+            if row.verdict == UNFRIENDLY
+        )
 
     @property
     def holds(self) -> bool:
@@ -379,22 +377,22 @@ def verify_conjecture(max_edge_count: int = 6, jobs: int = 1) -> ConjectureCheck
     reports = tuple(
         survey_pairs(n, jobs=jobs) for n in range(1, max_edge_count + 1)
     )
-    findings = tuple(
-        (report.edge_count, row)
-        for report in reports
-        for row in report.rows
-        if row.verdict == UNFRIENDLY
-    )
-    return ConjectureCheck(max_edge_count, reports, findings)
+    return ConjectureCheck(max_edge_count, reports)
 
 
 def verify_report_witnesses(report: SurveyReport) -> None:
     """Check the report against the catalogue of its edge count and re-run
     every friendly row's witness; raises ``RuntimeError`` on any failure.
 
-    The tree count and every row's two codes must be the catalogue's, so
-    each witness is tested on the trees its row names.
+    The edge count must have a catalogue, and the tree count and every
+    row's two codes must be the catalogue's, so each witness is tested on
+    the trees its row names.
     """
+    if not 0 <= report.edge_count <= MAX_CATALOG_EDGES:
+        raise RuntimeError(
+            f"report has edges={report.edge_count} but catalogues support "
+            f"0..{MAX_CATALOG_EDGES} edges"
+        )
     catalog = enumerate_trees(report.edge_count)
     if report.tree_count != len(catalog):
         raise RuntimeError(

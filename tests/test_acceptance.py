@@ -68,7 +68,7 @@ def test_criterion_1_theorem1_reproduction(capsys):
     both_unfriendly = (
         result.forward.verdict == UNFRIENDLY and result.reverse.verdict == UNFRIENDLY
     )
-    recheck_passed = result.forward_recheck is True and result.reverse_recheck is True
+    recheck_passed = result.forward_scan == forward_full and result.reverse_scan == reverse_full
     full_space = (
         forward_full.checked == 5040
         and reverse_full.checked == 5040

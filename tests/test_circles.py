@@ -29,6 +29,19 @@ class TestNestingForest:
         with pytest.raises(ValueError, match="cycle"):
             NestingForest((1, 0))
 
+    def test_cycle_check_reads_each_parent_a_bounded_number_of_times(self):
+        class CountingParents(tuple):
+            reads = 0
+
+            def __getitem__(self, index):
+                CountingParents.reads += 1
+                return super().__getitem__(index)
+
+        depth = 5000
+        parents = CountingParents((None, *range(depth - 1)))
+        NestingForest(parents)
+        assert CountingParents.reads < 3 * depth
+
 
 class TestDualTree:
     def test_empty_system(self):

@@ -268,6 +268,10 @@ def test_exhaustive_search_counts_full_space():
         assert cert.checked == 5040
 
 
+def test_exhaustive_search_tries_the_empty_bijection():
+    assert exhaustive_search(Tree(1, []), Tree(1, [])) == Certificate(FRIENDLY, (), 1, 1)
+
+
 # The three unfriendly pairs of the 8-edge catalogue, as edge lists.
 CATALOG8_UNFRIENDLY = (
     (

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 import re
@@ -13,11 +14,14 @@ from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.realizability import (
     FRIENDLY,
     UNFRIENDLY,
+    Certificate,
     certificate_to_text,
     find_realizable_bijection,
     is_realizable,
 )
 from friendly_trees.survey import (
+    ConjectureCheck,
+    Theorem1Result,
     build_G,
     build_H,
     format_report,
@@ -173,6 +177,28 @@ class TestSurveyPairs:
         )
         assert run.stdout == "[]\n"
 
+    def test_pool_is_bounded_by_the_cores(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = replace(survey_pairs(3, jobs=10**6), seconds=0.0)
+        assert started == [2]
+        assert format_report(pooled) == format_report(replace(survey_pairs(3), seconds=0.0))
+
 
 class TestReportFormat:
     def test_round_trip(self, tmp_path):
@@ -200,6 +226,19 @@ class TestReportFormat:
         )
         report = parse_report(text + "\n")
         with pytest.raises(RuntimeError, match="trees=3 but the catalogue of 2-edge trees has 1"):
+            verify_report_witnesses(report)
+
+    def test_witness_check_rejects_an_edge_count_without_a_catalogue(self):
+        code = "(" * 14 + ")" * 14
+        text = "\n".join(
+            [
+                "SURVEY edges=13 trees=1 pairs=1",
+                f"PAIR 0 0 {code} {code} unfriendly nodes=1",
+                "SUMMARY friendly=0 unfriendly=1 seconds=0.0",
+            ]
+        )
+        report = parse_report(text + "\n")
+        with pytest.raises(RuntimeError, match="edges=13 but catalogues support 0..12 edges"):
             verify_report_witnesses(report)
 
     def test_witness_check_rejects_codes_not_the_catalogues(self):
@@ -302,15 +341,24 @@ class TestTheorem1:
         result = verify_theorem1()
         assert result.forward.verdict == UNFRIENDLY
         assert result.reverse.verdict == UNFRIENDLY
-        assert result.forward_recheck is None
+        assert result.forward_scan is None
+        assert result.reverse_scan is None
         assert result.holds
 
     def test_holds_with_recheck(self):
         result = verify_theorem1(recheck=True)
-        assert result.forward_recheck is True
-        assert result.reverse_recheck is True
-        assert result.forward_rechecked == result.reverse_rechecked == 5040
+        assert result.forward_scan == Certificate(UNFRIENDLY, None, 5040, 5040)
+        assert result.reverse_scan == Certificate(UNFRIENDLY, None, 5040, 5040)
         assert result.holds
+
+    def test_holds_reads_every_certificate_present(self):
+        unfriendly = Certificate(UNFRIENDLY, None, 5040, 5040)
+        friendly = Certificate(FRIENDLY, (0, 1, 2, 3, 4, 5, 6), 1, 1)
+        assert Theorem1Result(unfriendly, unfriendly, None, None).holds
+        assert Theorem1Result(unfriendly, unfriendly, unfriendly, unfriendly).holds
+        assert not Theorem1Result(unfriendly, unfriendly, friendly, unfriendly).holds
+        assert not Theorem1Result(unfriendly, unfriendly, unfriendly, friendly).holds
+        assert not Theorem1Result(friendly, unfriendly, None, None).holds
 
 
 class TestConjecture:
@@ -319,3 +367,11 @@ class TestConjecture:
         assert check.holds
         assert [r.edge_count for r in check.reports] == [1, 2, 3]
         assert not check.findings
+
+    def test_findings_are_the_unfriendly_rows(self):
+        check = ConjectureCheck(7, tuple(survey_pairs(n) for n in range(1, 8)))
+        ((edges, row),) = check.findings
+        assert edges == 7
+        assert row.verdict == UNFRIENDLY
+        assert {row.code_a, row.code_b} == {canonical_code(build_G()), canonical_code(build_H())}
+        assert not check.holds
