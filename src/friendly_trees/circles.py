@@ -29,6 +29,8 @@ class NestingForest:
         for i, p in enumerate(self.parents):
             if p is None:
                 continue
+            if type(p) is not int:
+                raise ItemError(i, f"circle {i}: parent id {p!r} is not an int")
             if not (0 <= p < k):
                 raise ItemError(i, f"circle {i}: dangling parent id {p}")
             if p == i:

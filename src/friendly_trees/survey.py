@@ -10,10 +10,8 @@ format written atomically.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,10 +54,10 @@ def build_H() -> Tree:
 
 @dataclass(frozen=True)
 class SurveyRow:
-    """One decided pair. ``witness`` is set exactly on friendly rows;
-    ``nodes`` is the pruned search's node count. ``recheck_passed`` is None
-    when no recheck ran, True when it ran and agreed (a disagreement raises
-    instead of producing a row)."""
+    """One decided pair, exactly the fields of its ``PAIR`` line.
+    ``witness`` is set exactly on friendly rows and ``nodes``, the pruned
+    search's node count, exactly on unfriendly ones. A row exists only once
+    its recheck agreed: a disagreement raises instead."""
 
     index_a: int
     index_b: int
@@ -67,8 +65,7 @@ class SurveyRow:
     code_b: str
     verdict: str
     witness: EdgeBijection | None
-    nodes: int
-    recheck_passed: bool | None
+    nodes: int | None
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,6 @@ class SurveyReport:
     edge_count: int
     tree_count: int
     rows: tuple[SurveyRow, ...]
-    seconds: float
 
     @property
     def pair_count(self) -> int:
@@ -96,7 +92,6 @@ def _decide_pair(edge_count: int, recheck_witness: bool, ia: int, ib: int) -> Su
     a = catalog.trees[ia]
     b = catalog.trees[ib]
     cert = find_realizable_bijection(a, b)
-    recheck_passed: bool | None = None
     # Pruning bugs are the one way a false counterexample could appear, so
     # every unfriendly verdict is re-derived without pruning.
     if cert.verdict == UNFRIENDLY or recheck_witness:
@@ -107,7 +102,6 @@ def _decide_pair(edge_count: int, recheck_witness: bool, ia: int, ib: int) -> Su
                 else "stored witness failed re-verification"
             )
             raise RuntimeError(f"{problem} on pair ({ia}, {ib}) at {edge_count} edges")
-        recheck_passed = True
     return SurveyRow(
         index_a=ia,
         index_b=ib,
@@ -115,8 +109,7 @@ def _decide_pair(edge_count: int, recheck_witness: bool, ia: int, ib: int) -> Su
         code_b=catalog.codes[ib],
         verdict=cert.verdict,
         witness=cert.witness,
-        nodes=cert.nodes,
-        recheck_passed=recheck_passed,
+        nodes=None if cert.verdict == FRIENDLY else cert.nodes,
     )
 
 
@@ -140,7 +133,6 @@ def survey_pairs(
         )
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    start = time.perf_counter()
     catalog = enumerate_trees(edge_count)
     k = len(catalog)
     index_a = [ia for ia in range(k) for ib in range(ia, k)]
@@ -159,12 +151,7 @@ def survey_pairs(
         chunk = max(1, len(index_a) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(decide, index_a, index_b, chunksize=chunk))
-    return SurveyReport(
-        edge_count=edge_count,
-        tree_count=k,
-        rows=rows,
-        seconds=time.perf_counter() - start,
-    )
+    return SurveyReport(edge_count, k, rows)
 
 
 def format_report(report: SurveyReport) -> str:
@@ -179,18 +166,8 @@ def format_report(report: SurveyReport) -> str:
             lines.append(f"{head} {tail}".rstrip())
         else:
             lines.append(f"{head} nodes={r.nodes}")
-    lines.append(
-        f"SUMMARY friendly={report.friendly} unfriendly={report.unfriendly} "
-        f"seconds={report.seconds:.3f}"
-    )
+    lines.append(f"SUMMARY friendly={report.friendly} unfriendly={report.unfriendly}")
     return "\n".join(lines) + "\n"
-
-
-def _seconds(raw: str) -> float:
-    value = float(raw)
-    if not 0 <= value < math.inf:
-        raise ValueError(raw)
-    return value
 
 
 def _is_tree_code(code: str, vertex_count: int) -> bool:
@@ -210,17 +187,16 @@ def _is_tree_code(code: str, vertex_count: int) -> bool:
 
 
 def parse_report(text: str) -> SurveyReport:
-    """Parse a survey report file back into rows.
+    """Parse a survey report file back into the report it was written
+    from: ``parse_report(format_report(r)) == r``.
 
-    Node counts of friendly rows and recheck flags are not part of the file
-    format, so reloaded rows carry ``nodes=0`` and ``recheck_passed=None``.
     The header's ``pairs`` and the SUMMARY counts must agree with the rows.
     Counts are not negative, ``trees`` is at least 1, and every row code is
     the parenthesis code of a tree with ``edges`` edges.
     A survey has one row per unordered pair, in ``enumerate`` order: each
     row has ``ia <= ib``, rows come in strictly increasing ``(ia, ib)``
     order, and ``pairs`` is ``trees * (trees + 1) / 2``. SUMMARY is the last
-    line, and its ``seconds`` is finite and not negative.
+    line.
     """
     head = summary = None
     rows: list[SurveyRow] = []
@@ -258,7 +234,7 @@ def parse_report(text: str) -> SurveyReport:
                         f"on {head['edges'] + 1} vertices"
                     )
             witness: EdgeBijection | None = None
-            nodes = 0
+            nodes: int | None = None
             if verdict == FRIENDLY:
                 witness = parse_ints(lineno, fields[6:], "witness")
                 if sorted(witness) != list(range(head["edges"])):
@@ -269,10 +245,10 @@ def parse_report(text: str) -> SurveyReport:
                 nodes = key_values(lineno, fields[6:], nodes=count)["nodes"]
             else:
                 raise ValueError(f"line {lineno}: bad verdict {verdict!r}")
-            rows.append(SurveyRow(ia, ib, code_a, code_b, verdict, witness, nodes, None))
+            rows.append(SurveyRow(ia, ib, code_a, code_b, verdict, witness, nodes))
         elif kind == "SUMMARY":
             summary_line = lineno
-            summary = key_values(lineno, fields[1:], friendly=count, unfriendly=count, seconds=_seconds)
+            summary = key_values(lineno, fields[1:], friendly=count, unfriendly=count)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {' '.join(fields)!r}")
     if head is None:
@@ -287,7 +263,7 @@ def parse_report(text: str) -> SurveyReport:
             f"line {head_line}: pairs={head['pairs']} but trees={head['trees']} "
             f"make {expected} unordered pairs"
         )
-    report = SurveyReport(head["edges"], head["trees"], tuple(rows), summary["seconds"])
+    report = SurveyReport(head["edges"], head["trees"], tuple(rows))
     counts = (report.friendly, report.unfriendly)
     if (summary["friendly"], summary["unfriendly"]) != counts:
         raise ValueError(
@@ -347,15 +323,15 @@ def verify_theorem1(recheck: bool = False) -> Theorem1Result:
 
 @dataclass(frozen=True)
 class ConjectureCheck:
-    """Outcome of surveying every pair at every edge count up to the bound.
+    """Outcome of surveying every pair at 1, 2, ... edges, one report per
+    edge count.
 
     ``findings`` lists every unfriendly row of the reports (with its edge
-    count); the check holds when there are none. Unfriendly rows always
-    carry a passed unpruned recheck, so a finding is a certified
-    counterexample, not a search artifact.
+    count); the check holds when there are none. A survey writes an
+    unfriendly row only after the unpruned recheck agreed, so a finding is a
+    certified counterexample, not a search artifact.
     """
 
-    max_edge_count: int
     reports: tuple[SurveyReport, ...]
 
     @property
@@ -377,7 +353,7 @@ def verify_conjecture(max_edge_count: int = 6, jobs: int = 1) -> ConjectureCheck
     reports = tuple(
         survey_pairs(n, jobs=jobs) for n in range(1, max_edge_count + 1)
     )
-    return ConjectureCheck(max_edge_count, reports)
+    return ConjectureCheck(reports)
 
 
 def verify_report_witnesses(report: SurveyReport) -> None:

@@ -302,20 +302,21 @@ def line_records(text: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def parse_ints(lineno: int, tokens: Sequence[str], what: str) -> tuple[int, ...]:
-    """``tokens`` as integers, or a ``ValueError`` naming the line."""
+    """``tokens`` as integers, each a plain decimal ``-?[0-9]+``, or a
+    ``ValueError`` naming the line."""
     try:
-        return tuple(map(int, tokens))
+        return tuple(-count(t[1:]) if t.startswith("-") else count(t) for t in tokens)
     except ValueError:
         raise ValueError(f"line {lineno}: bad {what} {' '.join(tokens)!r}") from None
 
 
 def count(raw: str) -> int:
-    """``raw`` as a count: an ``int`` that is not negative. A converter for
-    ``key_values``."""
-    value = int(raw)
-    if value < 0:
+    """``raw`` as a count, a plain ASCII decimal ``[0-9]+``. A converter for
+    ``key_values``; bare ``int()`` would also take ``+5``, ``1_000`` and
+    non-ASCII digits."""
+    if not (raw.isascii() and raw.isdigit()):
         raise ValueError(raw)
-    return value
+    return int(raw)
 
 
 def key_values(lineno: int, fields: Sequence[str], **kinds: Callable[[str], object]) -> dict:

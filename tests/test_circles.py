@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from friendly_trees.circles import NestingForest, dual_tree, parse_nesting
-from friendly_trees.tree import Tree, canonical_code
+from friendly_trees.tree import ItemError, Tree, canonical_code
 
 
 @st.composite
@@ -28,6 +28,12 @@ class TestNestingForest:
     def test_rejects_cycle(self):
         with pytest.raises(ValueError, match="cycle"):
             NestingForest((1, 0))
+
+    @pytest.mark.parametrize("parent", [0.5, "0", 1.0, True])
+    def test_rejects_a_parent_id_that_is_not_an_int(self, parent):
+        with pytest.raises(ItemError, match="circle 1: parent id .* is not an int") as err:
+            NestingForest((None, parent))
+        assert err.value.index == 1
 
     def test_cycle_check_reads_each_parent_a_bounded_number_of_times(self):
         class CountingParents(tuple):
@@ -119,6 +125,9 @@ class TestParseNesting:
             ("\nC x -\n", "line 2: bad circle id 'x'"),
             ("C 0 -\n\nC 1 0\nC 0 1\n", "line 4: duplicate circle id 0"),
             ("C 0 -\nC 1 y\n", "line 2: bad parent id 'y'"),
+            ("C 0 -\nC 1 +0\n", r"line 2: bad parent id '\+0'"),
+            ("C 0 -\nC 1_000 0\n", "line 2: bad circle id '1_000'"),
+            ("C ０ -\n", "line 1: bad circle id '０'"),
             ("C 0 -\nC 1 7\n", "line 2: circle 1: dangling parent id 7"),
             ("C 1 -\n\nC 0 0\n", "line 3: circle 0 contains itself"),
             ("C 0 1\nC 2 -\nC 1 0\n", "line 1: containment cycle through circle 0"),

@@ -246,6 +246,9 @@ class TestCertificateText:
             ("VERDICT unfriendly\n", "^missing STATS line$"),
             ("VERDICT unfriendly\nSTATS nodes=-5 checked=1\n", "line 2: bad value in 'nodes=-5'"),
             ("VERDICT unfriendly\nSTATS nodes=5 checked=-1\n", "line 2: bad value in 'checked=-1'"),
+            ("VERDICT unfriendly\nSTATS nodes=1_000 checked=+5\n", "line 2: bad value in 'nodes=1_000'"),
+            ("VERDICT unfriendly\nSTATS nodes=5 checked=+5\n", r"line 2: bad value in 'checked=\+5'"),
+            ("VERDICT friendly\nWITNESS 1 ０\n", "line 2: bad witness '1 ０'"),
             ("VERDICT friendly\nWITNESS 0\n", "^missing STATS line$"),
         ],
     )

@@ -4,12 +4,12 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
 import friendly_trees
+from friendly_trees import survey
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.realizability import (
     FRIENDLY,
@@ -37,14 +37,14 @@ from friendly_trees.tree import canonical_code, is_isomorphic, parity, path_edge
 
 GOOD_HEAD = "SURVEY edges=1 trees=1 pairs=1"
 GOOD_ROW = "PAIR 0 0 (()) (()) friendly 0"
-GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0 seconds=0.001"
+GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0"
 
 # Every witness and every unfriendly row's node count is in these bytes, so
 # they pin the search order, not just the verdicts. A change that alters the
 # search order on purpose re-pins them and says so.
 REPORT_SHA256 = {
-    7: "cc71b93dc80e4f1384686d99b53809dbd82325773189841b70cdc9e59e8d8de6",
-    8: "c964d7a53d9ad1567de0d90be51c3ab36f1126ac617b4a7e3d4cb473f27b861c",
+    7: "dd2fec6b60379892ca68fae0d6cb0e803ecbc4578aa177a8df7456d31bf26bc9",
+    8: "daa4b527ba81bb428b2e9b3e58d6218e0ec1e445ae1e70ac2a447a035744cfb5",
 }
 G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=3295 checked=420\n"
 H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=1689 checked=100\n"
@@ -52,14 +52,14 @@ H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=1689 checked=100\n"
 # and codes only. A pruning that never cuts the first realizable bijection in
 # search order moves the pins above but must leave these alone.
 WITNESS_SHA256 = {
-    7: "75b0162508ba9e31c5c2743569aff5a293014b84e52bdefcfec466e08a8d7440",
-    8: "c26c4683a47de6fc0f0e1b95779b8ed375be1f1ee307634718ba60f263bcde04",
+    7: "7f1e5e8a06e070d52528216474a22c4250925f19399379b3ab32926a7dcb861e",
+    8: "a6c4def1adc4373c7407554934dc18bb956780df6dd7865aabd2d90d51be0553",
 }
 
 
 @lru_cache(maxsize=None)
-def zeroed_report_text(edges: int) -> str:
-    return format_report(replace(survey_pairs(edges), seconds=0.0))
+def report_text(edges: int) -> str:
+    return format_report(survey_pairs(edges))
 
 
 class TestFixtures:
@@ -97,6 +97,7 @@ class TestSurveyPairs:
         assert report.pair_count == 1
         assert report.rows[0].verdict == FRIENDLY
         assert report.rows[0].witness == (0,)
+        assert report.rows[0].nodes is None
 
     def test_zero_edges(self):
         report = survey_pairs(0)
@@ -143,12 +144,12 @@ class TestSurveyPairs:
 
     @pytest.mark.parametrize("edges", sorted(REPORT_SHA256))
     def test_report_bytes_pinned(self, edges):
-        text = zeroed_report_text(edges)
+        text = report_text(edges)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_SHA256[edges]
 
     @pytest.mark.parametrize("edges", sorted(WITNESS_SHA256))
     def test_report_witnesses_pinned(self, edges):
-        text = re.sub(r" nodes=\d+", "", zeroed_report_text(edges))
+        text = re.sub(r" nodes=\d+", "", report_text(edges))
         assert "nodes=" not in text
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == WITNESS_SHA256[edges]
 
@@ -158,9 +159,27 @@ class TestSurveyPairs:
         assert certificate_to_text(find_realizable_bijection(h, g)) == H_TO_G_CERTIFICATE
 
     def test_parallel_report_identical(self):
-        solo = replace(survey_pairs(4, jobs=1), seconds=0.0)
-        pooled = replace(survey_pairs(4, jobs=4), seconds=0.0)
+        solo = survey_pairs(4, jobs=1)
+        pooled = survey_pairs(4, jobs=4)
+        assert solo == pooled
         assert format_report(solo) == format_report(pooled)
+
+    def test_reports_are_plain_values(self):
+        # A report holds no timing: equal surveys give equal reports, and
+        # the text format loses nothing.
+        for n in range(8):
+            report = survey_pairs(n)
+            assert survey_pairs(n) == report
+            assert parse_report(format_report(report)) == report
+
+    def test_rows_hold_only_rechecked_verdicts(self, monkeypatch):
+        monkeypatch.setattr(survey, "recheck_certificate", lambda a, b, cert: False)
+        message = "pruned and unpruned searches disagree on pair (4, 19) at 7 edges"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            survey_pairs(7)
+        message = "stored witness failed re-verification on pair (0, 0) at 2 edges"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            survey_pairs(2, recheck_witnesses=True)
 
     def test_serial_survey_loads_no_process_pool(self):
         # Only a pooled survey imports the pool, and with it multiprocessing.
@@ -195,14 +214,14 @@ class TestSurveyPairs:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pooled = replace(survey_pairs(3, jobs=10**6), seconds=0.0)
+        pooled = survey_pairs(3, jobs=10**6)
         assert started == [2]
-        assert format_report(pooled) == format_report(replace(survey_pairs(3), seconds=0.0))
+        assert pooled == survey_pairs(3)
 
 
 class TestReportFormat:
     def test_round_trip(self, tmp_path):
-        report = replace(survey_pairs(3), seconds=0.0)
+        report = survey_pairs(3)
         path = str(tmp_path / "r3.report")
         write_report(report, path)
         with open(path, encoding="ascii") as handle:
@@ -210,19 +229,16 @@ class TestReportFormat:
         assert text == format_report(report)
         assert text.endswith("\n")
         again = parse_report(text)
+        assert again == report
         assert again.edge_count == 3
         assert again.tree_count == 2
-        assert [(r.index_a, r.index_b, r.verdict, r.witness) for r in again.rows] == [
-            (r.index_a, r.index_b, r.verdict, r.witness) for r in report.rows
-        ]
-        assert again.friendly == report.friendly
         verify_report_witnesses(again)
 
     def test_witness_check_rejects_more_trees_than_the_catalogue(self):
         # Parses, but the 2-edge catalogue holds one tree, not three.
         rows = [f"PAIR {a} {b} (()()) (()()) friendly 0 1" for a in range(3) for b in range(a, 3)]
         text = "\n".join(
-            ["SURVEY edges=2 trees=3 pairs=6", *rows, "SUMMARY friendly=6 unfriendly=0 seconds=0.0"]
+            ["SURVEY edges=2 trees=3 pairs=6", *rows, "SUMMARY friendly=6 unfriendly=0"]
         )
         report = parse_report(text + "\n")
         with pytest.raises(RuntimeError, match="trees=3 but the catalogue of 2-edge trees has 1"):
@@ -234,7 +250,7 @@ class TestReportFormat:
             [
                 "SURVEY edges=13 trees=1 pairs=1",
                 f"PAIR 0 0 {code} {code} unfriendly nodes=1",
-                "SUMMARY friendly=0 unfriendly=1 seconds=0.0",
+                "SUMMARY friendly=0 unfriendly=1",
             ]
         )
         report = parse_report(text + "\n")
@@ -252,10 +268,10 @@ class TestReportFormat:
             verify_report_witnesses(report)
 
     def test_header_and_summary_lines(self):
-        text = format_report(replace(survey_pairs(3), seconds=0.0))
+        text = format_report(survey_pairs(3))
         lines = text.splitlines()
         assert lines[0] == "SURVEY edges=3 trees=2 pairs=3"
-        assert lines[-1] == "SUMMARY friendly=3 unfriendly=0 seconds=0.000"
+        assert lines[-1] == "SUMMARY friendly=3 unfriendly=0"
 
     def test_write_leaves_no_temp_files(self, tmp_path):
         report = survey_pairs(2)
@@ -267,32 +283,32 @@ class TestReportFormat:
         with pytest.raises(ValueError, match="unrecognized"):
             parse_report("SURVEY edges=1 trees=1 pairs=1\nWAT\n")
         with pytest.raises(ValueError, match="missing SURVEY"):
-            parse_report("SUMMARY friendly=0 unfriendly=0 seconds=0.0\n")
+            parse_report("SUMMARY friendly=0 unfriendly=0\n")
         with pytest.raises(ValueError, match="missing SUMMARY"):
             parse_report("SURVEY edges=0 trees=1 pairs=1\nPAIR 0 0 () () friendly\n")
         duplicate = (
             "SURVEY edges=1 trees=1 pairs=2\n" + GOOD_ROW + "\n" + GOOD_ROW + "\n"
-            "SUMMARY friendly=2 unfriendly=0 seconds=0.0\n"
+            "SUMMARY friendly=2 unfriendly=0\n"
         )
         with pytest.raises(ValueError, match=r"line 3: duplicate or out-of-order pair \(0, 0\)"):
             parse_report(duplicate)
         swapped = (
             "SURVEY edges=0 trees=2 pairs=3\nPAIR 0 0 () () friendly\n"
             "PAIR 1 0 () () friendly\nPAIR 1 1 () () friendly\n"
-            "SUMMARY friendly=3 unfriendly=0 seconds=0.0\n"
+            "SUMMARY friendly=3 unfriendly=0\n"
         )
         with pytest.raises(ValueError, match="line 3: tree indices 1 > 0"):
             parse_report(swapped)
         reordered = (
             "SURVEY edges=0 trees=2 pairs=3\nPAIR 0 0 () () friendly\n"
             "PAIR 1 1 () () friendly\nPAIR 0 1 () () friendly\n"
-            "SUMMARY friendly=3 unfriendly=0 seconds=0.0\n"
+            "SUMMARY friendly=3 unfriendly=0\n"
         )
         with pytest.raises(ValueError, match=r"line 4: duplicate or out-of-order pair \(0, 1\)"):
             parse_report(reordered)
         short = (
             "SURVEY edges=0 trees=2 pairs=2\nPAIR 0 0 () () friendly\n"
-            "PAIR 1 1 () () friendly\nSUMMARY friendly=2 unfriendly=0 seconds=0.0\n"
+            "PAIR 1 1 () () friendly\nSUMMARY friendly=2 unfriendly=0\n"
         )
         with pytest.raises(ValueError, match="line 1: pairs=2 but trees=2 make 3 unordered pairs"):
             parse_report(short)
@@ -313,22 +329,24 @@ class TestReportFormat:
             (GOOD_HEAD, "PAIR 0 0 (()) (()) unfriendly nodes=x", GOOD_SUMMARY, "line 2: bad value in 'nodes=x'"),
             (GOOD_HEAD, "PAIR 0 0 (()) (()) unfriendly nodes=-7", GOOD_SUMMARY, "line 2: bad value in 'nodes=-7'"),
             ("SURVEY edges=-1 trees=1 pairs=1", "PAIR 0 0 x y friendly", GOOD_SUMMARY, "line 1: bad value in 'edges=-1'"),
-            ("SURVEY edges=1 trees=-1 pairs=0", "", "SUMMARY friendly=0 unfriendly=0 seconds=0.0", "line 1: bad value in 'trees=-1'"),
-            ("SURVEY edges=1 trees=0 pairs=0", "", "SUMMARY friendly=0 unfriendly=0 seconds=0.0", "line 1: trees=0 but every catalogue has a tree"),
+            ("SURVEY edges=1 trees=-1 pairs=0", "", "SUMMARY friendly=0 unfriendly=0", "line 1: bad value in 'trees=-1'"),
+            ("SURVEY edges=1 trees=0 pairs=0", "", "SUMMARY friendly=0 unfriendly=0", "line 1: trees=0 but every catalogue has a tree"),
             (GOOD_HEAD, "PAIR 0 0 x (()) friendly 0", GOOD_SUMMARY, "line 2: 'x' is not the code of a tree on 2 vertices"),
             (GOOD_HEAD, "PAIR 0 0 (()) () friendly 0", GOOD_SUMMARY, r"line 2: '\(\)' is not the code"),
             (GOOD_HEAD, "PAIR 0 0 ()() (()) friendly 0", GOOD_SUMMARY, r"line 2: '\(\)\(\)' is not the code"),
             (GOOD_HEAD, "PAIR 0 0 (()) )(() friendly 0", GOOD_SUMMARY, r"line 2: '\)\(\(\)' is not the code"),
             (GOOD_HEAD, "PAIR 0 0 (()) ((() friendly 0", GOOD_SUMMARY, r"line 2: '\(\(\(\)' is not the code"),
             (GOOD_HEAD, "PAIR 0 0 (()) ((x) friendly 0", GOOD_SUMMARY, r"line 2: '\(\(x\)' is not the code"),
-            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=0 unfriendly=1 seconds=0.0", "line 3: SUMMARY counts disagree"),
-            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0", "line 3: missing field 'seconds'"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=0 unfriendly=1", "line 3: SUMMARY counts disagree"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0 seconds=0.0", "line 3: unexpected field 'seconds=0.0'"),
             (GOOD_HEAD, GOOD_ROW, GOOD_SUMMARY + "\n" + GOOD_SUMMARY, "line 4: line after SUMMARY"),
             (GOOD_HEAD, GOOD_SUMMARY, GOOD_ROW, r"line 3: line after SUMMARY 'PAIR 0 0 \(\(\)\)"),
             (GOOD_HEAD, GOOD_ROW, GOOD_SUMMARY + "\nWAT", "line 4: line after SUMMARY 'WAT'"),
-            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0 seconds=-5", "line 3: bad value in 'seconds=-5'"),
-            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0 seconds=nan", "line 3: bad value in 'seconds=nan'"),
-            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=1 unfriendly=0 seconds=inf", "line 3: bad value in 'seconds=inf'"),
+            (GOOD_HEAD, "PAIR +0 0 (()) (()) friendly 0", GOOD_SUMMARY, r"line 2: bad tree indices '\+0 0'"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) friendly ３", GOOD_SUMMARY, "line 2: bad witness '３'"),
+            (GOOD_HEAD, "PAIR 0 0 (()) (()) unfriendly nodes=1_000", GOOD_SUMMARY, "line 2: bad value in 'nodes=1_000'"),
+            (GOOD_HEAD, GOOD_ROW, "SUMMARY friendly=+1 unfriendly=0", r"line 3: bad value in 'friendly=\+1'"),
+            ("SURVEY edges=1 trees=1 pairs=３", GOOD_ROW, GOOD_SUMMARY, "line 1: bad value in 'pairs=３'"),
         ],
     )
     def test_parse_rejection_names_the_line(self, head, row, summary, message):
@@ -369,7 +387,7 @@ class TestConjecture:
         assert not check.findings
 
     def test_findings_are_the_unfriendly_rows(self):
-        check = ConjectureCheck(7, tuple(survey_pairs(n) for n in range(1, 8)))
+        check = ConjectureCheck(tuple(survey_pairs(n) for n in range(1, 8)))
         ((edges, row),) = check.findings
         assert edges == 7
         assert row.verdict == UNFRIENDLY

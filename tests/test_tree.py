@@ -288,6 +288,9 @@ class TestTextFormat:
             ("V 2\n\nE 0 1 2\n", "line 3: unrecognized"),
             ("V two\n", "line 1: bad vertex count 'two'"),
             ("V 2\nE 0 x\n", "line 2: bad edge '0 x'"),
+            ("V +2\nE 0 1\n", r"line 1: bad vertex count '\+2'"),
+            ("V 1_000\n", "line 1: bad vertex count '1_000'"),
+            ("V ３\nE 0 1\nE 1 2\n", "line 1: bad vertex count '３'"),
             ("V 2\nV 2\n", "line 2: second V line"),
             ("\nE 0 1\nV 2\n", "line 2: E line before V line"),
             ("V 3\nE 0 1\nE 1 5\n", r"line 3: edge \(1, 5\) has a vertex id outside 0\.\.2"),
