@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Every verdict comes with its evidence, and no option turns it off: ``check``
+prints a friendly pair's witness, ``survey`` writes a row only after its
+evidence was checked, and ``verify-theorem1`` re-derives both verdicts with
+the unpruned scan.
+
 Friendliness verdicts are data, not failures: ``check`` and ``survey`` exit 0
 whenever they complete, whatever the verdict. ``verify-theorem1`` is the one
 exception; the fixture pair is known unfriendly, so a friendly verdict there
@@ -18,24 +23,6 @@ from .enumeration import enumerate_trees
 from .realizability import certificate_to_text, find_realizable_bijection
 from .survey import survey_pairs, verify_theorem1, write_report
 from .tree import format_tree, parse_tree
-
-JOBS_ENV_VAR = "FRIENDLY_TREES_JOBS"
-
-
-def _jobs(args: argparse.Namespace) -> int:
-    # ``--jobs`` wins; without it the environment variable, else 1.
-    if args.jobs is not None:
-        return args.jobs
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return jobs
 
 
 def _read(path: str) -> str:
@@ -56,7 +43,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     a = parse_tree(_read(args.a))
     b = parse_tree(_read(args.b))
     cert = find_realizable_bijection(a, b)
-    sys.stdout.write(certificate_to_text(cert, include_witness=args.witness))
+    sys.stdout.write(certificate_to_text(cert))
     return 0
 
 
@@ -66,27 +53,24 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         raise ValueError(f"output directory does not exist: {out_dir}")
     if not os.access(out_dir, os.W_OK):
         raise ValueError(f"output directory is not writable: {out_dir}")
-    report = survey_pairs(args.edges, jobs=_jobs(args), recheck_witnesses=args.recheck)
+    report = survey_pairs(args.edges, jobs=args.jobs)
     write_report(report, args.out)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0
 
 
 def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
-    result = verify_theorem1(recheck=args.recheck)
+    result = verify_theorem1()
+    fwd, rev = result.forward_scan, result.reverse_scan
     sys.stdout.write(
         f"forward {result.forward.verdict} "
         f"nodes={result.forward.nodes} checked={result.forward.checked}\n"
         f"reverse {result.reverse.verdict} "
         f"nodes={result.reverse.nodes} checked={result.reverse.checked}\n"
+        f"recheck forward={'pass' if fwd.verdict == result.forward.verdict else 'FAIL'} "
+        f"reverse={'pass' if rev.verdict == result.reverse.verdict else 'FAIL'}\n"
+        f"recheck checked forward={fwd.checked} reverse={rev.checked}\n"
     )
-    if args.recheck:
-        fwd, rev = result.forward_scan, result.reverse_scan
-        sys.stdout.write(
-            f"recheck forward={'pass' if fwd.verdict == result.forward.verdict else 'FAIL'} "
-            f"reverse={'pass' if rev.verdict == result.reverse.verdict else 'FAIL'}\n"
-            f"recheck checked forward={fwd.checked} reverse={rev.checked}\n"
-        )
     if result.holds:
         sys.stdout.write("theorem1 holds\n")
         return 0
@@ -114,32 +98,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide friendliness of two tree files")
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
-    p.add_argument("--witness", action="store_true", help="print the witness bijection")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("survey", help="decide every pair of trees with N edges")
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        help=f"worker processes (default: ${JOBS_ENV_VAR}, else 1)",
-    )
-    p.add_argument(
-        "--recheck",
-        action="store_true",
-        help="also re-verify friendly witnesses (unfriendly rows are always rechecked)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser(
         "verify-theorem1",
-        help="confirm the two fixture trees are unfriendly in both directions",
-    )
-    p.add_argument(
-        "--recheck",
-        action="store_true",
-        help="re-derive both verdicts with the unpruned full enumeration",
+        help="confirm the two fixture trees are unfriendly in both directions, "
+        "with and without pruning",
     )
     p.set_defaults(func=_cmd_verify_theorem1)
 

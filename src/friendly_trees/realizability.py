@@ -332,12 +332,12 @@ def recheck_certificate(k: Tree, k2: Tree, cert: Certificate) -> bool:
     raise ValueError(f"unknown verdict {cert.verdict!r}")
 
 
-def certificate_to_text(cert: Certificate, include_witness: bool = True) -> str:
+def certificate_to_text(cert: Certificate) -> str:
     """Certificate text: VERDICT line, WITNESS line for friendly results,
     STATS line."""
     lines = [f"VERDICT {cert.verdict}"]
-    if cert.verdict == FRIENDLY and include_witness:
-        lines.append(" ".join(["WITNESS", *map(str, cert.witness or ())]).rstrip())
+    if cert.verdict == FRIENDLY:
+        lines.append(" ".join(["WITNESS", *map(str, cert.witness)]))
     lines.append(f"STATS nodes={cert.nodes} checked={cert.checked}")
     return "\n".join(lines) + "\n"
 
@@ -346,7 +346,7 @@ def parse_certificate(text: str) -> Certificate:
     """Parse the certificate text format.
 
     The VERDICT and STATS lines are required. A WITNESS line must be a
-    permutation of ``0..len-1`` and may appear only under a friendly
+    permutation of ``0..len-1`` and appears exactly under a friendly
     verdict, wherever the VERDICT line is.
     """
     verdict = None
@@ -356,6 +356,7 @@ def parse_certificate(text: str) -> Certificate:
     for lineno, fields in line_records(text):
         kind = fields[0]
         if kind == "VERDICT" and len(fields) == 2:
+            verdict_line = lineno
             verdict = fields[1]
             if verdict not in (FRIENDLY, UNFRIENDLY):
                 raise ValueError(f"line {lineno}: bad verdict {verdict!r}")
@@ -377,6 +378,8 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError("missing VERDICT line")
     if verdict == UNFRIENDLY and witness is not None:
         raise ValueError(f"line {witness_line}: WITNESS line in an unfriendly certificate")
+    if verdict == FRIENDLY and witness is None:
+        raise ValueError(f"line {verdict_line}: friendly certificate without a WITNESS line")
     if not stats:
         raise ValueError("missing STATS line")
     return Certificate(verdict, witness, stats["nodes"], stats["checked"])

@@ -87,21 +87,18 @@ class SurveyReport:
         return len(self.rows) - self.friendly
 
 
-def _decide_pair(edge_count: int, recheck_witness: bool, ia: int, ib: int) -> SurveyRow:
+def _decide_pair(edge_count: int, ia: int, ib: int) -> SurveyRow:
     catalog = enumerate_trees(edge_count)
     a = catalog.trees[ia]
     b = catalog.trees[ib]
     cert = find_realizable_bijection(a, b)
     # Pruning bugs are the one way a false counterexample could appear, so
     # every unfriendly verdict is re-derived without pruning.
-    if cert.verdict == UNFRIENDLY or recheck_witness:
-        if not recheck_certificate(a, b, cert):
-            problem = (
-                "pruned and unpruned searches disagree"
-                if cert.verdict == UNFRIENDLY
-                else "stored witness failed re-verification"
-            )
-            raise RuntimeError(f"{problem} on pair ({ia}, {ib}) at {edge_count} edges")
+    if cert.verdict == UNFRIENDLY and not recheck_certificate(a, b, cert):
+        raise RuntimeError(
+            f"pruned and unpruned searches disagree on pair ({ia}, {ib}) "
+            f"at {edge_count} edges"
+        )
     return SurveyRow(
         index_a=ia,
         index_b=ib,
@@ -113,13 +110,13 @@ def _decide_pair(edge_count: int, recheck_witness: bool, ia: int, ib: int) -> Su
     )
 
 
-def survey_pairs(
-    edge_count: int,
-    jobs: int = 1,
-    recheck_witnesses: bool = False,
-) -> SurveyReport:
+def survey_pairs(edge_count: int, jobs: int = 1) -> SurveyReport:
     """Decide every unordered pair (self-pairs included) from the catalogue
     of trees with ``edge_count`` edges.
+
+    A row exists only once its evidence is checked: the search re-tests
+    each witness whole, and the unpruned scan re-derives each unfriendly
+    verdict; a failure raises ``RuntimeError``.
 
     Pair verdicts are pure functions of the catalogue indices, so any worker
     pool produces the same rows, and ``Executor.map`` returns them in input
@@ -137,7 +134,7 @@ def survey_pairs(
     k = len(catalog)
     index_a = [ia for ia in range(k) for ib in range(ia, k)]
     index_b = [ib for ia in range(k) for ib in range(ia, k)]
-    decide = partial(_decide_pair, edge_count, recheck_witnesses)
+    decide = partial(_decide_pair, edge_count)
     if jobs == 1:
         rows = tuple(map(decide, index_a, index_b))
     else:
@@ -290,35 +287,35 @@ def write_report(report: SurveyReport, path: str) -> None:
 
 @dataclass(frozen=True)
 class Theorem1Result:
-    """Both search directions over the fixture pair and, after a recheck,
-    the unpruned scan of each direction (``None`` when no recheck ran). The
-    theorem holds when every certificate present is unfriendly. The forward
-    certificate is the primary payload."""
+    """Both search directions over the fixture pair and the unpruned scan of
+    each direction. The theorem holds when all four certificates are
+    unfriendly. The forward certificate is the primary payload."""
 
     forward: Certificate
     reverse: Certificate
-    forward_scan: Certificate | None
-    reverse_scan: Certificate | None
+    forward_scan: Certificate
+    reverse_scan: Certificate
 
     @property
     def holds(self) -> bool:
         certs = (self.forward, self.reverse, self.forward_scan, self.reverse_scan)
-        return all(c.verdict == UNFRIENDLY for c in certs if c is not None)
+        return all(c.verdict == UNFRIENDLY for c in certs)
 
 
-def verify_theorem1(recheck: bool = False) -> Theorem1Result:
-    """Decide the fixture pair in both directions.
+def verify_theorem1() -> Theorem1Result:
+    """Decide the fixture pair in both directions, and re-derive each
+    verdict with the unpruned enumeration over all 7! bijections.
 
-    Both directions are expected unfriendly; with ``recheck`` the unpruned
-    enumeration re-derives each verdict over the full bijection space.
+    Both directions are expected unfriendly.
     """
     g = build_G()
     h = build_H()
-    forward = find_realizable_bijection(g, h)
-    reverse = find_realizable_bijection(h, g)
-    if not recheck:
-        return Theorem1Result(forward, reverse, None, None)
-    return Theorem1Result(forward, reverse, exhaustive_search(g, h), exhaustive_search(h, g))
+    return Theorem1Result(
+        find_realizable_bijection(g, h),
+        find_realizable_bijection(h, g),
+        exhaustive_search(g, h),
+        exhaustive_search(h, g),
+    )
 
 
 @dataclass(frozen=True)
@@ -361,8 +358,9 @@ def verify_report_witnesses(report: SurveyReport) -> None:
     every friendly row's witness; raises ``RuntimeError`` on any failure.
 
     The edge count must have a catalogue, and the tree count and every
-    row's two codes must be the catalogue's, so each witness is tested on
-    the trees its row names.
+    row's indices and two codes must be the catalogue's, so each witness is
+    tested on the trees its row names. Every verdict must be friendly or
+    unfriendly, and a witness that is not a bijection fails like any other.
     """
     if not 0 <= report.edge_count <= MAX_CATALOG_EDGES:
         raise RuntimeError(
@@ -377,11 +375,19 @@ def verify_report_witnesses(report: SurveyReport) -> None:
         )
     for row in report.rows:
         pair = (row.index_a, row.index_b)
+        if not all(0 <= i < len(catalog) for i in pair):
+            raise RuntimeError(f"row {pair} has a tree index outside 0..{len(catalog) - 1}")
         if (row.code_a, row.code_b) != (catalog.codes[row.index_a], catalog.codes[row.index_b]):
             raise RuntimeError(f"row {pair} has codes that are not the catalogue's")
-        if row.verdict != FRIENDLY:
+        if row.verdict == UNFRIENDLY:
             continue
+        if row.verdict != FRIENDLY:
+            raise RuntimeError(f"row {pair} has bad verdict {row.verdict!r}")
         a = catalog.trees[row.index_a]
         b = catalog.trees[row.index_b]
-        if row.witness is None or not is_realizable(a, b, row.witness):
+        try:
+            sound = row.witness is not None and is_realizable(a, b, row.witness)
+        except ValueError:
+            sound = False
+        if not sound:
             raise RuntimeError(f"friendly row {pair} has no valid witness")

@@ -66,11 +66,11 @@ def survey7():
 
 def test_criterion_1_theorem1_reproduction(capsys):
     start = time.perf_counter()
-    result = verify_theorem1(recheck=True)
+    result = verify_theorem1()
     forward_full = exhaustive_search(build_G(), build_H())
     reverse_full = exhaustive_search(build_H(), build_G())
     with capsys.disabled():
-        cli_status = main(["verify-theorem1", "--recheck"])
+        cli_status = main(["verify-theorem1"])
     elapsed = time.perf_counter() - start
 
     both_unfriendly = (

@@ -75,16 +75,11 @@ class TestCheck:
 
     def test_self_pair_friendly_with_witness(self, tmp_path, capsys):
         a = write(tmp_path, "a.tree", H_TEXT)
-        assert main(["check", "--a", a, "--b", a, "--witness"]) == 0
+        assert main(["check", "--a", a, "--b", a]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "VERDICT friendly"
         assert lines[1].startswith("WITNESS ")
         assert len(lines[1].split()) == 8
-
-    def test_witness_hidden_by_default(self, tmp_path, capsys):
-        a = write(tmp_path, "a.tree", H_TEXT)
-        assert main(["check", "--a", a, "--b", a]) == 0
-        assert "WITNESS" not in capsys.readouterr().out
 
     def test_cyclic_input_rejected(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.tree", "V 4\nE 0 1\nE 1 2\nE 2 0\n")
@@ -122,10 +117,6 @@ class TestSurvey:
             text = handle.read()
         assert "PAIR 0 0 () () friendly" in text
 
-    def test_recheck_flag(self, tmp_path):
-        out = str(tmp_path / "n3.report")
-        assert main(["survey", "--edges", "3", "--out", out, "--recheck"]) == 0
-
     def test_seven_edges_contains_fixture_pair(self, tmp_path):
         from friendly_trees.tree import canonical_code
 
@@ -154,33 +145,6 @@ class TestSurvey:
         assert main(["survey", "--edges", "1", "--out", out, "--jobs", "0"]) == 1
         assert "jobs" in capsys.readouterr().err
 
-    def test_jobs_default_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRIENDLY_TREES_JOBS", "2")
-        out = str(tmp_path / "env.report")
-        assert main(["survey", "--edges", "2", "--out", out]) == 0
-        with open(out, encoding="ascii") as handle:
-            assert parse_report(handle.read()).friendly == 1
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_jobs_environment(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("FRIENDLY_TREES_JOBS", value)
-        out = tmp_path / "env.report"
-        assert main(["survey", "--edges", "1", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: FRIENDLY_TREES_JOBS must be a positive integer, got {value!r}\n"
-        )
-        assert not out.exists()
-
-    def test_jobs_flag_overrides_bad_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRIENDLY_TREES_JOBS", "abc")
-        out = str(tmp_path / "flag.report")
-        assert main(["survey", "--edges", "1", "--out", out, "--jobs", "1"]) == 0
-
-    def test_other_commands_ignore_bad_jobs_environment(self, monkeypatch, capsys):
-        monkeypatch.setenv("FRIENDLY_TREES_JOBS", "abc")
-        assert main(["enumerate", "--edges", "1"]) == 0
-        assert capsys.readouterr().out == "--- 0\n(())\nV 2\nE 0 1\n"
-
 
 class TestVerifyTheorem1:
     def test_passes(self, capsys):
@@ -192,7 +156,7 @@ class TestVerifyTheorem1:
 
     def test_recheck_line(self, capsys):
         # 7 edges: the unpruned recheck tests all 7! = 5040 bijections each way
-        assert main(["verify-theorem1", "--recheck"]) == 0
+        assert main(["verify-theorem1"]) == 0
         assert capsys.readouterr().out == (
             "forward unfriendly nodes=3295 checked=420\n"
             "reverse unfriendly nodes=1689 checked=100\n"
@@ -206,6 +170,22 @@ class TestVerifyTheorem1:
         assert main(["verify-theorem1"]) == 1
         out = capsys.readouterr().out
         assert "theorem1 FAILS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--a", "a.tree", "--b", "b.tree", "--witness"],
+        ["survey", "--edges", "1", "--out", "x.report", "--recheck"],
+        ["verify-theorem1", "--recheck"],
+    ],
+)
+def test_removed_switches_are_usage_errors(argv, capsys):
+    # The witness and both rechecks are always on; no switch is left.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDual:

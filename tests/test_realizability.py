@@ -114,6 +114,12 @@ class TestFindRealizableBijection:
         assert cert.witness == (299,) + tuple(range(299))
         assert (cert.nodes, cert.checked) == (302, 2)
 
+    def test_unsound_witness_raises(self, monkeypatch):
+        # The search re-tests its witness whole before returning it.
+        monkeypatch.setattr(realizability, "_realizes", lambda k, k2, h: False)
+        with pytest.raises(RuntimeError, match=r"search produced an unsound witness \("):
+            find_realizable_bijection(PATH3, STAR3)
+
     def test_deterministic(self):
         a = find_realizable_bijection(build_H(), build_G())
         assert a == find_realizable_bijection(build_H(), build_G())
@@ -197,12 +203,6 @@ class TestCertificateText:
         assert text.endswith("\n")
         assert parse_certificate(text) == cert
 
-    def test_witness_suppressed(self):
-        cert = find_realizable_bijection(PATH3, STAR3)
-        text = certificate_to_text(cert, include_witness=False)
-        assert "WITNESS" not in text
-        assert parse_certificate(text).witness is None
-
     def test_unfriendly_has_no_witness_line(self):
         cert = find_realizable_bijection(build_G(), build_H())
         text = certificate_to_text(cert)
@@ -214,8 +214,8 @@ class TestCertificateText:
     def test_empty_witness_line(self):
         cert = Certificate(FRIENDLY, (), 0, 1)
         text = certificate_to_text(cert)
-        assert "\nWITNESS\n" in text
-        assert parse_certificate(text).witness == ()
+        assert text == "VERDICT friendly\nWITNESS\nSTATS nodes=0 checked=1\n"
+        assert parse_certificate(text) == cert
 
     def test_certificates_are_plain_values(self):
         # A certificate holds no timing: equal searches give equal
@@ -250,6 +250,9 @@ class TestCertificateText:
             ("VERDICT unfriendly\nSTATS nodes=5 checked=+5\n", r"line 2: bad value in 'checked=\+5'"),
             ("VERDICT friendly\nWITNESS 1 ０\n", "line 2: bad witness '1 ０'"),
             ("VERDICT friendly\nWITNESS 0\n", "^missing STATS line$"),
+            ("VERDICT friendly\nSTATS nodes=1 checked=1\n", "line 1: friendly certificate without a WITNESS line"),
+            ("VERDICT friendly\nSTATS nodes=0 checked=0\n", "line 1: friendly certificate without a WITNESS line"),
+            ("STATS nodes=0 checked=1\nVERDICT friendly\n", "line 2: friendly certificate without a WITNESS line"),
         ],
     )
     def test_rejection_names_the_line(self, text, message):

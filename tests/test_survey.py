@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 import friendly_trees
-from friendly_trees import survey
+from friendly_trees import realizability, survey
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.realizability import (
     FRIENDLY,
@@ -21,6 +21,8 @@ from friendly_trees.realizability import (
 )
 from friendly_trees.survey import (
     ConjectureCheck,
+    SurveyReport,
+    SurveyRow,
     Theorem1Result,
     build_G,
     build_H,
@@ -177,9 +179,10 @@ class TestSurveyPairs:
         message = "pruned and unpruned searches disagree on pair (4, 19) at 7 edges"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             survey_pairs(7)
-        message = "stored witness failed re-verification on pair (0, 0) at 2 edges"
-        with pytest.raises(RuntimeError, match=re.escape(message)):
-            survey_pairs(2, recheck_witnesses=True)
+        # Friendly rows rest on the search's own whole-witness test.
+        monkeypatch.setattr(realizability, "_realizes", lambda k, k2, h: False)
+        with pytest.raises(RuntimeError, match=r"search produced an unsound witness \(0, 1\)"):
+            survey_pairs(2)
 
     def test_serial_survey_loads_no_process_pool(self):
         # Only a pooled survey imports the pool, and with it multiprocessing.
@@ -266,6 +269,24 @@ class TestReportFormat:
         report = parse_report(swapped)
         with pytest.raises(RuntimeError, match=r"row \(0, 0\) has codes that are not the catalogue's"):
             verify_report_witnesses(report)
+
+    @pytest.mark.parametrize(
+        "verdict, witness, index_b, message",
+        [
+            (FRIENDLY, (0,), 0, r"friendly row \(0, 0\) has no valid witness"),
+            (FRIENDLY, (0, 1.0), 0, r"friendly row \(0, 0\) has no valid witness"),
+            (FRIENDLY, None, 0, r"friendly row \(0, 0\) has no valid witness"),
+            ("maybe", None, 0, r"row \(0, 0\) has bad verdict 'maybe'"),
+            (FRIENDLY, (0, 1), 1, r"row \(0, 1\) has a tree index outside 0\.\.0"),
+        ],
+    )
+    def test_witness_check_rejects_malformed_rows(self, verdict, witness, index_b, message):
+        # Hand-built rows that no parsed report holds; each fails as a
+        # RuntimeError naming the row, like every other check.
+        code = enumerate_trees(2).codes[0]
+        row = SurveyRow(0, index_b, code, code, verdict, witness, None)
+        with pytest.raises(RuntimeError, match=message):
+            verify_report_witnesses(SurveyReport(2, 1, (row,)))
 
     def test_header_and_summary_lines(self):
         text = format_report(survey_pairs(3))
@@ -355,16 +376,10 @@ class TestReportFormat:
 
 
 class TestTheorem1:
-    def test_holds_without_recheck(self):
+    def test_holds_with_recheck(self):
         result = verify_theorem1()
         assert result.forward.verdict == UNFRIENDLY
         assert result.reverse.verdict == UNFRIENDLY
-        assert result.forward_scan is None
-        assert result.reverse_scan is None
-        assert result.holds
-
-    def test_holds_with_recheck(self):
-        result = verify_theorem1(recheck=True)
         assert result.forward_scan == Certificate(UNFRIENDLY, None, 5040, 5040)
         assert result.reverse_scan == Certificate(UNFRIENDLY, None, 5040, 5040)
         assert result.holds
@@ -372,11 +387,11 @@ class TestTheorem1:
     def test_holds_reads_every_certificate_present(self):
         unfriendly = Certificate(UNFRIENDLY, None, 5040, 5040)
         friendly = Certificate(FRIENDLY, (0, 1, 2, 3, 4, 5, 6), 1, 1)
-        assert Theorem1Result(unfriendly, unfriendly, None, None).holds
         assert Theorem1Result(unfriendly, unfriendly, unfriendly, unfriendly).holds
         assert not Theorem1Result(unfriendly, unfriendly, friendly, unfriendly).holds
         assert not Theorem1Result(unfriendly, unfriendly, unfriendly, friendly).holds
-        assert not Theorem1Result(friendly, unfriendly, None, None).holds
+        assert not Theorem1Result(friendly, unfriendly, unfriendly, unfriendly).holds
+        assert not Theorem1Result(unfriendly, friendly, unfriendly, unfriendly).holds
 
 
 class TestConjecture:
