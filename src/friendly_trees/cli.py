@@ -48,6 +48,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    if os.path.isdir(args.out):
+        raise ValueError(f"output path is a directory: {args.out}")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory does not exist: {out_dir}")

@@ -1,14 +1,15 @@
 """Catalogues of free trees, one representative per isomorphism class.
 
 The Prüfer census below is the independent oracle and is written first: it
-decodes every labelled tree on a fixed vertex set and buckets the results by
-an integer AHU code (Aho, Hopcroft and Ullman 1974) of the tree rooted at
-its centroid. The codes are interned in a table local to one census call and
-share no code with ``tree.canonical_code``. The catalogue generator that
-follows grows trees one leaf at a time and collapses them by the string
-canonical codes of ``tree``; its only correctness pin is that its class
-counts match the census exactly, which the test suite checks for every
-census-supported size.
+decodes every labelled tree on a fixed vertex set, keeps those in which the
+last vertex is a centroid, and buckets them by an integer AHU code (Aho,
+Hopcroft and Ullman 1974) of the tree rooted there. Every class has such a
+labelling, so every class gets a bucket. The codes are interned in a table
+local to one census call and share no code with ``tree.canonical_code``.
+The catalogue generator that follows grows trees one leaf at a time and
+collapses them by the string canonical codes of ``tree``; its only
+correctness pin is that its class counts match the census exactly, which
+the test suite checks for every census-supported size.
 """
 
 from __future__ import annotations
@@ -57,93 +58,78 @@ def decode_prufer(seq: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     return edges
 
 
-class _RootedCodes(dict):
-    """Interned AHU codes of rooted trees: maps the sorted tuple of a root's
-    children's codes to the root's code, numbered in order of first sight
-    from ``()``, a lone vertex, as 0. ``size[c]`` is the vertex count of the
-    rooted tree with code ``c``."""
-
-    def __init__(self) -> None:
-        super().__init__({(): 0})
-        self.size = [1]
-
-    def __missing__(self, children: tuple[int, ...]) -> int:
-        code = self[children] = len(self)
-        self.size.append(1 + sum([self.size[c] for c in children]))
-        return code
-
-
-def _census_key(edges: list[tuple[int, int]], m: int, codes: _RootedCodes) -> int | tuple[int, int]:
+def _census_key(
+    edges: list[tuple[int, int]], m: int, codes: dict[tuple[int, ...], int]
+) -> int | tuple[int, int] | None:
     """Isomorphism key of the tree on ``0..m-1`` that ``decode_prufer``
-    returned as ``edges``: equal keys, drawn from one ``codes`` table, mean
+    returned as ``edges``, or ``None`` when ``m - 1`` is not a centroid.
+    Among keyed trees, equal keys drawn from one ``codes`` table mean
     isomorphic trees.
 
     The edges are ``(child, parent)`` pairs bottom-up from root ``m - 1``,
-    so one pass finishes every vertex's code before its parent needs it. The
-    vertices other than the root whose subtrees hold at least half of the
-    tree form a path down from the root, met deepest first; the deepest is a
-    centroid. Re-rooting along that path gives the code of the tree rooted
-    at the centroid, which is the key. When the centroid's subtree holds
-    exactly half, its parent is a second centroid, and the key is instead
-    the sorted pair of the two halves' codes: a tuple, never equal to an
-    ``int`` key.
+    so each pass meets a vertex only after all of its children. The size
+    pass stops at the first subtree that holds more than half the tree: the
+    root is then no centroid. The code pass interns the AHU code of each
+    rooted subtree, numbered in order of first sight from ``()``, a lone
+    vertex, as 0, and keys the tree by the code of its root. A child that
+    holds exactly half the tree is the second centroid; it is left out of
+    the root's children, and the key is instead the sorted pair of the two
+    halves' codes: a tuple, never equal to an ``int`` key.
     """
-    size = codes.size
-    half = (m + 1) // 2
+    size = [1] * m
+    for c, p in edges:
+        if 2 * size[c] > m:
+            return None
+        size[p] += size[c]
     kids: list[list[int]] = [[] for _ in range(m)]
-    # (children's codes, code) of each such half-or-more vertex; a leaf is
-    # one only in the one-edge tree
-    heavy = [([], 0)] if m == 2 else []
+    second = None
     for c, p in edges:
         k = kids[c]
         if k:
             k.sort()
-            x = codes[tuple(k)]
-            if size[x] >= half:
-                heavy.append((k, x))
+            x = codes.setdefault(tuple(k), len(codes))
         else:
             x = 0
-        kids[p].append(x)
-    above = kids[m - 1]
-    if not heavy:  # the root is the only centroid
-        above.sort()
-        return codes[tuple(above)]
-    # Top down: ``up`` holds the code of everything above the next path
-    # vertex, rooted at that vertex's parent (nothing above the root).
-    up: list[int] = []
-    for k, x in reversed(heavy):
-        rest = above + up
-        rest.remove(x)
-        rest.sort()
-        up = [codes[tuple(rest)]]
-        above = k
-    # ``above`` and ``x`` are now the centroid's
-    if 2 * size[x] == m:
-        y = up[0]
-        return (x, y) if x < y else (y, x)
-    above += up
-    above.sort()
-    return codes[tuple(above)]
+        if 2 * size[c] == m:
+            second = x
+        else:
+            kids[p].append(x)
+    k = kids[m - 1]
+    k.sort()
+    x = codes.setdefault(tuple(k), len(codes))
+    if second is None:
+        return x
+    return (x, second) if x < second else (second, x)
 
 
 def prufer_oracle_count(edge_count: int) -> int:
     """Number of isomorphism classes of trees with ``edge_count`` edges,
     counted by decoding every one of the ``(n+1)^(n-1)`` Prüfer sequences
-    and counting distinct ``_census_key`` values.
+    and counting the distinct ``_census_key`` values other than ``None``.
 
-    The keys are integer AHU codes interned in a table made afresh for each
-    call, independent of ``tree.canonical_code``, which the catalogue uses.
+    Only the labelled trees in which vertex ``m - 1`` is a centroid get a
+    key. That still reaches every class: every tree has a centroid (Jordan
+    1869), so relabelling one of its labellings to put a centroid at
+    ``m - 1`` gives another, which some sequence encodes. And the key is a
+    complete invariant of those trees, so distinct keys are distinct
+    classes. The keys are integer AHU codes interned in a table made afresh
+    for each call, independent of ``tree.canonical_code``, which the
+    catalogue uses.
     """
+    if type(edge_count) is not int:
+        raise ValueError(f"edge_count must be an int, got {edge_count!r}")
     if not 1 <= edge_count <= MAX_ORACLE_EDGES:
         raise ValueError(
             f"oracle supports 1..{MAX_ORACLE_EDGES} edges, got {edge_count}"
         )
     m = edge_count + 1
-    codes = _RootedCodes()
-    return len({
+    codes = {(): 0}
+    keys = {
         _census_key(decode_prufer(seq, m), m, codes)
         for seq in product(range(m), repeat=m - 2)
-    })
+    }
+    keys.discard(None)
+    return len(keys)
 
 
 @dataclass(frozen=True)
@@ -158,7 +144,8 @@ class TreeCatalog:
         return len(self.trees)
 
 
-@lru_cache(maxsize=None)
+# typed: ``enumerate_trees(True)`` must not return the cached catalogue of 1
+@lru_cache(maxsize=None, typed=True)
 def enumerate_trees(edge_count: int) -> TreeCatalog:
     """One representative per isomorphism class of trees with ``edge_count``
     edges, in ascending canonical-code order.
@@ -167,6 +154,8 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     vertex of every representative reaches every class (any tree arises from
     deleting one of its leaves), and canonical codes collapse duplicates.
     """
+    if type(edge_count) is not int:
+        raise ValueError(f"edge_count must be an int, got {edge_count!r}")
     if not 0 <= edge_count <= MAX_CATALOG_EDGES:
         raise ValueError(
             f"catalogue supports 0..{MAX_CATALOG_EDGES} edges, got {edge_count}"

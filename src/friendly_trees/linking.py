@@ -23,6 +23,8 @@ from .tree import Tree, path_edges
 
 
 def _check_edge_set(t: Tree, mask: int, name: str) -> None:
+    if type(mask) is not int:
+        raise ValueError(f"{name} must be an int edge mask, got {mask!r}")
     if mask < 0 or mask >> t.edge_count:
         raise ValueError(f"{name} has edge ids outside 0..{t.edge_count - 1}")
 

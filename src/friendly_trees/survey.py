@@ -124,12 +124,14 @@ def survey_pairs(edge_count: int, jobs: int = 1) -> SurveyReport:
     1 starts a pool of at most ``os.cpu_count()`` workers, and never more
     workers than pairs.
     """
+    if type(edge_count) is not int:
+        raise ValueError(f"edge_count must be an int, got {edge_count!r}")
     if not 0 <= edge_count <= MAX_SURVEY_EDGES:
         raise ValueError(
             f"surveys support 0..{MAX_SURVEY_EDGES} edges, got {edge_count}"
         )
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
     catalog = enumerate_trees(edge_count)
     k = len(catalog)
     index_a = [ia for ia in range(k) for ib in range(ia, k)]
@@ -362,9 +364,9 @@ def verify_report_witnesses(report: SurveyReport) -> None:
     tested on the trees its row names. Every verdict must be friendly or
     unfriendly, and a witness that is not a bijection fails like any other.
     """
-    if not 0 <= report.edge_count <= MAX_CATALOG_EDGES:
+    if type(report.edge_count) is not int or not 0 <= report.edge_count <= MAX_CATALOG_EDGES:
         raise RuntimeError(
-            f"report has edges={report.edge_count} but catalogues support "
+            f"report has edges={report.edge_count!r} but catalogues support "
             f"0..{MAX_CATALOG_EDGES} edges"
         )
     catalog = enumerate_trees(report.edge_count)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete. The heavy item is the 8-edge census (criterion 4), a bit over a
-minute of pure enumeration on one core.
+complete. The heavy item is the 8-edge census (criterion 4), 18 to 20 s of
+pure enumeration on one core of a 2-core machine.
 """
 
 import math

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from friendly_trees import cli
 from friendly_trees import survey as survey_module
 from friendly_trees.cli import main
 from friendly_trees.survey import build_G, build_H, parse_report, verify_report_witnesses
@@ -139,6 +140,16 @@ class TestSurvey:
         missing_dir = str(tmp_path / "no" / "such" / "dir" / "x.report")
         assert main(["survey", "--edges", "1", "--out", missing_dir]) == 1
         assert "does not exist" in capsys.readouterr().err
+
+    def test_output_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        # refused before any pair is surveyed, naming the path given
+        def no_survey(*args, **kwargs):
+            raise AssertionError("survey_pairs called")
+
+        monkeypatch.setattr(cli, "survey_pairs", no_survey)
+        out = str(tmp_path)
+        assert main(["survey", "--edges", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: output path is a directory: {out}\n"
 
     def test_bad_jobs(self, tmp_path, capsys):
         out = str(tmp_path / "x.report")

@@ -5,9 +5,9 @@ from math import factorial
 
 import pytest
 
+from friendly_trees import enumeration
 from friendly_trees.enumeration import (
     _census_key,
-    _RootedCodes,
     decode_prufer,
     enumerate_trees,
     prufer_oracle_count,
@@ -81,15 +81,20 @@ class TestDecodePrufer:
 
 
 def assert_same_classes(trees):
-    """``_census_key`` over one code table and ``canonical_code`` split the
-    ``(m, edges)`` trees into the same classes: key to code is a bijection.
-    Returns the distinct keys."""
-    codes = _RootedCodes()
+    """``_census_key`` over one code table is ``None`` exactly when vertex
+    ``m - 1`` is not a centroid, and otherwise splits the ``(m, edges)``
+    trees into the same classes as ``canonical_code``: key to code is a
+    bijection. Returns the distinct keys other than ``None``."""
+    codes = {(): 0}
     by_key: dict = {}
     by_code: dict = {}
     for m, edges in trees:
         key = _census_key(edges, m, codes)
-        code = canonical_code(Tree(m, edges))
+        t = Tree(m, edges)
+        assert (key is None) == (m - 1 not in centroids(m, vertex_adjacency(t))), (m, edges)
+        if key is None:
+            continue
+        code = canonical_code(t)
         assert by_key.setdefault(key, code) == code, (m, edges)
         assert by_code.setdefault(code, key) == key, (m, edges)
     return set(by_key)
@@ -113,13 +118,15 @@ class TestCensusKey:
         assert {type(k) for k in keys} == kinds
 
     def test_two_centroid_keys_are_pairs(self):
-        codes = _RootedCodes()
+        codes = {(): 0}
         assert _census_key(decode_prufer((), 2), 2, codes) == (0, 0)
-        # the 3-edge path 0-2-1-3 has centroids 2 and 1, with equal halves
-        path = _census_key(decode_prufer((2, 1), 4), 4, codes)
+        # the 3-edge path 0-1-3-2 has centroids 1 and 3, with equal halves
+        path = _census_key(decode_prufer((1, 3), 4), 4, codes)
         star = _census_key(decode_prufer((3, 3), 4), 4, codes)
         assert isinstance(path, tuple) and path[0] == path[1]
         assert isinstance(star, int)
+        # the path 0-2-1-3 has centroids 2 and 1, so vertex 3 gets no key
+        assert _census_key(decode_prufer((2, 1), 4), 4, codes) is None
 
 
 class TestOracle:
@@ -131,11 +138,30 @@ class TestOracle:
     def test_matches_frozen_counts(self, n):
         assert prufer_oracle_count(n) == FREE_TREE_COUNTS[n]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_decodes_every_sequence_once(self, n, monkeypatch):
+        # Labellings whose last vertex is no centroid get no key, but their
+        # sequences are still decoded: the census skips none of them.
+        decoded = Counter()
+
+        def counting_decode(seq, m):
+            decoded[seq, m] += 1
+            return decode_prufer(seq, m)
+
+        monkeypatch.setattr(enumeration, "decode_prufer", counting_decode)
+        prufer_oracle_count(n)
+        m = n + 1
+        # each of the (n+1)^(n-1) sequences exactly once
+        assert dict(decoded) == dict.fromkeys(((seq, m) for seq in product(range(m), repeat=m - 2)), 1)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="oracle supports"):
             prufer_oracle_count(0)
         with pytest.raises(ValueError, match="oracle supports"):
             prufer_oracle_count(9)
+        for n in (3.0, True, "3", None):
+            with pytest.raises(ValueError, match="edge_count must be an int"):
+                prufer_oracle_count(n)
 
 
 class TestEnumerateTrees:
@@ -182,3 +208,10 @@ class TestEnumerateTrees:
             enumerate_trees(-1)
         with pytest.raises(ValueError, match="catalogue supports"):
             enumerate_trees(13)
+        # the cache is typed: a float or a bool never returns a cached
+        # catalogue of the equal int
+        enumerate_trees(1)
+        enumerate_trees(3)
+        for n in (3.0, True, "3", None):
+            with pytest.raises(ValueError, match="edge_count must be an int"):
+                enumerate_trees(n)

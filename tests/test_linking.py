@@ -57,6 +57,11 @@ class TestSameSide:
             same_side(PATH3, edge_mask([3]), 0)
         with pytest.raises(ValueError, match="edge ids outside"):
             same_side_bruteforce(PATH3, 0, edge_mask([9]))
+        for bad in (1.0, None, True, "1"):
+            with pytest.raises(ValueError, match="^p must be an int edge mask"):
+                same_side(PATH3, bad, 0)
+            with pytest.raises(ValueError, match="^q must be an int edge mask"):
+                same_side_bruteforce(PATH3, 0, bad)
 
 
 class TestUnlinked:
@@ -80,6 +85,11 @@ class TestUnlinked:
             unlinked(PATH3, 0, edge_mask([0, 5]))
         with pytest.raises(ValueError, match="^q has edge ids outside"):
             unlinked(PATH3, edge_mask([0]), -1)
+        for bad in (1.0, None, True, "1"):
+            with pytest.raises(ValueError, match="^p must be an int edge mask"):
+                unlinked(PATH3, bad, 0)
+            with pytest.raises(ValueError, match="^q must be an int edge mask"):
+                unlinked(PATH3, 0, bad)
 
     @given(trees_with_two_edge_sets(max_edges=10))
     def test_symmetric(self, case):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -130,10 +131,16 @@ class TestSurveyPairs:
             survey_pairs(9)
         with pytest.raises(ValueError, match="surveys support"):
             survey_pairs(-1)
+        # 3.0 would reach the report header as "edges=3.0", which
+        # parse_report rejects
+        for n in (3.0, True, "3", None):
+            with pytest.raises(ValueError, match="edge_count must be an int"):
+                survey_pairs(n)
 
     def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            survey_pairs(2, jobs=0)
+        for jobs in (0, 1.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
+                survey_pairs(2, jobs=jobs)
 
     def test_witnesses_sound(self):
         report = survey_pairs(5)
@@ -259,6 +266,9 @@ class TestReportFormat:
         report = parse_report(text + "\n")
         with pytest.raises(RuntimeError, match="edges=13 but catalogues support 0..12 edges"):
             verify_report_witnesses(report)
+        for n in (3.0, True, "3", None):
+            with pytest.raises(RuntimeError, match="but catalogues support 0..12 edges"):
+                verify_report_witnesses(replace(report, edge_count=n))
 
     def test_witness_check_rejects_codes_not_the_catalogues(self):
         # The two 3-edge trees' codes swapped: every witness still holds for
