@@ -9,12 +9,16 @@ search that finds none certifies the pair unfriendly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import permutations
+from typing import TypeVar
+from weakref import WeakKeyDictionary
 
 from .linking import unlinked
-from .tree import Tree, count, key_values, line_records, parse_ints
+from .tree import Tree, count, edge_mask, key_values, line_records, parse_ints
+
+T = TypeVar("T")
 
 # Image edge id at each source edge id.
 EdgeBijection = tuple[int, ...]
@@ -36,9 +40,10 @@ class Certificate:
     edge-image assignments the search tried; ``checked`` counts complete
     bijections whose full constraint set was evaluated. An unfriendly
     certificate asserts the whole bijection space was covered: the search's
-    cuts (constraint, source twins, target twins) remove only branches that
-    hold no realizable bijection, or only copies of one in a kept branch;
-    ``find_realizable_bijection`` gives each cut's rule.
+    cuts (constraint, and automorphism of either tree) remove only branches
+    that hold no realizable bijection, or only copies of one in a kept
+    branch, its image under an automorphism; ``find_realizable_bijection``
+    gives each cut's rule.
     """
 
     verdict: str
@@ -118,16 +123,62 @@ def _edge_order(k: Tree) -> list[int]:
     return sorted(range(k.edge_count), key=key)
 
 
-def _twin_steps(t: Tree, rank: Sequence[int]) -> list[tuple[int, int]]:
-    # Consecutive twins, ranked by ``rank[edge id]``: each vertex's leaf
-    # edges sorted by rank, as (lower, next) pairs. Swapping two of them is
-    # an automorphism of ``t``.
-    deg = t.degrees
-    steps = []
-    for nbrs in t.adjacency:
-        twins = sorted(rank[e] for y, e in nbrs if deg[y] == 1)
-        steps += zip(twins, twins[1:])
-    return steps
+def _per_tree(build: Callable[[Tree], T]) -> Callable[[Tree], T]:
+    # Memoize ``build`` for as long as its tree lives: a survey reuses its
+    # trees, and a fresh tree per decision leaves nothing behind.
+    memo: WeakKeyDictionary[Tree, T] = WeakKeyDictionary()
+
+    def get(t: Tree) -> T:
+        out = memo.get(t)
+        if out is None:
+            out = memo[t] = build(t)
+        return out
+
+    return get
+
+
+@_per_tree
+def _source_cut(k: Tree) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    # ``(pos, bounds)``: the search depth of each edge of ``k``, and per
+    # depth the earlier depths whose images bound it from below. A generator
+    # σ pairs the first depth ``d0`` whose edge it moves with ``d1``, the
+    # depth of that edge's image, and the search keeps ``img[d1] > img[d0]``.
+    order = _edge_order(k)
+    pos = [0] * len(order)
+    for depth, eid in enumerate(order):
+        pos[eid] = depth
+    bounds: list[list[int]] = [[] for _ in order]
+    for gen in k.automorphism_generators:
+        e0, e1 = min(gen, key=lambda moved: pos[moved[0]])
+        bounds[pos[e1]].append(pos[e0])
+    return pos, tuple(map(tuple, bounds))
+
+
+@_per_tree
+def _target_cut(k2: Tree) -> tuple[int, list[int], list[list[tuple]]]:
+    # ``(locked, hitmask, hits)`` for the generators of ``k2``, generator
+    # ``i`` as bit ``1 << i``. A generator ``t`` locks ``{f : t(f) < f}``
+    # until it is hit, that is until an image it moves is used. ``locked``
+    # is what all generators lock; ``hitmask[f]`` is the generators that
+    # move ``f``, and ``hits[f]`` pairs each with its ``(f', lockers)``,
+    # ``f'`` an image it locks and ``lockers`` every generator that locks
+    # ``f'``.
+    n = k2.edge_count
+    gens = k2.automorphism_generators
+    lockers = [0] * n
+    for i, gen in enumerate(gens):
+        for f, tf in gen:
+            if tf < f:
+                lockers[f] |= 1 << i
+    locked = edge_mask(f for f in range(n) if lockers[f])
+    hitmask = [0] * n
+    hits: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(n)]
+    for i, gen in enumerate(gens):
+        unlocks = tuple((f, lockers[f]) for f, tf in gen if tf < f)
+        for f, _ in gen:
+            hitmask[f] |= 1 << i
+            hits[f].append((1 << i, unlocks))
+    return locked, hitmask, hits
 
 
 def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
@@ -135,31 +186,35 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
 
     Source edges are assigned in a fixed heuristic order, candidate images in
     ascending edge id, so the search reaches bijections in lexicographic
-    order of their images. Three cuts prune a branch:
+    order of their images. Two kinds of cut prune a branch:
 
     - Constraint: an even-distance vertex pair is checked the moment both its
       incident sets are fully mapped. Mapped images never change, so a
       failed check leaves no realizable completion.
-    - Source twins: swapping two leaves on one vertex is an automorphism of
-      ``k``, so ``h`` is realizable exactly when ``h`` with those two
-      edges' images swapped is. The search keeps only bijections whose twin
-      images increase in search order.
-    - Target twins: swapping two leaves on one vertex of ``k2`` is an
-      automorphism ``t`` of ``k2``. Unlinkedness is a property of ``k2``'s
-      edge sets that ``t`` preserves, so ``h`` is realizable exactly when
-      ``t∘h`` is. The search keeps only bijections that use the lower-id
-      twin at the earlier depth: a twin is locked out of the candidates
-      until its next lower twin has been used as an image.
+    - Automorphism: an automorphism ``σ`` of ``k`` keeps even distance and
+      an automorphism ``t`` of ``k2`` keeps unlinkedness, so the realizable
+      set is closed under ``h -> t∘h∘σ``. The search keeps ``h`` only if it
+      comes before ``h∘σ`` and ``t∘h`` for every generator ``σ`` and ``t``
+      of ``Tree.automorphism_generators``. ``h`` and ``h∘σ`` first differ at
+      ``d0``, the first depth whose edge ``σ`` moves, where ``h∘σ`` has the
+      image at ``d1``, the depth of that edge's image: the source rule keeps
+      ``img[d1] > img[d0]``, and the largest bound on a depth applies. ``h``
+      and ``t∘h`` first differ at the first depth whose image ``t`` moves:
+      the target rule keeps the first image used from ``t``'s moved set the
+      lower of its pair, so until one is used the candidates exclude
+      ``{f moved by t : t(f) < f}``.
 
-    Each twin rule keeps, of two bijections that differ by one swap, the
-    one that comes first in lexicographic order. So the first realizable
-    bijection in that order obeys both rules (otherwise one swap would give
-    a realizable bijection earlier still), no cut touches any prefix of it,
-    and the search is deterministic and returns it, or an exhaustion
-    certificate if there is none. ``nodes`` and ``checked`` count what the
-    cuts leave. Each twin rule costs O(1) per node: a mask on each depth's
-    candidates for the source, and for the target one OR on descent and one
-    AND on backtrack of ``free``, the images that are unused and unlocked.
+    The first realizable bijection in search order is the least element of
+    its orbit, so it comes before each of its images under a generator and
+    meets every rule; each rule only reads images already assigned, so no
+    prefix of it is cut either. The search is therefore deterministic and
+    returns it, or an exhaustion certificate if there is none. ``nodes`` and
+    ``checked`` count what the cuts leave. The rules cost a few mask
+    operations per node: each depth's candidates are the unused, unlocked
+    images above its source bounds; a per-depth mask holds the target
+    generators not yet hit, and hitting one unlocks, of the images it
+    locked, those no other unhit generator locks. The generators and both
+    rules' tables are built once per tree.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check is two mask tests: when a source
@@ -177,20 +232,8 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     if n == 0:
         return Certificate(FRIENDLY, (), 0, 1)
 
-    order = _edge_order(k)
-    pos = [0] * n
-    for depth, eid in enumerate(order):
-        pos[eid] = depth
-    # Depth of the previous source twin in search order, or -1.
-    prev = [-1] * n
-    for before, d in _twin_steps(k, pos):
-        prev[d] = before
-    # Each target twin but the lowest is locked until the next lower is used.
-    unlock = [0] * n
-    locked = 0
-    for f1, f2 in _twin_steps(k2, range(n)):
-        unlock[f1] = 1 << f2
-        locked |= 1 << f2
+    pos, bounds = _source_cut(k)
+    locked, hitmask, hits = _target_cut(k2)
     # A vertex is complete at the depth that maps its last edge; each
     # constraint is checked at the depth where both its vertices are.
     ats = [tuple(sorted(pos[e] for _, e in nbrs)) for nbrs in k.adjacency]
@@ -208,7 +251,12 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     side = [0] * k.vertex_count
     span = [0] * k.vertex_count
     todo = [0] * n  # candidate images not yet tried at each depth
-    free = todo[0] = ((1 << n) - 1) & ~locked  # unused, unlocked images
+    # On entry to each depth: the unused, unlocked images, and the target
+    # generators not yet hit.
+    frees = [0] * n
+    unhit = [0] * n
+    frees[0] = todo[0] = ((1 << n) - 1) & ~locked
+    unhit[0] = (1 << len(k2.automorphism_generators)) - 1
     last = n - 1
     depth = nodes = checked = 0
     witness = None
@@ -216,9 +264,6 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         cand = todo[depth]
         if not cand:
             depth -= 1
-            if depth >= 0:
-                f = img[depth]
-                free = (free | 1 << f) & ~unlock[f]
             continue
         low = cand & -cand
         todo[depth] = cand ^ low
@@ -250,10 +295,22 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
                 witness = tuple(img[pos[eid]] for eid in range(n))
                 break
         elif ok:
-            free = (free ^ low) | unlock[img[depth]]
+            f = img[depth]
+            free = frees[depth] ^ low
+            live = unhit[depth]
+            if live & hitmask[f]:
+                for bit, unlocks in hits[f]:
+                    if live & bit:
+                        live ^= bit
+                        for g, lockers in unlocks:
+                            if not live & lockers:
+                                free |= 1 << g
             depth += 1
-            twin = prev[depth]
-            todo[depth] = free if twin < 0 else free & ~((2 << img[twin]) - 1)
+            frees[depth] = free
+            unhit[depth] = live
+            for d in bounds[depth]:
+                free &= ~((2 << img[d]) - 1)
+            todo[depth] = free
 
     if witness is None:
         return Certificate(UNFRIENDLY, None, nodes, checked)

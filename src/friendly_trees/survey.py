@@ -110,6 +110,11 @@ def _decide_pair(edge_count: int, ia: int, ib: int) -> SurveyRow:
     )
 
 
+def _check_jobs(jobs: int) -> None:
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
+
+
 def survey_pairs(edge_count: int, jobs: int = 1) -> SurveyReport:
     """Decide every unordered pair (self-pairs included) from the catalogue
     of trees with ``edge_count`` edges.
@@ -130,8 +135,7 @@ def survey_pairs(edge_count: int, jobs: int = 1) -> SurveyReport:
         raise ValueError(
             f"surveys support 0..{MAX_SURVEY_EDGES} edges, got {edge_count}"
         )
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
+    _check_jobs(jobs)
     catalog = enumerate_trees(edge_count)
     k = len(catalog)
     index_a = [ia for ia in range(k) for ib in range(ia, k)]
@@ -348,7 +352,16 @@ class ConjectureCheck:
 
 
 def verify_conjecture(max_edge_count: int = 6, jobs: int = 1) -> ConjectureCheck:
-    """Survey every pair with 1..max_edge_count edges and report the outcome."""
+    """Survey every pair with 1..max_edge_count edges and report the outcome.
+
+    ``max_edge_count`` is an int in ``1..MAX_SURVEY_EDGES`` and ``jobs`` an
+    int of at least 1, checked before any survey runs.
+    """
+    if type(max_edge_count) is not int or not 1 <= max_edge_count <= MAX_SURVEY_EDGES:
+        raise ValueError(
+            f"max_edge_count must be an int in 1..{MAX_SURVEY_EDGES}, got {max_edge_count!r}"
+        )
+    _check_jobs(jobs)
     reports = tuple(
         survey_pairs(n, jobs=jobs) for n in range(1, max_edge_count + 1)
     )

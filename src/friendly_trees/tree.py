@@ -148,6 +148,62 @@ class Tree:
         ends = tuple((1 << u) | (1 << v) for u, v in self.edges)
         return below, ends
 
+    @cached_property
+    def automorphism_generators(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Involutions that generate the tree's automorphism group, acting on
+        edge ids: each is the ascending tuple of its moved ``(edge id,
+        image)`` pairs, and none is the identity.
+
+        Rooted at a centroid, a vertex's children with equal subtree codes
+        head isomorphic branches. Each vertex's children are sorted by code,
+        ties by edge id, and each consecutive equal pair gives the swap of
+        their two branches, matched child by child in that order. With two
+        centroids whose halves are isomorphic, the flip about the central
+        edge is one more. Every automorphism maps centroids to centroids;
+        one that fixes the root is a product of sibling swaps, by induction
+        on height, and one that exchanges two centroids is the flip times
+        such a product. Built without recursion.
+        """
+        n = self.vertex_count
+        adj = vertex_adjacency(self)
+        root, *other = centroids(n, adj)
+        code = subtree_codes(n, adj, root)
+        order, parent = _rooted(adj, root)
+        up = [-1] * n  # edge id to the parent
+        for eid, (u, v) in enumerate(self.edges):
+            up[v if parent[v] == u else u] = eid
+        # BFS lists each vertex's children in edge-id order; the sort is stable.
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v in order[1:]:
+            kids[parent[v]].append(v)
+        for c in kids:
+            c.sort(key=code.__getitem__)
+
+        def exchange(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+            # Map each branch of a pair onto the other, child by child.
+            moved = []
+            stack = list(pairs)
+            while stack:
+                a, b = stack.pop()
+                moved += ((up[a], up[b]), (up[b], up[a]))
+                stack += zip(kids[a], kids[b])
+            return tuple(sorted(moved))
+
+        gens = [
+            exchange([(a, b)])
+            for c in kids
+            for a, b in zip(c, c[1:])
+            if code[a] == code[b]
+        ]
+        if other:
+            # The second centroid is a child of the root; the rest of the
+            # root's children, still in code order, make up the root's half.
+            (c2,) = other
+            half = [a for a in kids[root] if a != c2]
+            if code[c2] == "(" + "".join(code[a] for a in half) + ")":
+                gens.append(exchange(zip(half, kids[c2])))
+        return tuple(g for g in gens if g)
+
 
 def _check_vertex(t: Tree, v: int) -> None:
     if not (0 <= v < t.vertex_count):

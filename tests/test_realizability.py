@@ -1,5 +1,7 @@
+import gc
 import random
-from itertools import combinations, combinations_with_replacement, permutations, product
+import weakref
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
@@ -123,6 +125,18 @@ class TestFindRealizableBijection:
     def test_deterministic(self):
         a = find_realizable_bijection(build_H(), build_G())
         assert a == find_realizable_bijection(build_H(), build_G())
+
+    def test_cut_tables_built_once_per_tree_and_not_kept(self):
+        # A survey reuses its trees; a tree made for one decision must not
+        # outlive it through the tables' memo.
+        g, h = build_G(), build_H()
+        find_realizable_bijection(g, h)
+        assert realizability._source_cut(g) is realizability._source_cut(g)
+        assert realizability._target_cut(h) is realizability._target_cut(h)
+        refs = weakref.ref(g), weakref.ref(h)
+        del g, h
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_agrees_with_unpruned_search_up_to_six_edges(self):
         for n in range(7):
@@ -439,56 +453,40 @@ def test_all_bijections_fail_on_fixture_pair():
     )
 
 
-def twin_leaf_pairs(t):
-    """Pairs of edge ids that join two leaves to one vertex."""
-    deg = t.degrees
-    leaf_edges = {}
-    for eid, (u, v) in enumerate(t.edges):
-        for hub, leaf in ((u, v), (v, u)):
-            if deg[leaf] == 1:
-                leaf_edges.setdefault(hub, []).append(eid)
-    return [pair for ids in leaf_edges.values() for pair in combinations(ids, 2)]
+def search_key(k, h):
+    """``h``'s images in the search's edge order: the search reaches
+    bijections in ascending order of this key."""
+    return tuple(h[eid] for eid in _edge_order(k))
 
 
 @settings(deadline=None)
 @given(trees(max_edges=9, min_edges=2), st.data())
-def test_swapping_twin_leaf_images_keeps_a_witness_realizable(k, data):
-    """The premise of the search's twin-leaf cut: swapping two leaves on one
-    vertex is an automorphism of the source, so it maps realizable
-    bijections to realizable ones. The search only returns bijections with
-    twin images in increasing order; the swapped ones are those it skips."""
+def test_generators_keep_a_witness_realizable(k, data):
+    """The premise of the search's automorphism cut: for a generator ``σ``
+    of the source and ``t`` of the target, ``h∘σ`` and ``t∘h`` are
+    realizable when ``h`` is. The witness comes before each of them in
+    search order; they are the bijections the cut skips."""
     k2 = data.draw(trees(max_edges=k.edge_count, min_edges=k.edge_count))
     cert = find_realizable_bijection(k, k2)
     if cert.verdict == UNFRIENDLY:
         return
-    for e1, e2 in twin_leaf_pairs(k):
-        h = list(cert.witness)
-        h[e1], h[e2] = h[e2], h[e1]
-        assert is_realizable(k, k2, tuple(h))
-
-
-@settings(deadline=None)
-@given(trees(max_edges=9, min_edges=2), st.data())
-def test_swapping_target_twin_leaves_keeps_a_witness_realizable(k2, data):
-    """The premise of the search's target twin-leaf cut: swapping two leaves
-    on one vertex of the target is an automorphism of it, so exchanging the
-    two images everywhere in a realizable bijection keeps it realizable. The
-    search only returns bijections that use the lower twin first; the
-    exchanged ones are those it skips."""
-    k = data.draw(trees(max_edges=k2.edge_count, min_edges=k2.edge_count))
-    cert = find_realizable_bijection(k, k2)
-    if cert.verdict == UNFRIENDLY:
-        return
-    for f1, f2 in twin_leaf_pairs(k2):
-        swap = {f1: f2, f2: f1}
-        h = tuple(swap.get(f, f) for f in cert.witness)
-        assert is_realizable(k, k2, h)
+    h = cert.witness
+    images = []
+    for gen in k.automorphism_generators:
+        sigma = dict(gen)
+        images.append(tuple(h[sigma.get(e, e)] for e in range(len(h))))
+    for gen in k2.automorphism_generators:
+        t = dict(gen)
+        images.append(tuple(t.get(f, f) for f in h))
+    for image in images:
+        assert is_realizable(k, k2, image)
+        assert search_key(k, h) < search_key(k, image)
 
 
 def test_witness_is_first_realizable_in_search_order():
     # The search reaches bijections in lexicographic order of the images it
-    # gives the source edges in ``_edge_order``. Both twin cuts claim never
-    # to skip the first realizable one, so a plain scan in that order finds
+    # gives the source edges in ``_edge_order``. The automorphism cut claims
+    # never to skip the first realizable one, so a plain scan in that order finds
     # exactly the search's witness, or nothing when the verdict is unfriendly.
     for n in range(7):
         catalog = enumerate_trees(n).trees
@@ -507,15 +505,28 @@ def test_witness_is_first_realizable_in_search_order():
             assert (cert.verdict == FRIENDLY) == (first is not None)
 
 
+def test_cut_reaches_isomorphic_branches():
+    # Tree 229 of the 10-edge catalogue is a spider with five legs of length
+    # 2: its symmetries swap whole legs, branches of depth 2 with no twin
+    # leaves. Cutting only swaps of leaves leaves these two directions at
+    # 1,037,380 and 450,886 nodes. Search only: no 10! scan.
+    catalog = enumerate_trees(10).trees
+    for k, k2 in ((catalog[43], catalog[229]), (catalog[229], catalog[43])):
+        cert = find_realizable_bijection(k, k2)
+        assert cert.verdict == UNFRIENDLY
+        assert cert.nodes < 20_000
+
+
 @pytest.mark.slow
 def test_hardest_ten_edge_pair():
-    # (229, 38) is the 10-edge pair whose source, a spider with five legs of
-    # length 2, has no twin leaves; its target does. It is unfriendly both
-    # ways, and each direction is re-derived by the unpruned scan of all 10!
-    # bijections.
+    # (229, 38) is a 10-edge pair whose source, the spider with five legs of
+    # length 2, has only symmetries that swap whole legs; its target has
+    # twin leaves. The automorphism cut breaks both, so the search needs a
+    # few hundred nodes. The pair is unfriendly both ways, and each
+    # direction is re-derived by the unpruned scan of all 10! bijections.
     catalog = enumerate_trees(10).trees
     spider, target = catalog[229], catalog[38]
-    assert find_realizable_bijection(spider, target).nodes < 20_000
+    assert find_realizable_bijection(spider, target).nodes < 500
     for k, k2 in ((spider, target), (target, spider)):
         assert find_realizable_bijection(k, k2).verdict == UNFRIENDLY
         cert = exhaustive_search(k, k2)

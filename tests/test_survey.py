@@ -46,11 +46,11 @@ GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0"
 # they pin the search order, not just the verdicts. A change that alters the
 # search order on purpose re-pins them and says so.
 REPORT_SHA256 = {
-    7: "dd2fec6b60379892ca68fae0d6cb0e803ecbc4578aa177a8df7456d31bf26bc9",
-    8: "daa4b527ba81bb428b2e9b3e58d6218e0ec1e445ae1e70ac2a447a035744cfb5",
+    7: "7f0753b63e73913abc267fa65dbbd6959b37472908e5c2ca20b1bdbf6d28dff5",
+    8: "d59cc36ef56782537c2cc4e8ec8755873766ef88744c8e9e9bc918b62d0987dd",
 }
-G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=3295 checked=420\n"
-H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=1689 checked=100\n"
+G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=386 checked=47\n"
+H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=305 checked=13\n"
 # The same reports with every ``nodes=`` field stripped: verdicts, witnesses
 # and codes only. A pruning that never cuts the first realizable bijection in
 # search order moves the pins above but must leave these alone.
@@ -410,6 +410,21 @@ class TestConjecture:
         assert check.holds
         assert [r.edge_count for r in check.reports] == [1, 2, 3]
         assert not check.findings
+
+    @pytest.mark.parametrize(
+        "max_edges", [0, -1, survey.MAX_SURVEY_EDGES + 1, True, 3.0, "3", None]
+    )
+    def test_rejects_bad_edge_bound(self, max_edges):
+        bound = rf"max_edge_count must be an int in 1\.\.{survey.MAX_SURVEY_EDGES}, got"
+        with pytest.raises(ValueError, match=bound):
+            verify_conjecture(max_edges)
+
+    @pytest.mark.parametrize("jobs", [0, -2, 1.0, True])
+    def test_rejects_bad_jobs_before_surveying(self, jobs, monkeypatch):
+        # A survey would call None: the check must come before any survey.
+        monkeypatch.setattr(survey, "survey_pairs", None)
+        with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
+            verify_conjecture(1, jobs=jobs)
 
     def test_findings_are_the_unfriendly_rows(self):
         check = ConjectureCheck(tuple(survey_pairs(n) for n in range(1, 8)))

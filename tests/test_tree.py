@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -184,6 +184,98 @@ class TestSideTables:
         assert ends == tuple(3 << i for i in range(1499)) + tuple(
             (1 << i) | (1 << (1500 + i)) for i in range(1500)
         )
+
+
+def incidence_sets(t):
+    """The edge ids at each vertex, one frozenset per vertex."""
+    return {frozenset(eid for _, eid in nbrs) for nbrs in t.adjacency}
+
+
+def as_permutation(t, gen):
+    """A generator's moved ``(edge id, image)`` pairs as a full edge
+    permutation."""
+    perm = list(range(t.edge_count))
+    for e, f in gen:
+        perm[e] = f
+    return tuple(perm)
+
+
+def preserves_incidence(perm, stars):
+    return all(frozenset(perm[e] for e in s) in stars for s in stars)
+
+
+def generated_group_order(t):
+    """Order of the group of edge permutations the generators generate,
+    by closure from the identity."""
+    gens = [as_permutation(t, g) for g in t.automorphism_generators]
+    identity = tuple(range(t.edge_count))
+    seen = {identity}
+    frontier = [identity]
+    for p in frontier:
+        for g in gens:
+            q = tuple(p[x] for x in g)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+def edge_automorphism_count(t):
+    """Brute force: edge permutations that map the incident sets of the
+    vertices onto the incident sets of the vertices."""
+    stars = incidence_sets(t)
+    return sum(
+        preserves_incidence(p, stars) for p in permutations(range(t.edge_count))
+    )
+
+
+class TestAutomorphismGenerators:
+    def test_incidence_preserving_involutions_through_twelve_edges(self):
+        for n in range(13):
+            for t in enumerate_trees(n).trees:
+                stars = incidence_sets(t)
+                for gen in t.automorphism_generators:
+                    assert gen == tuple(sorted(gen))
+                    assert all(e != f for e, f in gen)
+                    perm = as_permutation(t, gen)
+                    assert all(perm[perm[e]] == e for e in range(n))
+                    assert preserves_incidence(perm, stars), (t, gen)
+
+    @given(trees(max_edges=12))
+    def test_incidence_preserving_involutions_in_any_labelling(self, t):
+        stars = incidence_sets(t)
+        for gen in t.automorphism_generators:
+            perm = as_permutation(t, gen)
+            assert all(perm[f] == e for e, f in gen)
+            assert preserves_incidence(perm, stars)
+
+    def test_generate_the_whole_group_through_seven_edges(self):
+        for n in range(8):
+            for t in enumerate_trees(n).trees:
+                assert generated_group_order(t) == edge_automorphism_count(t), t
+
+    def test_spider_swaps_whole_legs(self):
+        # Three legs of length 2 on a hub: two swaps of whole legs.
+        spider = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        assert spider.automorphism_generators == (
+            ((0, 2), (1, 3), (2, 0), (3, 1)),
+            ((2, 4), (3, 5), (4, 2), (5, 3)),
+        )
+
+    def test_bicentral_flip(self):
+        # PATH3 has two centroids with isomorphic halves: the flip.
+        assert PATH3.automorphism_generators == (((0, 2), (2, 0)),)
+        assert Tree(2, [(0, 1)]).automorphism_generators == ()
+
+    def test_deep_trees_need_no_recursion(self):
+        # LONG_PATH has 3,000 vertices: two centroids, the flip alone.
+        (flip,) = LONG_PATH.automorphism_generators
+        assert flip == tuple((e, 2998 - e) for e in range(2999) if e != 1499)
+        # The caterpillar's reversal, legs included, about spine edge 749.
+        (flip,) = CATERPILLAR.automorphism_generators
+        spine = [(e, 1498 - e) for e in range(1499) if e != 749]
+        legs = [(1499 + i, 2998 - i) for i in range(1500)]
+        assert flip == tuple(spine + legs)
 
 
 class TestCanonicalCode:
