@@ -48,6 +48,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    if not os.path.basename(args.out):
+        raise ValueError(f"output path names no file: {args.out!r}")
     if os.path.isdir(args.out):
         raise ValueError(f"output path is a directory: {args.out}")
     out_dir = os.path.dirname(os.path.abspath(args.out))

@@ -9,16 +9,12 @@ search that finds none certifies the pair unfriendly.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import permutations
-from typing import TypeVar
 from weakref import WeakKeyDictionary
 
 from .linking import unlinked
 from .tree import Tree, count, edge_mask, key_values, line_records, parse_ints
-
-T = TypeVar("T")
 
 # Image edge id at each source edge id.
 EdgeBijection = tuple[int, ...]
@@ -123,48 +119,49 @@ def _edge_order(k: Tree) -> list[int]:
     return sorted(range(k.edge_count), key=key)
 
 
-def _per_tree(build: Callable[[Tree], T]) -> Callable[[Tree], T]:
-    # Memoize ``build`` for as long as its tree lives: a survey reuses its
-    # trees, and a fresh tree per decision leaves nothing behind.
-    memo: WeakKeyDictionary[Tree, T] = WeakKeyDictionary()
-
-    def get(t: Tree) -> T:
-        out = memo.get(t)
-        if out is None:
-            out = memo[t] = build(t)
-        return out
-
-    return get
+# Each tree's plan, for as long as the tree lives: a survey reuses its trees
+# in both roles, and a tree made for one decision leaves nothing behind.
+_plans: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
 
 
-@_per_tree
-def _source_cut(k: Tree) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    # ``(pos, bounds)``: the search depth of each edge of ``k``, and per
-    # depth the earlier depths whose images bound it from below. A generator
-    # σ pairs the first depth ``d0`` whose edge it moves with ``d1``, the
-    # depth of that edge's image, and the search keeps ``img[d1] > img[d0]``.
-    order = _edge_order(k)
-    pos = [0] * len(order)
-    for depth, eid in enumerate(order):
-        pos[eid] = depth
-    bounds: list[list[int]] = [[] for _ in order]
-    for gen in k.automorphism_generators:
-        e0, e1 = min(gen, key=lambda moved: pos[moved[0]])
-        bounds[pos[e1]].append(pos[e0])
-    return pos, tuple(map(tuple, bounds))
-
-
-@_per_tree
-def _target_cut(k2: Tree) -> tuple[int, list[int], list[list[tuple]]]:
-    # ``(locked, hitmask, hits)`` for the generators of ``k2``, generator
-    # ``i`` as bit ``1 << i``. A generator ``t`` locks ``{f : t(f) < f}``
+def _plan(t: Tree) -> tuple:
+    # Everything the search reads of ``t`` but its side tables, in both roles.
+    # As source, ``pos, bounds, complete, checks``: the search depth of each
+    # edge; per depth the earlier depths whose images bound it from below (a
+    # generator σ pairs the first depth ``d0`` whose edge it moves with
+    # ``d1``, the depth of that edge's image, and the search keeps
+    # ``img[d1] > img[d0]``); per depth the vertices whose last edge it maps,
+    # each with the depths of all its edges; and per depth the even-distance
+    # pairs checked there, once both vertices are complete.
+    # As target, ``locked, hitmask, hits`` for the generators, generator
+    # ``i`` as bit ``1 << i``. A generator locks the images it maps lower
     # until it is hit, that is until an image it moves is used. ``locked``
     # is what all generators lock; ``hitmask[f]`` is the generators that
     # move ``f``, and ``hits[f]`` pairs each with its ``(f', lockers)``,
     # ``f'`` an image it locks and ``lockers`` every generator that locks
     # ``f'``.
-    n = k2.edge_count
-    gens = k2.automorphism_generators
+    plan = _plans.get(t)
+    if plan is not None:
+        return plan
+    n = t.edge_count
+    gens = t.automorphism_generators
+    pos = [0] * n
+    for depth, eid in enumerate(_edge_order(t)):
+        pos[eid] = depth
+    bounds: list[list[int]] = [[] for _ in range(n)]
+    for gen in gens:
+        e0, e1 = min(gen, key=lambda moved: pos[moved[0]])
+        bounds[pos[e1]].append(pos[e0])
+    done = []
+    complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for v, nbrs in enumerate(t.adjacency):
+        at = tuple(sorted(pos[e] for _, e in nbrs))
+        done.append(at[-1])
+        complete[at[-1]].append((v, at))
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b in even_vertex_pairs(t):
+        checks[max(done[a], done[b])].append((a, b))
+
     lockers = [0] * n
     for i, gen in enumerate(gens):
         for f, tf in gen:
@@ -178,7 +175,8 @@ def _target_cut(k2: Tree) -> tuple[int, list[int], list[list[tuple]]]:
         for f, _ in gen:
             hitmask[f] |= 1 << i
             hits[f].append((1 << i, unlocks))
-    return locked, hitmask, hits
+    plan = _plans[t] = (pos, bounds, complete, checks, locked, hitmask, hits)
+    return plan
 
 
 def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
@@ -213,8 +211,9 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     operations per node: each depth's candidates are the unused, unlocked
     images above its source bounds; a per-depth mask holds the target
     generators not yet hit, and hitting one unlocks, of the images it
-    locked, those no other unhit generator locks. The generators and both
-    rules' tables are built once per tree.
+    locked, those no other unhit generator locks. Every table the search
+    reads of a tree, its generators, cut tables and constraint schedule, is
+    built once per tree, by one memoized plan that serves both roles.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check is two mask tests: when a source
@@ -232,18 +231,8 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     if n == 0:
         return Certificate(FRIENDLY, (), 0, 1)
 
-    pos, bounds = _source_cut(k)
-    locked, hitmask, hits = _target_cut(k2)
-    # A vertex is complete at the depth that maps its last edge; each
-    # constraint is checked at the depth where both its vertices are.
-    ats = [tuple(sorted(pos[e] for _, e in nbrs)) for nbrs in k.adjacency]
-    done = [at[-1] for at in ats]
-    complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for v, at in enumerate(ats):
-        complete[done[v]].append((v, at))
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in even_vertex_pairs(k):
-        checks[max(done[a], done[b])].append((a, b))
+    pos, bounds, complete, checks = _plan(k)[:4]
+    locked, hitmask, hits = _plan(k2)[4:]
     below, ends = k2.side_tables
 
     img = [0] * n  # image of the edge mapped at each depth

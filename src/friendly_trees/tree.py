@@ -24,6 +24,8 @@ def edge_mask(ids: Iterable[int]) -> int:
 
 def mask_ids(mask: int) -> tuple[int, ...]:
     """Edge ids present in ``mask``, ascending."""
+    if type(mask) is not int or mask < 0:
+        raise ValueError(f"edge mask must be a non-negative int, got {mask!r}")
     out = []
     while mask:
         low = mask & -mask

@@ -151,6 +151,19 @@ class TestSurvey:
         assert main(["survey", "--edges", "1", "--out", out]) == 1
         assert capsys.readouterr().err == f"error: output path is a directory: {out}\n"
 
+    @pytest.mark.parametrize("name", ["", "new/", "existing/"])
+    def test_output_names_no_file(self, name, tmp_path, capsys, monkeypatch):
+        # refused before any pair is surveyed, naming the path given
+        def no_survey(*args, **kwargs):
+            raise AssertionError("survey_pairs called")
+
+        monkeypatch.setattr(cli, "survey_pairs", no_survey)
+        (tmp_path / "existing").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["survey", "--edges", "1", "--out", name]) == 1
+        assert capsys.readouterr().err == f"error: output path names no file: {name!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+
     def test_bad_jobs(self, tmp_path, capsys):
         out = str(tmp_path / "x.report")
         assert main(["survey", "--edges", "1", "--out", out, "--jobs", "0"]) == 1

@@ -126,17 +126,39 @@ class TestFindRealizableBijection:
         a = find_realizable_bijection(build_H(), build_G())
         assert a == find_realizable_bijection(build_H(), build_G())
 
-    def test_cut_tables_built_once_per_tree_and_not_kept(self):
-        # A survey reuses its trees; a tree made for one decision must not
-        # outlive it through the tables' memo.
+    def test_plan_built_once_per_tree_for_both_roles_and_not_kept(self, monkeypatch):
+        # A survey reuses its trees as source and as target; a tree made for
+        # one decision must not outlive it through the plans' memo.
+        built = []
+        edge_order = realizability._edge_order
+        monkeypatch.setattr(
+            realizability, "_edge_order", lambda t: built.append(t) or edge_order(t)
+        )
         g, h = build_G(), build_H()
         find_realizable_bijection(g, h)
-        assert realizability._source_cut(g) is realizability._source_cut(g)
-        assert realizability._target_cut(h) is realizability._target_cut(h)
+        find_realizable_bijection(h, g)
+        find_realizable_bijection(g, g)
+        assert built == [g, h]
+        assert realizability._plan(g) is realizability._plan(g)
         refs = weakref.ref(g), weakref.ref(h)
-        del g, h
+        del g, h, built
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+    def test_planned_pair_reads_no_vertex_pairs(self, monkeypatch):
+        # The constraint schedule is part of the plan: deciding a pair again
+        # walks no even-distance pair list.
+        calls = []
+        pairs = realizability.even_vertex_pairs
+        monkeypatch.setattr(
+            realizability, "even_vertex_pairs", lambda t: calls.append(t) or pairs(t)
+        )
+        g, h = build_G(), build_H()
+        first = find_realizable_bijection(g, h)
+        assert calls
+        calls.clear()
+        assert find_realizable_bijection(g, h) == first
+        assert calls == []
 
     def test_agrees_with_unpruned_search_up_to_six_edges(self):
         for n in range(7):

@@ -345,6 +345,12 @@ class TestEdgeMasks:
         assert edge_mask([]) == 0
         assert mask_ids(0) == ()
 
+    @pytest.mark.parametrize("mask", [-1, -8, True, False, 1.0, "3", None])
+    def test_rejects_a_non_mask(self, mask):
+        # A negative int never empties under ``mask ^= low``.
+        with pytest.raises(ValueError, match="edge mask must be a non-negative int"):
+            mask_ids(mask)
+
 
 class TestTextFormat:
     def test_round_trip(self):
