@@ -14,7 +14,7 @@ from itertools import permutations
 from weakref import WeakKeyDictionary
 
 from .linking import unlinked
-from .tree import Tree, count, edge_mask, key_values, line_records, parse_ints
+from .tree import Tree, count, key_values, line_records, parse_ints
 
 # Image edge id at each source edge id.
 EdgeBijection = tuple[int, ...]
@@ -133,13 +133,10 @@ def _plan(t: Tree) -> tuple:
     # ``img[d1] > img[d0]``); per depth the vertices whose last edge it maps,
     # each with the depths of all its edges; and per depth the even-distance
     # pairs checked there, once both vertices are complete.
-    # As target, ``locked, hitmask, hits`` for the generators, generator
-    # ``i`` as bit ``1 << i``. A generator locks the images it maps lower
-    # until it is hit, that is until an image it moves is used. ``locked``
-    # is what all generators lock; ``hitmask[f]`` is the generators that
-    # move ``f``, and ``hits[f]`` pairs each with its ``(f', lockers)``,
-    # ``f'`` an image it locks and ``lockers`` every generator that locks
-    # ``f'``.
+    # As target, ``lockers, hitmask``: per image ``f``, the generators that
+    # map ``f`` lower and the generators that move ``f``, generator ``i`` as
+    # bit ``1 << i``. A generator locks the images it maps lower until it is
+    # hit, that is until an image it moves is used.
     plan = _plans.get(t)
     if plan is not None:
         return plan
@@ -163,19 +160,13 @@ def _plan(t: Tree) -> tuple:
         checks[max(done[a], done[b])].append((a, b))
 
     lockers = [0] * n
+    hitmask = [0] * n
     for i, gen in enumerate(gens):
         for f, tf in gen:
+            hitmask[f] |= 1 << i
             if tf < f:
                 lockers[f] |= 1 << i
-    locked = edge_mask(f for f in range(n) if lockers[f])
-    hitmask = [0] * n
-    hits: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(n)]
-    for i, gen in enumerate(gens):
-        unlocks = tuple((f, lockers[f]) for f, tf in gen if tf < f)
-        for f, _ in gen:
-            hitmask[f] |= 1 << i
-            hits[f].append((1 << i, unlocks))
-    plan = _plans[t] = (pos, bounds, complete, checks, locked, hitmask, hits)
+    plan = _plans[t] = (pos, bounds, complete, checks, lockers, hitmask)
     return plan
 
 
@@ -208,12 +199,14 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     prefix of it is cut either. The search is therefore deterministic and
     returns it, or an exhaustion certificate if there is none. ``nodes`` and
     ``checked`` count what the cuts leave. The rules cost a few mask
-    operations per node: each depth's candidates are the unused, unlocked
-    images above its source bounds; a per-depth mask holds the target
-    generators not yet hit, and hitting one unlocks, of the images it
-    locked, those no other unhit generator locks. Every table the search
-    reads of a tree, its generators, cut tables and constraint schedule, is
-    built once per tree, by one memoized plan that serves both roles.
+    operations per node: each depth's candidates are the unused images
+    above its source bounds, and a per-depth mask holds the target
+    generators not yet hit. A candidate is skipped, before it counts as a
+    node, while an unhit generator maps it lower; using an image hits every
+    generator that moves it, and a hit generator stays hit. Every table the
+    search reads of a tree, its generators, cut tables and constraint
+    schedule, is built once per tree, by one memoized plan that serves both
+    roles.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check is two mask tests: when a source
@@ -232,7 +225,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         return Certificate(FRIENDLY, (), 0, 1)
 
     pos, bounds, complete, checks = _plan(k)[:4]
-    locked, hitmask, hits = _plan(k2)[4:]
+    lockers, hitmask = _plan(k2)[4:]
     below, ends = k2.side_tables
 
     img = [0] * n  # image of the edge mapped at each depth
@@ -240,11 +233,11 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     side = [0] * k.vertex_count
     span = [0] * k.vertex_count
     todo = [0] * n  # candidate images not yet tried at each depth
-    # On entry to each depth: the unused, unlocked images, and the target
-    # generators not yet hit.
-    frees = [0] * n
+    # On entry to each depth: the unused images, and the target generators
+    # not yet hit.
+    unused = [0] * n
     unhit = [0] * n
-    frees[0] = todo[0] = ((1 << n) - 1) & ~locked
+    unused[0] = todo[0] = (1 << n) - 1
     unhit[0] = (1 << len(k2.automorphism_generators)) - 1
     last = n - 1
     depth = nodes = checked = 0
@@ -256,7 +249,10 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
             continue
         low = cand & -cand
         todo[depth] = cand ^ low
-        img[depth] = low.bit_length() - 1
+        f = low.bit_length() - 1
+        if unhit[depth] & lockers[f]:
+            continue
+        img[depth] = f
         nodes += 1
         for v, at in complete[depth]:
             s = e = 0
@@ -284,18 +280,11 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
                 witness = tuple(img[pos[eid]] for eid in range(n))
                 break
         elif ok:
-            f = img[depth]
-            free = frees[depth] ^ low
-            live = unhit[depth]
-            if live & hitmask[f]:
-                for bit, unlocks in hits[f]:
-                    if live & bit:
-                        live ^= bit
-                        for g, lockers in unlocks:
-                            if not live & lockers:
-                                free |= 1 << g
+            # ``img[depth]``, not ``f``: the ``complete`` loop rebinds ``f``.
+            free = unused[depth] ^ low
+            live = unhit[depth] & ~hitmask[img[depth]]
             depth += 1
-            frees[depth] = free
+            unused[depth] = free
             unhit[depth] = live
             for d in bounds[depth]:
                 free &= ~((2 << img[d]) - 1)

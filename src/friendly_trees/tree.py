@@ -60,7 +60,14 @@ class Tree:
         n = vertex_count
         if n < 1:
             raise ValueError("vertex_count must be positive")
-        edge_list = tuple((u, v) for u, v in edges)
+        pairs = []
+        for eid, edge in enumerate(edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ItemError(eid, f"edge {edge!r} is not a pair of vertex ids") from None
+            pairs.append((u, v))
+        edge_list = tuple(pairs)
         if len(edge_list) != n - 1:
             raise ValueError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}"
@@ -208,6 +215,9 @@ class Tree:
 
 
 def _check_vertex(t: Tree, v: int) -> None:
+    # A bool is an int subclass and would act as vertex 0 or 1.
+    if type(v) is not int:
+        raise ValueError(f"vertex id must be an int, got {v!r}")
     if not (0 <= v < t.vertex_count):
         raise ValueError(f"vertex id {v} outside 0..{t.vertex_count - 1}")
 

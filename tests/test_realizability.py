@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from itertools import combinations_with_replacement, permutations, product
@@ -341,6 +342,27 @@ def test_exhaustive_search_checks_every_bijection_at_eight_edges(edges_a, edges_
         assert cert.checked == cert.nodes == factorial(8) == 40320
 
 
+def test_search_output_pinned_through_eight_edges():
+    # Every ordered catalogue pair with 1-8 edges. The totals and the hash of
+    # the certificates catch a cut that keeps more or fewer nodes, or another
+    # witness, even when every verdict still holds.
+    digest = hashlib.sha256()
+    unfriendly = nodes = checked = pairs = 0
+    for n in range(1, 9):
+        catalog = enumerate_trees(n).trees
+        for k, k2 in product(catalog, repeat=2):
+            cert = find_realizable_bijection(k, k2)
+            digest.update(certificate_to_text(cert).encode())
+            pairs += 1
+            unfriendly += cert.verdict == UNFRIENDLY
+            nodes += cert.nodes
+            checked += cert.checked
+    assert (pairs, unfriendly, nodes, checked) == (2910, 8, 188_043, 12_638)
+    assert digest.hexdigest() == (
+        "0222ba532d1a4554654a78467b627674d618d1ef0fee6cd24f7d1a530a403ec9"
+    )
+
+
 # The unordered unfriendly pairs of the 9-edge catalogue, by index.
 CATALOG9_UNFRIENDLY = {(9, 101), (9, 102), (16, 101), (41, 97), (60, 75), (74, 87), (74, 88)}
 
@@ -349,15 +371,20 @@ CATALOG9_UNFRIENDLY = {(9, 101), (9, 102), (16, 101), (41, 97), (60, 75), (74, 8
 def test_nine_edge_sweep():
     # All 11,236 ordered pairs of the 106 trees with 9 edges. Each unfriendly
     # pair is unfriendly both ways, and each of the 14 directed cases is
-    # re-derived by the unpruned scan of all 9! bijections.
+    # re-derived by the unpruned scan of all 9! bijections. The node and
+    # check totals pin what the cuts leave.
     catalog = enumerate_trees(9).trees
     assert len(catalog) == 106
-    unfriendly = [
-        (i, j)
-        for i, a in enumerate(catalog)
-        for j, b in enumerate(catalog)
-        if find_realizable_bijection(a, b).verdict == UNFRIENDLY
-    ]
+    unfriendly = []
+    nodes = checked = 0
+    for i, a in enumerate(catalog):
+        for j, b in enumerate(catalog):
+            cert = find_realizable_bijection(a, b)
+            nodes += cert.nodes
+            checked += cert.checked
+            if cert.verdict == UNFRIENDLY:
+                unfriendly.append((i, j))
+    assert (nodes, checked) == (2_642_201, 81_651)
     both_ways = CATALOG9_UNFRIENDLY | {(j, i) for i, j in CATALOG9_UNFRIENDLY}
     assert sorted(unfriendly) == sorted(both_ways)
     for i, j in unfriendly:

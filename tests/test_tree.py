@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -73,6 +74,32 @@ class TestConstruction:
         with pytest.raises(ItemError, match="not an int") as err:
             Tree(3, [(0, 1), (1.0, 2)])
         assert err.value.index == 1
+
+    @pytest.mark.parametrize(
+        "edges, index, shown",
+        [
+            ([(0, 1, 2), (1, 2)], 0, "(0, 1, 2)"),
+            ([0, 1], 0, "0"),
+            ([(0, 1), (2,)], 1, "(2,)"),
+            ([(0, 1), None], 1, "None"),
+        ],
+    )
+    def test_rejects_an_edge_that_is_not_a_pair(self, edges, index, shown):
+        with pytest.raises(ItemError, match=re.escape(f"edge {shown} is not a pair")) as err:
+            Tree(3, edges)
+        assert err.value.index == index
+
+
+@pytest.mark.parametrize(
+    "query",
+    [delta, lambda t, v: parity(t, 0, v), lambda t, v: path_edges(t, 0, v)],
+    ids=["delta", "parity", "path_edges"],
+)
+@pytest.mark.parametrize("v", [1.0, 1.5, 2.0, "1", True, False, None])
+def test_rejects_a_vertex_id_that_is_not_an_int(query, v):
+    # A bool would otherwise act as vertex 0 or 1, a float or str fail deep inside.
+    with pytest.raises(ValueError, match=re.escape(f"vertex id must be an int, got {v!r}")):
+        query(PATH3, v)
 
 
 class TestPathEdges:
