@@ -19,27 +19,20 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .tree import Tree, path_edges
+from .tree import Tree, mask_ids, path_edges
 
 
 def _check_edge_set(t: Tree, mask: int, name: str) -> None:
     if type(mask) is not int:
         raise ValueError(f"{name} must be an int edge mask, got {mask!r}")
     if mask < 0 or mask >> t.edge_count:
-        raise ValueError(f"{name} has edge ids outside 0..{t.edge_count - 1}")
+        raise ValueError(f"{name} has edge ids outside 0..{t.edge_count - 1}, got {mask}")
 
 
 def endpoints(t: Tree, mask: int) -> tuple[int, ...]:
     """Sorted distinct endpoints of the edges in ``mask``."""
-    seen: set[int] = set()
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        u, v = t.edges[low.bit_length() - 1]
-        seen.add(u)
-        seen.add(v)
-    return tuple(sorted(seen))
+    _check_edge_set(t, mask, "mask")
+    return tuple(sorted({v for f in mask_ids(mask) for v in t.edges[f]}))
 
 
 def _side_and_ends(t: Tree, mask: int) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from functools import partial
 from .enumeration import MAX_CATALOG_EDGES, enumerate_trees
 from .realizability import (
     FRIENDLY,
+    MAX_RECHECK_EDGES,
     UNFRIENDLY,
     Certificate,
     EdgeBijection,
@@ -28,7 +29,10 @@ from .realizability import (
 )
 from .tree import Tree, count, key_values, line_records, parse_ints
 
-MAX_SURVEY_EDGES = 8
+_RECHECK_BOUND = (
+    "each unfriendly row is rechecked by the unpruned scan, "
+    f"which supports at most {MAX_RECHECK_EDGES}"
+)
 
 
 def build_G() -> Tree:
@@ -131,9 +135,9 @@ def survey_pairs(edge_count: int, jobs: int = 1) -> SurveyReport:
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
-    if not 0 <= edge_count <= MAX_SURVEY_EDGES:
+    if not 0 <= edge_count <= MAX_RECHECK_EDGES:
         raise ValueError(
-            f"surveys support 0..{MAX_SURVEY_EDGES} edges, got {edge_count}"
+            f"surveys support 0..{MAX_RECHECK_EDGES} edges ({_RECHECK_BOUND}), got {edge_count}"
         )
     _check_jobs(jobs)
     catalog = enumerate_trees(edge_count)
@@ -354,12 +358,13 @@ class ConjectureCheck:
 def verify_conjecture(max_edge_count: int = 6, jobs: int = 1) -> ConjectureCheck:
     """Survey every pair with 1..max_edge_count edges and report the outcome.
 
-    ``max_edge_count`` is an int in ``1..MAX_SURVEY_EDGES`` and ``jobs`` an
+    ``max_edge_count`` is an int in ``1..MAX_RECHECK_EDGES`` and ``jobs`` an
     int of at least 1, checked before any survey runs.
     """
-    if type(max_edge_count) is not int or not 1 <= max_edge_count <= MAX_SURVEY_EDGES:
+    if type(max_edge_count) is not int or not 1 <= max_edge_count <= MAX_RECHECK_EDGES:
         raise ValueError(
-            f"max_edge_count must be an int in 1..{MAX_SURVEY_EDGES}, got {max_edge_count!r}"
+            f"max_edge_count must be an int in 1..{MAX_RECHECK_EDGES} ({_RECHECK_BOUND}), "
+            f"got {max_edge_count!r}"
         )
     _check_jobs(jobs)
     reports = tuple(

@@ -18,6 +18,8 @@ def edge_mask(ids: Iterable[int]) -> int:
     """Bitmask with the given edge ids set."""
     m = 0
     for i in ids:
+        if type(i) is not int or i < 0:
+            raise ValueError(f"edge id must be a non-negative int, got {i!r}")
         m |= 1 << i
     return m
 

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from friendly_trees.tree import Tree
 
+# The unordered unfriendly pairs of the 9-edge catalogue, by index.
+CATALOG9_UNFRIENDLY = {(9, 101), (9, 102), (16, 101), (41, 97), (60, 75), (74, 87), (74, 88)}
+
 
 def attachment_tree(parents: list[int]) -> Tree:
     """Tree where vertex ``i + 1`` hangs off ``parents[i]`` (a valid parent is

@@ -5,6 +5,7 @@ import pytest
 from friendly_trees import cli
 from friendly_trees import survey as survey_module
 from friendly_trees.cli import main
+from friendly_trees.realizability import MAX_RECHECK_EDGES
 from friendly_trees.survey import build_G, build_H, parse_report, verify_report_witnesses
 from friendly_trees.tree import format_tree, parse_tree
 
@@ -132,9 +133,20 @@ class TestSurvey:
         assert len(matches) == 1
         assert matches[0].verdict == "unfriendly"
 
-    def test_out_of_range(self, tmp_path, capsys):
-        assert main(["survey", "--edges", "9", "--out", str(tmp_path / "x")]) == 1
-        assert "surveys support" in capsys.readouterr().err
+    def test_out_of_range(self, tmp_path, capsys, monkeypatch):
+        # Refused before any catalogue is built, naming the recheck's bound.
+        def no_catalogue(edge_count):
+            raise AssertionError(f"enumerate_trees({edge_count}) called")
+
+        monkeypatch.setattr(survey_module, "enumerate_trees", no_catalogue)
+        n = MAX_RECHECK_EDGES + 1
+        assert main(["survey", "--edges", str(n), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: surveys support 0..{MAX_RECHECK_EDGES} edges (each unfriendly row is "
+            f"rechecked by the unpruned scan, which supports at most {MAX_RECHECK_EDGES}), "
+            f"got {n}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self, tmp_path, capsys):
         missing_dir = str(tmp_path / "no" / "such" / "dir" / "x.report")

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -62,6 +63,23 @@ class TestSameSide:
                 same_side(PATH3, bad, 0)
             with pytest.raises(ValueError, match="^q must be an int edge mask"):
                 same_side_bruteforce(PATH3, 0, bad)
+
+
+class TestEndpoints:
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            (-1, "mask has edge ids outside 0..2, got -1"),
+            (1 << 40, f"mask has edge ids outside 0..2, got {1 << 40}"),
+            (0b1000, "mask has edge ids outside 0..2, got 8"),
+            (True, "mask must be an int edge mask, got True"),
+            (1.0, "mask must be an int edge mask, got 1.0"),
+        ],
+    )
+    def test_rejects_a_non_mask(self, mask, message):
+        # Unchecked, a stray bit indexes past the edge list.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            endpoints(PATH3, mask)
 
 
 class TestUnlinked:

@@ -29,7 +29,7 @@ from friendly_trees.realizability import (
 from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
 
-from helpers import random_tree, trees
+from helpers import CATALOG9_UNFRIENDLY, random_tree, trees
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR3 = Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -361,10 +361,6 @@ def test_search_output_pinned_through_eight_edges():
     assert digest.hexdigest() == (
         "0222ba532d1a4554654a78467b627674d618d1ef0fee6cd24f7d1a530a403ec9"
     )
-
-
-# The unordered unfriendly pairs of the 9-edge catalogue, by index.
-CATALOG9_UNFRIENDLY = {(9, 101), (9, 102), (16, 101), (41, 97), (60, 75), (74, 87), (74, 88)}
 
 
 @pytest.mark.slow

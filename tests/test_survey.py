@@ -14,6 +14,7 @@ from friendly_trees import realizability, survey
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.realizability import (
     FRIENDLY,
+    MAX_RECHECK_EDGES,
     UNFRIENDLY,
     Certificate,
     certificate_to_text,
@@ -37,6 +38,8 @@ from friendly_trees.survey import (
 )
 from friendly_trees.tree import canonical_code, is_isomorphic, parity, path_edges
 
+from helpers import CATALOG9_UNFRIENDLY
+
 
 GOOD_HEAD = "SURVEY edges=1 trees=1 pairs=1"
 GOOD_ROW = "PAIR 0 0 (()) (()) friendly 0"
@@ -48,6 +51,7 @@ GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0"
 REPORT_SHA256 = {
     7: "7f0753b63e73913abc267fa65dbbd6959b37472908e5c2ca20b1bdbf6d28dff5",
     8: "d59cc36ef56782537c2cc4e8ec8755873766ef88744c8e9e9bc918b62d0987dd",
+    9: "818bd0a61809b8ca03734f15022b994c239cb51050b5659117c7f647d1c293f3",
 }
 G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=386 checked=47\n"
 H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=305 checked=13\n"
@@ -57,7 +61,18 @@ H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=305 checked=13\n"
 WITNESS_SHA256 = {
     7: "7f1e5e8a06e070d52528216474a22c4250925f19399379b3ab32926a7dcb861e",
     8: "a6c4def1adc4373c7407554934dc18bb956780df6dd7865aabd2d90d51be0553",
+    9: "1b34b72509b33adbd4590be4e8f4d116db23736a65769f7c718a5dd090757f23",
 }
+# The 9-edge survey takes seconds, so its pins run with the ``slow`` set.
+PINNED_EDGES = [7, 8, pytest.param(9, marks=pytest.mark.slow)]
+RECHECK_BOUND = (
+    "each unfriendly row is rechecked by the unpruned scan, "
+    f"which supports at most {MAX_RECHECK_EDGES}"
+)
+
+
+def no_catalogue(edge_count):
+    raise AssertionError(f"enumerate_trees({edge_count}) called")
 
 
 @lru_cache(maxsize=None)
@@ -126,11 +141,13 @@ class TestSurveyPairs:
             if row.index_a == row.index_b:
                 assert row.verdict == FRIENDLY
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="surveys support"):
-            survey_pairs(9)
-        with pytest.raises(ValueError, match="surveys support"):
-            survey_pairs(-1)
+    def test_rejects_out_of_range(self, monkeypatch):
+        # Refused before any catalogue is built, naming the recheck's bound.
+        monkeypatch.setattr(survey, "enumerate_trees", no_catalogue)
+        for n in (MAX_RECHECK_EDGES + 1, -1):
+            message = f"surveys support 0..{MAX_RECHECK_EDGES} edges ({RECHECK_BOUND}), got {n}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                survey_pairs(n)
         # 3.0 would reach the report header as "edges=3.0", which
         # parse_report rejects
         for n in (3.0, True, "3", None):
@@ -151,16 +168,23 @@ class TestSurveyPairs:
                 catalog.trees[row.index_a], catalog.trees[row.index_b], row.witness
             )
 
-    @pytest.mark.parametrize("edges", sorted(REPORT_SHA256))
+    @pytest.mark.parametrize("edges", PINNED_EDGES)
     def test_report_bytes_pinned(self, edges):
         text = report_text(edges)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_SHA256[edges]
 
-    @pytest.mark.parametrize("edges", sorted(WITNESS_SHA256))
+    @pytest.mark.parametrize("edges", PINNED_EDGES)
     def test_report_witnesses_pinned(self, edges):
         text = re.sub(r" nodes=\d+", "", report_text(edges))
         assert "nodes=" not in text
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == WITNESS_SHA256[edges]
+
+    @pytest.mark.slow
+    def test_nine_edge_unfriendly_rows(self):
+        report = parse_report(report_text(9))
+        assert (report.tree_count, report.pair_count) == (106, 5671)
+        unfriendly = {(r.index_a, r.index_b) for r in report.rows if r.verdict == UNFRIENDLY}
+        assert unfriendly == CATALOG9_UNFRIENDLY
 
     def test_fixture_certificates_pinned(self):
         g, h = build_G(), build_H()
@@ -412,11 +436,13 @@ class TestConjecture:
         assert not check.findings
 
     @pytest.mark.parametrize(
-        "max_edges", [0, -1, survey.MAX_SURVEY_EDGES + 1, True, 3.0, "3", None]
+        "max_edges", [0, -1, MAX_RECHECK_EDGES + 1, True, 3.0, "3", None]
     )
-    def test_rejects_bad_edge_bound(self, max_edges):
-        bound = rf"max_edge_count must be an int in 1\.\.{survey.MAX_SURVEY_EDGES}, got"
-        with pytest.raises(ValueError, match=bound):
+    def test_rejects_bad_edge_bound(self, max_edges, monkeypatch):
+        # Refused before any catalogue is built, naming the recheck's bound.
+        monkeypatch.setattr(survey, "enumerate_trees", no_catalogue)
+        bound = f"max_edge_count must be an int in 1..{MAX_RECHECK_EDGES} ({RECHECK_BOUND}), got "
+        with pytest.raises(ValueError, match=re.escape(bound + repr(max_edges))):
             verify_conjecture(max_edges)
 
     @pytest.mark.parametrize("jobs", [0, -2, 1.0, True])

@@ -378,6 +378,13 @@ class TestEdgeMasks:
         with pytest.raises(ValueError, match="edge mask must be a non-negative int"):
             mask_ids(mask)
 
+    @pytest.mark.parametrize("eid", [-1, True, False, 1.0, "3", None])
+    def test_rejects_a_non_edge_id(self, eid):
+        # ``1 << True`` is 2 and ``1 << -1`` a bare shift error.
+        message = f"edge id must be a non-negative int, got {eid!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            edge_mask([0, eid])
+
 
 class TestTextFormat:
     def test_round_trip(self):
