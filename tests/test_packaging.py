@@ -1,0 +1,17 @@
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PIN = re.compile(r"([A-Za-z0-9_.-]+)==([A-Za-z0-9_.+-]+)")
+
+
+def test_ci_installs_the_pinned_test_extra():
+    # CI installs the test tools by hand; the ``test`` extra of
+    # pyproject.toml pins the same versions. Read as text: Python 3.10 has
+    # no tomllib.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    ci = [line for line in workflow.splitlines() if "pip install" in line]
+    assert len(ci) == 1
+    extra = re.search(r"^test = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+    assert extra is not None
+    assert dict(PIN.findall(extra.group(1))) == dict(PIN.findall(ci[0])) != {}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from friendly_trees import realizability
 from friendly_trees.enumeration import enumerate_trees
-from friendly_trees.linking import unlinked_bruteforce
+from friendly_trees.linking import unlinked, unlinked_bruteforce
 from friendly_trees.realizability import (
     FRIENDLY,
     MAX_RECHECK_EDGES,
@@ -221,6 +221,13 @@ class TestRecheckCertificate:
         g, h = build_G(), build_H()
         assert recheck_certificate(g, h, find_realizable_bijection(g, h)) is True
         assert scans == [5040]
+
+    def test_unfriendly_with_a_witness(self, monkeypatch):
+        # An unfriendly verdict carries no witness, as a friendly one always
+        # carries one; such a certificate fails without a scan.
+        monkeypatch.setattr(realizability, "exhaustive_search", None)
+        claim = Certificate(UNFRIENDLY, tuple(range(7)), 1, 1)
+        assert recheck_certificate(build_G(), build_H(), claim) is False
 
     def test_rejects_mismatched_trees(self):
         cert = find_realizable_bijection(PATH3, STAR3)
@@ -437,6 +444,52 @@ def test_exhaustive_search_matches_bruteforce_scan_up_to_five_edges():
                 cert = exhaustive_search(a, b2)
                 expected = bruteforce_scan(a, b2)
                 assert (cert.verdict, cert.witness, cert.checked) == expected, (a, b2)
+
+
+def test_constraint_order_moves_no_witness():
+    # The scan tries the last failing constraint first. Listing the target's
+    # edges in other orders moves the first witness around the scan, and
+    # with it the order the constraints reach by then.
+    rng = random.Random(6)
+    trees = enumerate_trees(6).trees
+    for a, b in product(trees, repeat=2):
+        for _ in range(3):
+            order = list(range(6))
+            rng.shuffle(order)
+            b2 = Tree(b.vertex_count, [b.edges[i] for i in order])
+            cert = exhaustive_search(a, b2)
+            assert (cert.verdict, cert.witness, cert.checked) == bruteforce_scan(a, b2), (a, b2)
+
+
+def counted_scan(monkeypatch, k, k2):
+    """The certificate of ``exhaustive_search`` and its ``unlinked`` calls,
+    one per distinct image pair it decided."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(realizability, "unlinked", lambda t, p, q: calls.append(1) or unlinked(t, p, q))
+        return exhaustive_search(k, k2), len(calls)
+
+
+def test_scan_tries_the_last_failing_constraint_first(monkeypatch):
+    # The image pairs the scan decides depend on the order it tries the
+    # constraints in, so their count pins that order: a fixed order decides
+    # 519 and 362 of them.
+    g, h = build_G(), build_H()
+    assert counted_scan(monkeypatch, g, h) == (Certificate(UNFRIENDLY, None, 5040, 5040), 587)
+    assert counted_scan(monkeypatch, h, g) == (Certificate(UNFRIENDLY, None, 5040, 5040), 374)
+
+
+def test_scan_keeps_no_order_between_calls(monkeypatch):
+    # Scans of different pairs, interleaved and repeated: a repeat that
+    # started from an order an earlier call left behind would decide other
+    # image pairs, or test the wrong tree's constraints.
+    cases = [tuple(Tree(9, edges) for edges in pair) for pair in CATALOG8_UNFRIENDLY[:2]]
+    cases.append((build_G(), build_G()))
+    first = [counted_scan(monkeypatch, k, k2) for k, k2 in cases]
+    assert [cert.verdict for cert, _ in first] == [UNFRIENDLY, UNFRIENDLY, FRIENDLY]
+    for i in reversed(range(len(cases))):
+        assert counted_scan(monkeypatch, *cases[i]) == first[i]
+    assert [counted_scan(monkeypatch, k, k2) for k, k2 in cases] == first
 
 
 def test_exhaustive_search_is_bounded():
