@@ -293,8 +293,14 @@ def _rooted(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[in
 
 
 def vertex_adjacency(t: Tree) -> list[list[int]]:
-    """Plain neighbor lists, without edge ids."""
-    return [[y for y, _ in nbrs] for nbrs in t.adjacency]
+    """Plain neighbor lists, without edge ids, each in edge-id order as in
+    ``Tree.adjacency``. Read straight from ``t.edges``, so a tree that only
+    needs a canonical code never builds and caches ``Tree.adjacency``."""
+    adj: list[list[int]] = [[] for _ in range(t.vertex_count)]
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def centroids(n: int, adj: Sequence[Sequence[int]]) -> list[int]:

@@ -8,6 +8,7 @@ import pytest
 from friendly_trees import enumeration
 from friendly_trees.enumeration import (
     _census_key,
+    _decode_prufer,
     decode_prufer,
     enumerate_trees,
     prufer_oracle_count,
@@ -68,6 +69,24 @@ class TestDecodePrufer:
 
     def test_two_vertices(self):
         assert decode_prufer((), 2) == [(0, 1)]
+
+    @pytest.mark.parametrize("seq, m, message", [
+        ((0,), 2, "has 0 entries, got 1"),
+        ((), 3, "has 1 entries, got 0"),
+        ((0, 1), 3, "has 1 entries, got 2"),
+        ((-1,), 3, r"entry 0 .* is -1, outside 0\.\.2"),
+        ((5,), 3, r"entry 0 .* is 5, outside 0\.\.2"),
+        ((0, 4), 4, r"entry 1 .* is 4, outside 0\.\.3"),
+        ((True,), 3, "entry 0 .* not an int: True"),
+        ((1.0,), 3, "entry 0 .* not an int: 1.0"),
+        ((), 1, "at least 2 vertices, got 1"),
+        ((), 0, "at least 2 vertices, got 0"),
+        ((), 2.0, "vertex count must be an int"),
+        ((0,), True, "vertex count must be an int"),
+    ])
+    def test_rejects_a_malformed_sequence(self, seq, m, message):
+        with pytest.raises(ValueError, match=message):
+            decode_prufer(seq, m)
 
     def test_leaf_removal_order(self):
         # the census reads the edges as (child, parent) pairs bottom-up from
@@ -138,21 +157,37 @@ class TestOracle:
     def test_matches_frozen_counts(self, n):
         assert prufer_oracle_count(n) == FREE_TREE_COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_decodes_every_sequence_once(self, n, monkeypatch):
-        # Labellings whose last vertex is no centroid get no key, but their
-        # sequences are still decoded: the census skips none of them.
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_decodes_the_sequences_holding_the_last_vertex_once(self, n, monkeypatch):
+        # In any other sequence the last vertex is a leaf, so no centroid,
+        # and gets no key (see test_skipped_sequences_get_no_key).
         decoded = Counter()
 
         def counting_decode(seq, m):
             decoded[seq, m] += 1
-            return decode_prufer(seq, m)
+            return _decode_prufer(seq, m)
 
-        monkeypatch.setattr(enumeration, "decode_prufer", counting_decode)
-        prufer_oracle_count(n)
+        monkeypatch.setattr(enumeration, "_decode_prufer", counting_decode)
+        assert prufer_oracle_count(n) == FREE_TREE_COUNTS[n]
         m = n + 1
-        # each of the (n+1)^(n-1) sequences exactly once
-        assert dict(decoded) == dict.fromkeys(((seq, m) for seq in product(range(m), repeat=m - 2)), 1)
+        everything = product(range(m), repeat=m - 2)
+        # at m = 2 the one, empty, sequence: both vertices are centroids
+        expected = [seq for seq in everything if m - 1 in seq or m == 2]
+        assert dict(decoded) == dict.fromkeys(((seq, m) for seq in expected), 1)
+        if n == 7:
+            # the (n+1)^(n-1) - n^(n-1) sequences that hold vertex n
+            assert len(decoded) == 144_495
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_skipped_sequences_get_no_key(self, m):
+        # The skip's argument, checked apart from the census: a sequence
+        # without m - 1 decodes to a tree in which m - 1 is a leaf, and a
+        # leaf of a tree on 3 or more vertices gets no key.
+        codes = {(): 0}
+        for seq in product(range(m - 1), repeat=m - 2):
+            edges = decode_prufer(seq, m)
+            assert sum(m - 1 in e for e in edges) == 1, (m, seq)
+            assert _census_key(edges, m, codes) is None, (m, seq)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="oracle supports"):

@@ -20,9 +20,10 @@ from friendly_trees.tree import (
     parity,
     parse_tree,
     path_edges,
+    vertex_adjacency,
 )
 
-from helpers import brute_force_isomorphic, relabel, trees
+from helpers import brute_force_isomorphic, random_tree, relabel, trees
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR3 = Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -305,9 +306,38 @@ class TestAutomorphismGenerators:
         assert flip == tuple(spine + legs)
 
 
+def adjacency_neighbours(t):
+    return [[y for y, _ in nbrs] for nbrs in t.adjacency]
+
+
+class TestVertexAdjacency:
+    # The order matters: ``_rooted``'s BFS follows it into ``depths``,
+    # ``side_tables`` and ``automorphism_generators``, and so into the
+    # search order.
+    def test_matches_adjacency_on_catalogue_trees(self):
+        for n in range(9):
+            for t in enumerate_trees(n).trees:
+                assert vertex_adjacency(t) == adjacency_neighbours(t), t
+
+    def test_matches_adjacency_on_random_trees(self):
+        rng = random.Random(2020)
+        for _ in range(300):
+            t = random_tree(rng, rng.randrange(40))
+            assert vertex_adjacency(t) == adjacency_neighbours(t), t
+        for t in (LONG_PATH, CATERPILLAR):
+            assert vertex_adjacency(t) == adjacency_neighbours(t)
+
+
 class TestCanonicalCode:
     def test_single_edge(self):
         assert canonical_code(Tree(2, [(0, 1)])) == "(())"
+
+    def test_builds_no_adjacency(self):
+        # A catalogue candidate only needs its code: the (neighbour, edge id)
+        # pairs of ``Tree.adjacency`` are not built for it, nor cached.
+        t = Tree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        canonical_code(t)
+        assert "adjacency" not in vars(t)
 
     def test_path_and_star_differ(self):
         assert canonical_code(PATH3) != canonical_code(STAR3)
