@@ -22,12 +22,19 @@ from .circles import dual_tree, parse_nesting
 from .enumeration import enumerate_trees
 from .realizability import certificate_to_text, find_realizable_bijection
 from .survey import survey_pairs, verify_theorem1, write_report
-from .tree import format_tree, parse_tree
+from .tree import format_tree, parse_tree, split_lines
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as handle:
-        return handle.read()
+    """The ASCII text of a file; a non-ASCII byte is a ``ValueError`` that
+    names its line, counted as ``line_records`` counts lines."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as err:
+        line = len(split_lines(data[: err.start].decode("ascii")))
+        raise ValueError(f"line {line}: non-ASCII byte 0x{data[err.start]:02x}") from None
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

@@ -114,11 +114,6 @@ def _decide_pair(edge_count: int, ia: int, ib: int) -> SurveyRow:
     )
 
 
-def _check_jobs(jobs: int) -> None:
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
-
-
 def survey_pairs(edge_count: int, jobs: int = 1) -> SurveyReport:
     """Decide every unordered pair (self-pairs included) from the catalogue
     of trees with ``edge_count`` edges.
@@ -139,7 +134,8 @@ def survey_pairs(edge_count: int, jobs: int = 1) -> SurveyReport:
         raise ValueError(
             f"surveys support 0..{MAX_RECHECK_EDGES} edges ({_RECHECK_BOUND}), got {edge_count}"
         )
-    _check_jobs(jobs)
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
     catalog = enumerate_trees(edge_count)
     k = len(catalog)
     index_a = [ia for ia in range(k) for ib in range(ia, k)]
@@ -355,21 +351,22 @@ class ConjectureCheck:
         return not self.findings
 
 
-def verify_conjecture(max_edge_count: int = 6, jobs: int = 1) -> ConjectureCheck:
-    """Survey every pair with 1..max_edge_count edges and report the outcome.
+def verify_conjecture(max_edge_count: int = 6) -> ConjectureCheck:
+    """Survey every pair with 1..max_edge_count edges, serially, and report
+    the outcome.
 
-    ``max_edge_count`` is an int in ``1..MAX_RECHECK_EDGES`` and ``jobs`` an
-    int of at least 1, checked before any survey runs.
+    ``max_edge_count`` is an int in ``1..MAX_RECHECK_EDGES``, checked before
+    any survey runs. At the conjecture's own sizes, 6 edges and fewer, a
+    worker pool costs more than it saves; for larger bounds,
+    ``ConjectureCheck`` of ``survey_pairs(n, jobs=...)`` reports is the
+    pooled form.
     """
     if type(max_edge_count) is not int or not 1 <= max_edge_count <= MAX_RECHECK_EDGES:
         raise ValueError(
             f"max_edge_count must be an int in 1..{MAX_RECHECK_EDGES} ({_RECHECK_BOUND}), "
             f"got {max_edge_count!r}"
         )
-    _check_jobs(jobs)
-    reports = tuple(
-        survey_pairs(n, jobs=jobs) for n in range(1, max_edge_count + 1)
-    )
+    reports = tuple(survey_pairs(n) for n in range(1, max_edge_count + 1))
     return ConjectureCheck(reports)
 
 

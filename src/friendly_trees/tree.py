@@ -53,6 +53,13 @@ class Tree:
     preserved: file formats, bijections and reports all index edges by it.
     Construction validates every tree invariant and names the violated one;
     a fault of a single edge is an ``ItemError`` carrying its edge id.
+
+    The vertex count and the edge count are checked first. Then one pass
+    over the edges, in id order, names the first faulty edge: not a pair,
+    a vertex id that is not an ``int``, one outside ``0..n-1``, or an edge
+    whose ends are already joined. A union-find is the one acyclicity test;
+    only when it rejects an edge is the fault named a self-loop, a duplicate
+    of an earlier edge, or the edge that closes a cycle.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
@@ -62,19 +69,9 @@ class Tree:
         n = vertex_count
         if n < 1:
             raise ValueError("vertex_count must be positive")
-        pairs = []
-        for eid, edge in enumerate(edges):
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ItemError(eid, f"edge {edge!r} is not a pair of vertex ids") from None
-            pairs.append((u, v))
-        edge_list = tuple(pairs)
-        if len(edge_list) != n - 1:
-            raise ValueError(
-                f"a tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}"
-            )
-        seen = set()
+        edges = tuple(edges)
+        if len(edges) != n - 1:
+            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
         comp = list(range(n))
 
         def find(x: int) -> int:
@@ -83,24 +80,30 @@ class Tree:
                 x = comp[x]
             return x
 
-        for eid, (u, v) in enumerate(edge_list):
+        pairs = []
+        for eid, edge in enumerate(edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ItemError(eid, f"edge {edge!r} is not a pair of vertex ids") from None
             if type(u) is not int or type(v) is not int:
                 raise ItemError(eid, f"edge ({u!r}, {v!r}) has a vertex id that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ItemError(eid, f"edge ({u}, {v}) has a vertex id outside 0..{n - 1}")
-            if u == v:
-                raise ItemError(eid, f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ItemError(eid, f"duplicate edge ({u}, {v})")
-            seen.add(key)
             ru, rv = find(u), find(v)
             if ru == rv:
+                # A self-loop and a repeated edge close a cycle too; only
+                # the message tells them apart.
+                if u == v:
+                    raise ItemError(eid, f"self-loop at vertex {u}")
+                if (u, v) in pairs or (v, u) in pairs:
+                    raise ItemError(eid, f"duplicate edge ({u}, {v})")
                 raise ItemError(eid, f"contains a cycle (edge ({u}, {v}) closes it)")
             comp[ru] = rv
+            pairs.append((u, v))
         # n-1 edges and no cycle force connectivity, so the invariants all hold.
         self.vertex_count = n
-        self.edges = edge_list
+        self.edges = tuple(pairs)
 
     @property
     def edge_count(self) -> int:
@@ -368,10 +371,22 @@ def is_isomorphic(a: Tree, b: Tree) -> bool:
     return canonical_code(a) == canonical_code(b)
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, the last one possibly empty.
+
+    Only ``\n``, ``\r\n`` and a lone ``\r`` end a line, as in Python's
+    universal newlines. ``str.splitlines`` also breaks at ``\v``, ``\f``,
+    ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and ``\u2029``, which would
+    shift every later line number.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def line_records(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(line number, whitespace-split fields)`` of every non-blank line,
-    numbered from 1. Every text format of the package is read through it."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    numbered from 1 with the line ends of ``split_lines``. Every text format
+    of the package is read through it."""
+    for lineno, line in enumerate(split_lines(text), start=1):
         fields = line.split()
         if fields:
             yield lineno, fields

@@ -95,6 +95,13 @@ class TestCheck:
         assert main(["check", "--a", a, "--b", b]) == 1
         assert "edge counts differ" in capsys.readouterr().err
 
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tree"
+        bad.write_bytes("V 3\nE 0 1\nE 1 2 \u00e9\n".encode("utf-8"))
+        ok = write(tmp_path, "ok.tree", "V 3\nE 0 1\nE 1 2\n")
+        assert main(["check", "--a", str(bad), "--b", ok]) == 1
+        assert capsys.readouterr().err == "error: line 3: non-ASCII byte 0xc3\n"
+
     def test_missing_file(self, tmp_path, capsys):
         a = write(tmp_path, "a.tree", H_TEXT)
         assert main(["check", "--a", a, "--b", str(tmp_path / "nope")]) == 1
@@ -235,10 +242,23 @@ class TestDual:
         assert main(["dual", "--nesting", nesting]) == 0
         assert capsys.readouterr().out == "V 4\nE 0 1\nE 1 2\nE 2 3\n"
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_files(self, end, tmp_path, capsys):
+        nesting = write(tmp_path, "nest.nest", f"C 0 -{end}C 1 0{end}C 2 1{end}")
+        assert main(["dual", "--nesting", nesting]) == 0
+        assert capsys.readouterr().out == "V 4\nE 0 1\nE 1 2\nE 2 3\n"
+
     def test_empty_file(self, tmp_path, capsys):
         nesting = write(tmp_path, "empty.nest", "")
         assert main(["dual", "--nesting", nesting]) == 0
         assert capsys.readouterr().out == "V 1\n"
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
+        # Line ends are counted as the parsers count them: CRLF and a lone CR.
+        nesting = tmp_path / "bad.nest"
+        nesting.write_bytes(b"C 0 -\r\nC 1 -\rC 2 - \xff\n")
+        assert main(["dual", "--nesting", str(nesting)]) == 1
+        assert capsys.readouterr().err == "error: line 3: non-ASCII byte 0xff\n"
 
     def test_malformed(self, tmp_path, capsys):
         nesting = write(tmp_path, "bad.nest", "C 0 7\n")

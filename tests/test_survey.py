@@ -445,13 +445,6 @@ class TestConjecture:
         with pytest.raises(ValueError, match=re.escape(bound + repr(max_edges))):
             verify_conjecture(max_edges)
 
-    @pytest.mark.parametrize("jobs", [0, -2, 1.0, True])
-    def test_rejects_bad_jobs_before_surveying(self, jobs, monkeypatch):
-        # A survey would call None: the check must come before any survey.
-        monkeypatch.setattr(survey, "survey_pairs", None)
-        with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
-            verify_conjecture(1, jobs=jobs)
-
     def test_findings_are_the_unfriendly_rows(self):
         check = ConjectureCheck(tuple(survey_pairs(n) for n in range(1, 8)))
         ((edges, row),) = check.findings

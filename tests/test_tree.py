@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -89,6 +89,82 @@ class TestConstruction:
         with pytest.raises(ItemError, match=re.escape(f"edge {shown} is not a pair")) as err:
             Tree(3, edges)
         assert err.value.index == index
+
+
+def reference_outcome(n, edges):
+    """What ``Tree(n, edges)`` must do, derived apart from ``tree.py``:
+    ``("tree", edges)`` when the edges form a tree, else the exception type,
+    message and ``ItemError`` index (``None`` for a plain ``ValueError``).
+
+    The edge count is named first, then the first faulty edge in id order:
+    not a pair, a vertex id that is not an int, one out of range, a
+    self-loop, the same ends as an earlier edge, or ends that earlier edges
+    already join, found by a BFS over them."""
+    if len(edges) != n - 1:
+        return ValueError, f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}", None
+    earlier = []
+    for eid, edge in enumerate(edges):
+        if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+            return ItemError, f"edge {edge!r} is not a pair of vertex ids", eid
+        u, v = edge
+        if not (type(u) is int and type(v) is int):
+            return ItemError, f"edge ({u!r}, {v!r}) has a vertex id that is not an int", eid
+        if u not in range(n) or v not in range(n):
+            return ItemError, f"edge ({u}, {v}) has a vertex id outside 0..{n - 1}", eid
+        if u == v:
+            return ItemError, f"self-loop at vertex {u}", eid
+        if {u, v} in [{a, b} for a, b in earlier]:
+            return ItemError, f"duplicate edge ({u}, {v})", eid
+        reached, frontier = {u}, [u]
+        while frontier:
+            x = frontier.pop()
+            for a, b in earlier + [(b, a) for a, b in earlier]:
+                if a == x and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        if v in reached:
+            return ItemError, f"contains a cycle (edge ({u}, {v}) closes it)", eid
+        earlier.append((u, v))
+    return "tree", tuple(earlier)
+
+
+def tree_outcome(n, edges):
+    try:
+        t = Tree(n, edges)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "index", None)
+    assert t.vertex_count == n
+    return "tree", t.edges
+
+
+class TestConstructionMatchesReference:
+    def test_every_list_of_pairs_through_four_vertices(self):
+        # Every list of n - 1 pairs over -1..n: 47,298 lists for n <= 4.
+        lists = 0
+        for n in range(1, 5):
+            pairs = list(product(range(-1, n + 1), repeat=2))
+            for edges in product(pairs, repeat=n - 1):
+                lists += 1
+                assert tree_outcome(n, edges) == reference_outcome(n, edges), (n, edges)
+        assert lists == 47_298
+
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            # The edge count is named before an edge that is not a pair.
+            (3, [None], (ValueError, "a tree on 3 vertices needs 2 edges, got 1", None)),
+            (2, [(0, 1, 2), (0, 1)], (ValueError, "a tree on 2 vertices needs 1 edges, got 2", None)),
+            (4, [[1, 2], (0,)], (ValueError, "a tree on 4 vertices needs 3 edges, got 2", None)),
+            # An earlier faulty edge is named before a later one that is not a pair.
+            (3, [(0, 0), None], (ItemError, "self-loop at vertex 0", 0)),
+            (3, [(0, 5), (0,)], (ItemError, "edge (0, 5) has a vertex id outside 0..2", 0)),
+            (3, [(0, 1.0), (0, 1, 2)], (ItemError, "edge (0, 1.0) has a vertex id that is not an int", 0)),
+            (4, [(0, 1), (1, 0), None], (ItemError, "duplicate edge (1, 0)", 1)),
+            (5, [(0, 1), [1, 2], (2, 0), None], (ItemError, "contains a cycle (edge (2, 0) closes it)", 2)),
+        ],
+    )
+    def test_precedence(self, n, edges, expected):
+        assert tree_outcome(n, edges) == reference_outcome(n, edges) == expected
 
 
 @pytest.mark.parametrize(
@@ -461,11 +537,26 @@ class TestTextFormat:
             ("V 4\nE 0 1\nE 1 2\n\nE 2 0\n", r"line 5: contains a cycle \(edge \(2, 0\) closes it\)"),
             ("V 0\n", "line 1: vertex_count must be positive"),
             ("\nV 3\nE 0 1\n", "line 2: a tree on 3 vertices needs 2 edges, got 1"),
+            ("V 3\r\n\r\nE 0 1\r\nE 1 5\r\n", r"line 4: edge \(1, 5\) has a vertex id outside"),
+            ("V 3\r\rE 0 1\rE 1 5\r", r"line 4: edge \(1, 5\) has a vertex id outside"),
+            ("V 3\r\r\nE 0 1\nE 1 5", r"line 4: edge \(1, 5\) has a vertex id outside"),
         ],
     )
     def test_parse_rejection_names_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_tree(text)
+
+    @pytest.mark.parametrize(
+        "char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newline_characters_end_a_line(self, char):
+        # str.splitlines would end line 2 at char and blame "line 3".
+        with pytest.raises(ValueError, match=r"^line 2: unrecognized line 'E 0 1 E 1 5'$"):
+            parse_tree(f"V 3\nE 0 1{char}E 1 5\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_parse_accepts_crlf_and_cr(self, end):
+        assert parse_tree(format_tree(PATH3).replace("\n", end)).edges == PATH3.edges
 
     def test_parse_skips_blank_lines(self):
         t = parse_tree("V 2\n\nE 0 1\n")
