@@ -4,10 +4,12 @@ The Prüfer census below is the independent oracle and is written first: it
 runs over the labelled trees on a fixed vertex set, keeps those in which the
 last vertex is a centroid, and buckets them by an integer AHU code (Aho,
 Hopcroft and Ullman 1974) of the tree rooted there. Every class has such a
-labelling, so every class gets a bucket. It decodes only the sequences that
-contain the last vertex: in any other the last vertex is a leaf, and a leaf
-is no centroid. The codes are interned in a table local to one census call
-and share no code with ``tree.canonical_code``.
+labelling, so every class gets a bucket. Since every tree on three or more
+vertices also has two leaves, and no leaf is a centroid, every class also
+has such a labelling with leaves at 0 and 1; so the census decodes only the
+sequences over ``2..m-1`` that contain the last vertex: 31,031 at 7 edges
+and 543,607 at 8. The codes are interned in a table local to one census
+call and share no code with ``tree.canonical_code``.
 The catalogue generator that follows grows trees one leaf at a time and
 collapses them by the string canonical codes of ``tree``; its only
 correctness pin is that its class counts match the census exactly, which
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .tree import Tree, canonical_code
-from .tree import code_from_adjacency  # noqa: F401  (unused; perfbench's tracer wraps it here)
+from .tree import Tree, canonical_code, code_from_adjacency, vertex_adjacency
 
 MAX_ORACLE_EDGES = 8
 MAX_CATALOG_EDGES = 12
@@ -59,8 +60,8 @@ def _decode_prufer(seq: tuple[int, ...], m: int) -> list[tuple[int, int]]:
 def decode_prufer(seq: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     """Edges of the labelled tree on ``0..m-1`` encoded by ``seq``.
 
-    ``m`` must be an ``int`` of at least 2, and ``seq`` must hold ``m - 2``
-    entries, each an ``int`` in ``0..m-1``; anything else is a
+    ``m`` must be an ``int`` of at least 2, and ``seq`` an iterable of
+    ``m - 2`` entries, each an ``int`` in ``0..m-1``; anything else is a
     ``ValueError`` naming the fault.
 
     Each edge is ``(leaf, v)`` in leaf-removal order: the first vertex of an
@@ -72,6 +73,10 @@ def decode_prufer(seq: tuple[int, ...], m: int) -> list[tuple[int, int]]:
         raise ValueError(f"vertex count must be an int, got {m!r}")
     if m < 2:
         raise ValueError(f"a Prüfer sequence needs at least 2 vertices, got {m}")
+    try:
+        seq = tuple(seq)
+    except TypeError:
+        raise ValueError(f"a Prüfer sequence must be iterable, got {seq!r}") from None
     if len(seq) != m - 2:
         raise ValueError(f"a Prüfer sequence for {m} vertices has {m - 2} entries, got {len(seq)}")
     for i, x in enumerate(seq):
@@ -141,14 +146,17 @@ def prufer_oracle_count(edge_count: int) -> int:
     for each call, independent of ``tree.canonical_code``, which the
     catalogue uses.
 
-    Only the sequences that contain ``m - 1`` are decoded. A vertex occurs
-    ``degree - 1`` times in its tree's sequence, so in every other sequence
-    ``m - 1`` is a leaf; and a leaf of a tree on ``m >= 3`` vertices is no
-    centroid, since removing it leaves one component of ``m - 1 > m / 2``
-    vertices. ``_census_key`` would return ``None`` for all of them. At
-    ``m = 2`` the one, empty, sequence is decoded: both vertices are leaves
-    and centroids. That is ``m^(m-2) - (m-1)^(m-2)`` decodes: 144,495 of
-    262,144 at 7 edges and 2,685,817 of 4,782,969 at 8.
+    Only the sequences over ``2..m-1`` that contain ``m - 1`` are decoded.
+    A vertex occurs ``degree - 1`` times in its tree's sequence, so these
+    are exactly the labellings in which ``m - 1`` is no leaf and 0 and 1
+    are leaves. A leaf of a tree on ``m >= 3`` vertices is no centroid,
+    since removing it leaves one component of ``m - 1 > m / 2`` vertices:
+    so a sequence without ``m - 1`` gets no key, and every tree, which has
+    at least two leaves, has a labelling with a centroid at ``m - 1`` and
+    leaves at 0 and 1. Every class still gets a key. At ``m = 2`` the one,
+    empty, sequence is decoded: both vertices are leaves and centroids.
+    That is ``(m-2)^(m-2) - (m-3)^(m-2)`` decodes: 31,031 of 262,144 at 7
+    edges and 543,607 of 4,782,969 at 8.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
@@ -161,7 +169,7 @@ def prufer_oracle_count(edge_count: int) -> int:
     codes = {(): 0}
     keys = {
         _census_key(_decode_prufer(seq, m), m, codes)
-        for seq in product(range(m), repeat=m - 2)
+        for seq in product(range(2, m), repeat=m - 2)
         if top in seq or m == 2
     }
     keys.discard(None)
@@ -189,6 +197,10 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     Builds on the catalogue one size down: attaching a new leaf at every
     vertex of every representative reaches every class (any tree arises from
     deleting one of its leaves), and canonical codes collapse duplicates.
+    A leaf whose neighbour an earlier leaf shares is skipped: swapping the
+    two twins is an automorphism, so its candidate repeats the earlier
+    one's. Each candidate's code is taken from the parent's neighbour lists
+    plus the new leaf, and a ``Tree`` is built only for a code not seen yet.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
@@ -199,12 +211,22 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     if edge_count == 0:
         t = Tree(1, [])
         return TreeCatalog(0, (t,), (canonical_code(t),))
+    n = edge_count  # vertices of each parent, and the id of the new leaf
     found: dict[str, Tree] = {}
-    for t in enumerate_trees(edge_count - 1).trees:
-        for v in range(t.vertex_count):
-            grown = Tree(t.vertex_count + 1, t.edges + ((v, t.vertex_count),))
-            code = canonical_code(grown)
+    for t in enumerate_trees(n - 1).trees:
+        adj = vertex_adjacency(t) + [[]]
+        leaf_neighbours = set()
+        for v in range(n):
+            nbrs = adj[v]
+            if len(nbrs) == 1:
+                if nbrs[0] in leaf_neighbours:
+                    continue
+                leaf_neighbours.add(nbrs[0])
+            nbrs.append(n)
+            adj[n] = [v]
+            code = code_from_adjacency(n + 1, adj)
+            nbrs.pop()
             if code not in found:
-                found[code] = grown
+                found[code] = Tree(n + 1, t.edges + ((v, n),))
     codes = tuple(sorted(found))
     return TreeCatalog(edge_count, tuple(found[c] for c in codes), codes)

@@ -56,10 +56,16 @@ def _check_edge_counts(k: Tree, k2: Tree) -> int:
     return k.edge_count
 
 
-def _check_bijection(n: int, h: EdgeBijection) -> None:
+def _check_bijection(n: int, h: EdgeBijection) -> tuple[int, ...]:
+    """``h`` as a tuple, once it is checked to be a bijection on ``0..n-1``."""
+    try:
+        h = tuple(h)
+    except TypeError:
+        h = None
     # A float such as 1.0 sorts equal to 1 but cannot index or shift.
-    if len(h) != n or any(type(f) is not int for f in h) or sorted(h) != list(range(n)):
+    if h is None or len(h) != n or any(type(f) is not int for f in h) or sorted(h) != list(range(n)):
         raise ValueError("map is not a bijection on edge ids 0..%d" % (n - 1))
+    return h
 
 
 def even_vertex_pairs(k: Tree) -> tuple[tuple[int, int], ...]:
@@ -105,9 +111,7 @@ def is_realizable(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
     """Whether ``h`` maps the incident sets of every even-distance vertex pair
     of ``k`` to an unlinked pair of edge sets in ``k2``."""
     n = _check_edge_counts(k, k2)
-    h = tuple(h)
-    _check_bijection(n, h)
-    return _realizes(k, k2, h)
+    return _realizes(k, k2, _check_bijection(n, h))
 
 
 def _edge_order(k: Tree) -> list[int]:

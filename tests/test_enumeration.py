@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import factorial
 
@@ -13,7 +14,14 @@ from friendly_trees.enumeration import (
     enumerate_trees,
     prufer_oracle_count,
 )
-from friendly_trees.tree import Tree, canonical_code, centroids, subtree_codes, vertex_adjacency
+from friendly_trees.tree import (
+    Tree,
+    canonical_code,
+    centroids,
+    code_from_adjacency,
+    subtree_codes,
+    vertex_adjacency,
+)
 
 # Class counts frozen as regression values: 1..8 produced by the Prüfer
 # census, the rest re-derived with the rooted-tree/Otter counting recurrence.
@@ -36,6 +44,38 @@ def naive_decode(seq, m):
         seq.pop(0)
     edges.append(frozenset(alive))
     return set(edges)
+
+
+def naive_encode(edges, m):
+    """Textbook encode: repeatedly remove the smallest leaf and record its
+    neighbour, until two vertices remain."""
+    adj = {v: set() for v in range(m)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seq = []
+    while len(adj) > 2:
+        leaf = min(v for v, nbrs in adj.items() if len(nbrs) == 1)
+        (nbr,) = adj.pop(leaf)
+        adj[nbr].remove(leaf)
+        seq.append(nbr)
+    return tuple(seq)
+
+
+def reference_catalogs(max_edges):
+    """``(codes, trees)`` of the catalogues with 0..``max_edges`` edges,
+    grown without shortcuts: a leaf attached at every vertex of every
+    smaller representative, a ``Tree`` and a ``canonical_code`` per
+    candidate."""
+    found = {canonical_code(Tree(1, [])): Tree(1, [])}
+    for n in range(1, max_edges + 2):
+        yield tuple(found), tuple(found.values())
+        grown = {}
+        for t in found.values():
+            for v in range(n):
+                candidate = Tree(n + 1, t.edges + ((v, n),))
+                grown.setdefault(canonical_code(candidate), candidate)
+        found = {code: grown[code] for code in sorted(grown)}
 
 
 def automorphism_count(t):
@@ -70,6 +110,10 @@ class TestDecodePrufer:
     def test_two_vertices(self):
         assert decode_prufer((), 2) == [(0, 1)]
 
+    def test_any_iterable(self):
+        assert decode_prufer(iter([1, 1]), 4) == decode_prufer((1, 1), 4)
+        assert decode_prufer([2], 3) == [(0, 2), (1, 2)]
+
     @pytest.mark.parametrize("seq, m, message", [
         ((0,), 2, "has 0 entries, got 1"),
         ((), 3, "has 1 entries, got 0"),
@@ -83,6 +127,10 @@ class TestDecodePrufer:
         ((), 0, "at least 2 vertices, got 0"),
         ((), 2.0, "vertex count must be an int"),
         ((0,), True, "vertex count must be an int"),
+        (5, 4, "must be iterable, got 5"),
+        (None, 4, "must be iterable, got None"),
+        (iter([1]), 4, "has 2 entries, got 1"),
+        ("12", 4, "entry 0 .* not an int: '1'"),
     ])
     def test_rejects_a_malformed_sequence(self, seq, m, message):
         with pytest.raises(ValueError, match=message):
@@ -158,9 +206,13 @@ class TestOracle:
         assert prufer_oracle_count(n) == FREE_TREE_COUNTS[n]
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_decodes_the_sequences_holding_the_last_vertex_once(self, n, monkeypatch):
-        # In any other sequence the last vertex is a leaf, so no centroid,
-        # and gets no key (see test_skipped_sequences_get_no_key).
+    def test_decodes_the_sequences_with_leaves_at_0_and_1_once(self, n, monkeypatch):
+        # The sequences over 2..m-1 that hold m - 1: 0 and 1 are leaves and
+        # m - 1 is not. In a sequence without m - 1 the last vertex is a
+        # leaf, so no centroid, and gets no key (see
+        # test_skipped_sequences_get_no_key); every class has a labelling
+        # with leaves at 0 and 1 and a centroid at m - 1 (see
+        # test_every_class_has_a_decoded_labelling).
         decoded = Counter()
 
         def counting_decode(seq, m):
@@ -172,11 +224,11 @@ class TestOracle:
         m = n + 1
         everything = product(range(m), repeat=m - 2)
         # at m = 2 the one, empty, sequence: both vertices are centroids
-        expected = [seq for seq in everything if m - 1 in seq or m == 2]
+        expected = [seq for seq in everything if (m - 1 in seq and 0 not in seq and 1 not in seq) or m == 2]
         assert dict(decoded) == dict.fromkeys(((seq, m) for seq in expected), 1)
         if n == 7:
-            # the (n+1)^(n-1) - n^(n-1) sequences that hold vertex n
-            assert len(decoded) == 144_495
+            # the (n-1)^(n-1) - (n-2)^(n-1) sequences over 2..n that hold n
+            assert len(decoded) == 31_031
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_skipped_sequences_get_no_key(self, m):
@@ -188,6 +240,24 @@ class TestOracle:
             edges = decode_prufer(seq, m)
             assert sum(m - 1 in e for e in edges) == 1, (m, seq)
             assert _census_key(edges, m, codes) is None, (m, seq)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_class_has_a_decoded_labelling(self, n):
+        # The leaf-label argument, checked apart from the census: relabel
+        # each class with a centroid at m - 1 and two leaves at 0 and 1; its
+        # sequence is one the census decodes, and its decode gets a key.
+        m = n + 1
+        codes = {(): 0}
+        for t in enumerate_trees(n).trees:
+            adj = vertex_adjacency(t)
+            centroid = centroids(m, adj)[0]
+            a, b = [v for v in range(m) if len(adj[v]) == 1][:2]
+            rest = [v for v in range(m) if v not in (a, b, centroid)]
+            label = {a: 0, b: 1, centroid: m - 1}
+            label.update(zip(rest, range(2, m - 1)))
+            seq = naive_encode([(label[u], label[v]) for u, v in t.edges], m)
+            assert m - 1 in seq and 0 not in seq and 1 not in seq, t
+            assert _census_key(decode_prufer(seq, m), m, codes) is not None, t
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="oracle supports"):
@@ -219,6 +289,29 @@ class TestEnumerateTrees:
         # are (n+1)^(n-1) labelled trees in all (Cayley)
         labellings = sum(factorial(n + 1) // automorphism_count(t) for t in enumerate_trees(n).trees)
         assert labellings == (n + 1) ** (n - 1)
+
+    def test_matches_the_catalogue_grown_at_every_vertex(self):
+        # Skipping twin leaves and building a Tree only for a new code
+        # changes no code, no representative and no edge id.
+        for n, (codes, trees) in enumerate(reference_catalogs(10)):
+            catalog = enumerate_trees(n)
+            assert catalog.codes == codes, n
+            assert [t.edges for t in catalog.trees] == [t.edges for t in trees], n
+
+    def test_codes_taken_by_a_cold_catalogue(self, monkeypatch):
+        # one code per candidate, candidates that repeat a twin leaf's skipped
+        calls = Counter()
+
+        def counting_code(n, adj):
+            calls[n] += 1
+            return code_from_adjacency(n, adj)
+
+        cold = lru_cache(maxsize=None, typed=True)(enumerate_trees.__wrapped__)
+        monkeypatch.setattr(enumeration, "enumerate_trees", cold)
+        monkeypatch.setattr(enumeration, "code_from_adjacency", counting_code)
+        assert len(cold(12)) == FREE_TREE_COUNTS[12]
+        assert calls[13] == 5_344
+        assert sum(calls.values()) == 8_847
 
     def test_codes_strictly_increasing(self):
         for n in range(9):

@@ -66,6 +66,11 @@ class TestIsRealizable:
         # Float entries sort like a permutation but are not edge ids.
         with pytest.raises(ValueError, match="not a bijection"):
             is_realizable(build_G(), build_G(), tuple(map(float, range(7))))
+        with pytest.raises(ValueError, match="not a bijection"):
+            is_realizable(build_G(), build_G(), 5)
+        # No bijection on no edges either, though () would be one.
+        with pytest.raises(ValueError, match="not a bijection"):
+            is_realizable(Tree(1, []), Tree(1, []), None)
 
 
 class TestEvenVertexPairs:
@@ -196,6 +201,8 @@ class TestRecheckCertificate:
         assert not recheck_certificate(PATH3, PATH3, missing)
         floats = Certificate(FRIENDLY, tuple(map(float, range(7))), 0, 0)
         assert not recheck_certificate(build_G(), build_G(), floats)
+        not_iterable = Certificate(FRIENDLY, 5, 0, 0)
+        assert not recheck_certificate(build_G(), build_G(), not_iterable)
 
     def test_unfriendly_fixture_pair(self):
         g, h = build_G(), build_H()

@@ -310,6 +310,7 @@ class TestReportFormat:
             (FRIENDLY, (0,), 0, r"friendly row \(0, 0\) has no valid witness"),
             (FRIENDLY, (0, 1.0), 0, r"friendly row \(0, 0\) has no valid witness"),
             (FRIENDLY, None, 0, r"friendly row \(0, 0\) has no valid witness"),
+            (FRIENDLY, 5, 0, r"friendly row \(0, 0\) has no valid witness"),
             ("maybe", None, 0, r"row \(0, 0\) has bad verdict 'maybe'"),
             (FRIENDLY, (0, 1), 1, r"row \(0, 1\) has a tree index outside 0\.\.0"),
         ],
