@@ -19,14 +19,21 @@ from .tree import ItemError, Tree, line_records, parse_ints
 class NestingForest:
     """Containment forest of disjoint circles; ``parents[i]`` is the id of
     the smallest circle enclosing circle ``i``, or ``None`` for outermost
-    circles. A fault of a single circle is an ``ItemError`` carrying its
-    id."""
+    circles. ``parents`` may be any iterable; it is kept as a tuple, so a
+    forest is hashable and no later change to the caller's list reaches it.
+    A non-iterable is a ``ValueError``, and a fault of a single circle is
+    an ``ItemError`` carrying its id."""
 
     parents: tuple[int | None, ...]
 
     def __post_init__(self) -> None:
-        k = len(self.parents)
-        for i, p in enumerate(self.parents):
+        try:
+            parents = tuple(self.parents)
+        except TypeError:
+            raise ValueError(f"circle parents must be iterable, got {self.parents!r}") from None
+        object.__setattr__(self, "parents", parents)
+        k = len(parents)
+        for i, p in enumerate(parents):
             if p is None:
                 continue
             if type(p) is not int:
@@ -46,7 +53,7 @@ class NestingForest:
             while v is not None and mark[v] == 0:
                 mark[v] = 1
                 walk.append(v)
-                v = self.parents[v]
+                v = parents[v]
             if v is not None and mark[v] == 1:
                 raise ItemError(i, f"containment cycle through circle {i}")
             for u in walk:
@@ -94,6 +101,6 @@ def parse_nesting(text: str) -> NestingForest:
                 f"line {lineno}: circle ids are not dense from 0: {cid} is outside 0..{k - 1}"
             )
     try:
-        return NestingForest(tuple(entries[i] for i in range(k)))
+        return NestingForest(entries[i] for i in range(k))
     except ItemError as err:
         raise ValueError(f"line {lines[err.index]}: {err}") from None

@@ -369,8 +369,9 @@ def exhaustive_search(k: Tree, k2: Tree) -> Certificate:
 def recheck_certificate(k: Tree, k2: Tree, cert: Certificate) -> bool:
     """Re-derive a certificate's verdict the slow way.
 
-    Friendly: re-test the stored witness (any corruption, including a
-    missing or non-bijective map, comes back ``False``). Unfriendly: a
+    Friendly: re-test the stored witness with ``is_realizable``. A missing
+    or non-bijective map fails its bijection check, so any corruption comes
+    back ``False``. Unfriendly: a
     certificate that carries a witness comes back ``False`` without a scan,
     as ``parse_certificate`` would reject its text; otherwise re-exhaust the
     full bijection space without pruning (``exhaustive_search``) and confirm
@@ -378,8 +379,6 @@ def recheck_certificate(k: Tree, k2: Tree, cert: Certificate) -> bool:
     """
     _check_edge_counts(k, k2)
     if cert.verdict == FRIENDLY:
-        if cert.witness is None:
-            return False
         try:
             return is_realizable(k, k2, cert.witness)
         except ValueError:

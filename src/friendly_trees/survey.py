@@ -61,7 +61,9 @@ class SurveyRow:
     """One decided pair, exactly the fields of its ``PAIR`` line.
     ``witness`` is set exactly on friendly rows and ``nodes``, the pruned
     search's node count, exactly on unfriendly ones. A row exists only once
-    its recheck agreed: a disagreement raises instead."""
+    its recheck agreed: a disagreement raises instead. ``format_report``
+    writes the witness as ``certificate_to_text`` writes a ``WITNESS`` line,
+    so a friendly row without one raises ``TypeError``."""
 
     index_a: int
     index_b: int
@@ -165,8 +167,7 @@ def format_report(report: SurveyReport) -> str:
     for r in report.rows:
         head = f"PAIR {r.index_a} {r.index_b} {r.code_a} {r.code_b} {r.verdict}"
         if r.verdict == FRIENDLY:
-            tail = " ".join(map(str, r.witness or ()))
-            lines.append(f"{head} {tail}".rstrip())
+            lines.append(" ".join([head, *map(str, r.witness)]))
         else:
             lines.append(f"{head} nodes={r.nodes}")
     lines.append(f"SUMMARY friendly={report.friendly} unfriendly={report.unfriendly}")
@@ -377,7 +378,8 @@ def verify_report_witnesses(report: SurveyReport) -> None:
     The edge count must have a catalogue, and the tree count and every
     row's indices and two codes must be the catalogue's, so each witness is
     tested on the trees its row names. Every verdict must be friendly or
-    unfriendly, and a witness that is not a bijection fails like any other.
+    unfriendly, and a witness that is missing or not a bijection fails
+    ``is_realizable``'s one bijection check like any other.
     """
     if type(report.edge_count) is not int or not 0 <= report.edge_count <= MAX_CATALOG_EDGES:
         raise RuntimeError(
@@ -403,7 +405,7 @@ def verify_report_witnesses(report: SurveyReport) -> None:
         a = catalog.trees[row.index_a]
         b = catalog.trees[row.index_b]
         try:
-            sound = row.witness is not None and is_realizable(a, b, row.witness)
+            sound = is_realizable(a, b, row.witness)
         except ValueError:
             sound = False
         if not sound:

@@ -54,7 +54,8 @@ class Tree:
     Construction validates every tree invariant and names the violated one;
     a fault of a single edge is an ``ItemError`` carrying its edge id.
 
-    The vertex count and the edge count are checked first. Then one pass
+    The vertex count is checked first, then that ``edges`` is iterable,
+    then the edge count. Then one pass
     over the edges, in id order, names the first faulty edge: not a pair,
     a vertex id that is not an ``int``, one outside ``0..n-1``, or an edge
     whose ends are already joined. A union-find is the one acyclicity test;
@@ -69,7 +70,10 @@ class Tree:
         n = vertex_count
         if n < 1:
             raise ValueError("vertex_count must be positive")
-        edges = tuple(edges)
+        try:
+            edges = tuple(edges)
+        except TypeError:
+            raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}") from None
         if len(edges) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
         comp = list(range(n))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,18 +37,40 @@ class TestNestingForest:
             NestingForest((None, parent))
         assert err.value.index == 1
 
-    def test_cycle_check_reads_each_parent_a_bounded_number_of_times(self):
-        class CountingParents(tuple):
-            reads = 0
+    def test_cycle_check_runs_a_bounded_number_of_lines_per_circle(self):
+        # The walk reads the forest's own tuple, so count the check's lines:
+        # a walk restarted from every circle of this chain would run
+        # quadratically many.
+        code = NestingForest.__post_init__.__code__
+        lines = 0
 
-            def __getitem__(self, index):
-                CountingParents.reads += 1
-                return super().__getitem__(index)
+        def count(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return count
 
-        depth = 5000
-        parents = CountingParents((None, *range(depth - 1)))
-        NestingForest(parents)
-        assert CountingParents.reads < 3 * depth
+        depth = 2000
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+        try:
+            NestingForest((None, *range(depth - 1)))
+        finally:
+            sys.settrace(previous)
+        assert 0 < lines < 30 * depth
+
+    def test_keeps_a_tuple_of_its_own(self):
+        parents = [None, 0]
+        forest = NestingForest(parents)
+        parents.append(7)
+        assert forest.parents == (None, 0)
+        assert forest == NestingForest((None, 0))
+        assert hash(forest) == hash(NestingForest((None, 0)))
+        assert dual_tree(forest).edge_count == 2
+
+    @pytest.mark.parametrize("parents", [5, None])
+    def test_rejects_parents_that_are_not_iterable(self, parents):
+        with pytest.raises(ValueError, match=f"circle parents must be iterable, got {parents!r}"):
+            NestingForest(parents)
 
 
 class TestDualTree:

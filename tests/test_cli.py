@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 
@@ -159,6 +160,18 @@ class TestSurvey:
         missing_dir = str(tmp_path / "no" / "such" / "dir" / "x.report")
         assert main(["survey", "--edges", "1", "--out", missing_dir]) == 1
         assert "does not exist" in capsys.readouterr().err
+
+    def test_output_directory_not_writable(self, tmp_path, capsys, monkeypatch):
+        # Permission bits do not bind root, so the refusal is simulated.
+        def no_survey(*args, **kwargs):
+            raise AssertionError("survey_pairs called")
+
+        access = os.access
+        monkeypatch.setattr(cli, "survey_pairs", no_survey)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path) and access(path, mode))
+        assert main(["survey", "--edges", "1", "--out", str(tmp_path / "x.report")]) == 1
+        assert capsys.readouterr().err == f"error: output directory is not writable: {tmp_path}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_is_a_directory(self, tmp_path, capsys, monkeypatch):
         # refused before any pair is surveyed, naming the path given

@@ -335,11 +335,49 @@ class TestReportFormat:
         write_report(report, path)
         assert sorted(os.listdir(tmp_path)) == ["r2.report"]
 
+    @pytest.mark.parametrize("fault", ["write", "replace"])
+    def test_failed_write_keeps_the_destination(self, fault, tmp_path, monkeypatch):
+        # The error propagates, the temp file is removed and an existing
+        # report is left as it was.
+        path = tmp_path / "r2.report"
+        path.write_text("old\n", encoding="ascii")
+        report = survey_pairs(2)
+        if fault == "write":
+            report = replace(report, rows=(replace(report.rows[0], witness=None),))
+            error = TypeError
+        else:
+            def refuse(src, dst):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(survey.os, "replace", refuse)
+            error = OSError
+        with pytest.raises(error):
+            write_report(report, str(path))
+        assert sorted(os.listdir(tmp_path)) == ["r2.report"]
+        assert path.read_text(encoding="ascii") == "old\n"
+
+    def test_witness_written_as_certificates_write_it(self):
+        # Every valid row keeps its bytes, the 0-edge row's empty witness
+        # included; a friendly row without a witness is refused, as
+        # ``certificate_to_text`` refuses a friendly certificate without one.
+        assert format_report(survey_pairs(0)) == (
+            "SURVEY edges=0 trees=1 pairs=1\nPAIR 0 0 () () friendly\n"
+            "SUMMARY friendly=1 unfriendly=0\n"
+        )
+        row = SurveyRow(0, 0, "(())", "(())", FRIENDLY, None, None)
+        with pytest.raises(TypeError):
+            format_report(SurveyReport(1, 1, (row,)))
+        with pytest.raises(TypeError):
+            certificate_to_text(Certificate(FRIENDLY, None, 0, 0))
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="unrecognized"):
             parse_report("SURVEY edges=1 trees=1 pairs=1\nWAT\n")
         with pytest.raises(ValueError, match="missing SURVEY"):
             parse_report("SUMMARY friendly=0 unfriendly=0\n")
+        for blank in ("", "\n", " \t\n\n"):
+            with pytest.raises(ValueError, match="^missing SURVEY header line$"):
+                parse_report(blank)
         with pytest.raises(ValueError, match="missing SUMMARY"):
             parse_report("SURVEY edges=0 trees=1 pairs=1\nPAIR 0 0 () () friendly\n")
         duplicate = (

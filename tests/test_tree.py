@@ -90,6 +90,17 @@ class TestConstruction:
             Tree(3, edges)
         assert err.value.index == index
 
+    @pytest.mark.parametrize("edges", [5, None])
+    def test_rejects_edges_that_are_not_iterable(self, edges):
+        with pytest.raises(ValueError, match=f"edges must be an iterable of vertex pairs, got {edges!r}") as err:
+            Tree(2, edges)
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("t", [Tree(1, []), PATH3, Tree(5, [(3, 1), (1, 0), (4, 1), (2, 4)])])
+    def test_repr_rebuilds_the_tree(self, t):
+        again = eval(repr(t), {"Tree": Tree})
+        assert (again.vertex_count, again.edges) == (t.vertex_count, t.edges)
+
 
 def reference_outcome(n, edges):
     """What ``Tree(n, edges)`` must do, derived apart from ``tree.py``:
