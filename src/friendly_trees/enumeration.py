@@ -7,11 +7,14 @@ Hopcroft and Ullman 1974) of the tree rooted there. Every class has such a
 labelling, so every class gets a bucket. Since every tree on three or more
 vertices also has two leaves, and no leaf is a centroid, every class also
 has such a labelling with leaves at 0 and 1; so the census decodes only the
-sequences over ``2..m-1`` that contain the last vertex: 31,031 at 7 edges
-and 543,607 at 8. The codes are interned in a table local to one census
+sequences over ``2..m-1`` that contain the last vertex. Swapping labels 0
+and 1 swaps the first two entries of such a sequence, so it decodes only
+those whose first entry is at most the second: 17,841 at 7 edges and
+307,300 at 8. The codes are interned in a table local to one census
 call and share no code with ``tree.canonical_code``.
 The catalogue generator that follows grows trees one leaf at a time and
-collapses them by the string canonical codes of ``tree``; its only
+collapses them by the string canonical codes of ``tree``, rooted at
+centroids it reads off each parent; its only
 correctness pin is that its class counts match the census exactly, which
 the test suite checks for every census-supported size.
 """
@@ -22,7 +25,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .tree import Tree, canonical_code, code_from_adjacency, vertex_adjacency
+# ``perfbench/tracing.py`` patches ``code_from_adjacency`` here by name, so
+# it stays importable from this module although the catalogue no longer
+# calls it.
+from .tree import (
+    Tree,
+    canonical_code,
+    centroids,
+    code_at_roots,
+    code_from_adjacency,  # noqa: F401
+    rooted,
+    vertex_adjacency,
+)
 
 MAX_ORACLE_EDGES = 8
 MAX_CATALOG_EDGES = 12
@@ -146,7 +160,7 @@ def prufer_oracle_count(edge_count: int) -> int:
     for each call, independent of ``tree.canonical_code``, which the
     catalogue uses.
 
-    Only the sequences over ``2..m-1`` that contain ``m - 1`` are decoded.
+    Only sequences over ``2..m-1`` that contain ``m - 1`` are decoded.
     A vertex occurs ``degree - 1`` times in its tree's sequence, so these
     are exactly the labellings in which ``m - 1`` is no leaf and 0 and 1
     are leaves. A leaf of a tree on ``m >= 3`` vertices is no centroid,
@@ -155,8 +169,15 @@ def prufer_oracle_count(edge_count: int) -> int:
     at least two leaves, has a labelling with a centroid at ``m - 1`` and
     leaves at 0 and 1. Every class still gets a key. At ``m = 2`` the one,
     empty, sequence is decoded: both vertices are leaves and centroids.
-    That is ``(m-2)^(m-2) - (m-3)^(m-2)`` decodes: 31,031 of 262,144 at 7
-    edges and 543,607 of 4,782,969 at 8.
+
+    And of those, only the ones with ``seq[0] <= seq[1]``. In them 0 and 1
+    are leaves and every other leaf is labelled 2 or more, so leaf 0 is
+    removed first, next to ``seq[0]``, and leaf 1 second, next to
+    ``seq[1]``. Swapping labels 0 and 1, which keeps the class, therefore
+    swaps the first two entries and keeps the rest, and one of the two
+    sequences has ``seq[0] <= seq[1]``. At ``m = 3`` the one sequence,
+    ``(2,)``, is decoded. That is 17,841 of 262,144 sequences at 7 edges
+    and 307,300 of 4,782,969 at 8.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
@@ -170,7 +191,7 @@ def prufer_oracle_count(edge_count: int) -> int:
     keys = {
         _census_key(_decode_prufer(seq, m), m, codes)
         for seq in product(range(2, m), repeat=m - 2)
-        if top in seq or m == 2
+        if m < 4 or (top in seq and seq[0] <= seq[1])
     }
     keys.discard(None)
     return len(keys)
@@ -201,6 +222,14 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     two twins is an automorphism, so its candidate repeats the earlier
     one's. Each candidate's code is taken from the parent's neighbour lists
     plus the new leaf, and a ``Tree`` is built only for a code not seen yet.
+
+    The candidate's centroids come from the parent, rooted once at one of
+    its centroids ``c``, where each branch holds at most ``n / 2`` of the
+    ``n`` vertices. A leaf at ``v`` grows the branch of ``v`` (headed by
+    ``r``; at ``c``, a new branch of one, the leaf) to ``s`` vertices.
+    ``c`` stays the one centroid while ``2s < n + 1``, shares it with ``r``
+    at ``2s == n + 1``, and gives it up to ``r`` past that, since then
+    every component left by removing ``r`` is smaller than half.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
@@ -215,6 +244,18 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     found: dict[str, Tree] = {}
     for t in enumerate_trees(n - 1).trees:
         adj = vertex_adjacency(t) + [[]]
+        c = centroids(n, adj)[0]
+        order, parent = rooted(adj, c)
+        # size[v]: the vertices below v in the tree rooted at c; head[v]:
+        # the head of v's branch of c, or at c the new leaf n, whose branch
+        # is empty before it is attached
+        size = [1] * n + [0]
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        head = [n] * n
+        for v in order[1:]:
+            p = parent[v]
+            head[v] = v if p == c else head[p]
         leaf_neighbours = set()
         for v in range(n):
             nbrs = adj[v]
@@ -222,9 +263,18 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
                 if nbrs[0] in leaf_neighbours:
                     continue
                 leaf_neighbours.add(nbrs[0])
+            # twice the size of v's branch with the leaf, against n + 1
+            r = head[v]
+            grown = 2 * (size[r] + 1)
+            if grown < n + 1:
+                roots: tuple[int, ...] = (c,)
+            elif grown > n + 1:
+                roots = (r,)
+            else:
+                roots = (c, r)
             nbrs.append(n)
             adj[n] = [v]
-            code = code_from_adjacency(n + 1, adj)
+            code = code_at_roots(n + 1, adj, roots)
             nbrs.pop()
             if code not in found:
                 found[code] = Tree(n + 1, t.edges + ((v, n),))

@@ -4,7 +4,7 @@ Vertices are dense integers ``0..vertex_count-1``. Edges are unordered vertex
 pairs kept in a fixed list; the list position is the edge id, and every edge
 set in this package is a plain ``int`` bitmask over those ids, the cheapest
 and most convenient representation here. Every per-tree table derives from
-one rooted traversal, ``_rooted``, in linear passes, so trees of thousands
+one rooted traversal, ``rooted``, in linear passes, so trees of thousands
 of vertices are served as well as the dozen-edge trees of a survey.
 """
 
@@ -132,7 +132,7 @@ class Tree:
     @cached_property
     def _bfs(self) -> tuple[list[int], list[int]]:
         """``(order, parent)`` of the tree rooted at vertex 0."""
-        return _rooted(vertex_adjacency(self), 0)
+        return rooted(vertex_adjacency(self), 0)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
@@ -186,7 +186,7 @@ class Tree:
         adj = vertex_adjacency(self)
         root, *other = centroids(n, adj)
         code = subtree_codes(n, adj, root)
-        order, parent = _rooted(adj, root)
+        order, parent = rooted(adj, root)
         up = [-1] * n  # edge id to the parent
         for eid, (u, v) in enumerate(self.edges):
             up[v if parent[v] == u else u] = eid
@@ -237,7 +237,7 @@ def path_edges(t: Tree, a: int, b: int) -> int:
     Walks the tree explicitly (BFS from ``a``, then backtrack from ``b``):
     the path walker of ``linking.same_side_bruteforce``, the oracle that the
     side tables are tested against. It keeps its own walk rather than share
-    ``_rooted`` with the tables, so one traversal bug cannot break both the
+    ``rooted`` with the tables, so one traversal bug cannot break both the
     tables and the oracle that checks them.
     """
     _check_vertex(t, a)
@@ -284,7 +284,7 @@ def delta(t: Tree, v: int) -> int:
     return edge_mask(eid for _, eid in t.adjacency[v])
 
 
-def _rooted(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+def rooted(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
     """``(order, parent)`` of the tree with neighbor lists ``adj`` rooted at
     ``root``: its vertices in BFS order, and each vertex's parent, ``-1`` at
     the root. The one traversal every per-tree table is derived from."""
@@ -313,7 +313,7 @@ def vertex_adjacency(t: Tree) -> list[list[int]]:
 def centroids(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     """The one or two vertices minimizing the largest component left by
     their removal."""
-    order, parent = _rooted(adj, 0)
+    order, parent = rooted(adj, 0)
     size = [1] * n
     heaviest_child = [0] * n
     for v in reversed(order):
@@ -344,7 +344,7 @@ def subtree_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> list[str]:
     children's codes in one more pair, so a childless vertex is ``()``.
     Iterative, so no tree size can exhaust the recursion limit.
     """
-    order, parent = _rooted(adj, root)
+    order, parent = rooted(adj, root)
     code = [""] * n
     kids: list[list[str]] = [[] for _ in range(n)]
     for v in reversed(order):
@@ -356,13 +356,20 @@ def subtree_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> list[str]:
     return code
 
 
+def code_at_roots(n: int, adj: Sequence[Sequence[int]], roots: Iterable[int]) -> str:
+    """The lexicographically smallest of the codes of the tree with neighbor
+    lists ``adj`` rooted at each of ``roots``: its canonical code when
+    ``roots`` are its centroids, for a caller that already knows them."""
+    return min(subtree_codes(n, adj, r)[r] for r in roots)
+
+
 def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
     """Canonical code of a free tree given as neighbor lists.
 
     Roots at the centroid; with two centroids, takes the lexicographically
     smaller of the two rooted codes. Equal codes characterize isomorphism.
     """
-    return min(subtree_codes(n, adj, c)[c] for c in centroids(n, adj))
+    return code_at_roots(n, adj, centroids(n, adj))
 
 
 def canonical_code(t: Tree) -> str:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete. The heavy item is the 8-edge census (criterion 4), 2 to 3 s of
+complete. The heavy item is the 8-edge census (criterion 4), 1 to 1.5 s of
 pure enumeration on one core of a 2-core machine.
 """
 

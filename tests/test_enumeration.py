@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from functools import lru_cache
@@ -18,7 +19,8 @@ from friendly_trees.tree import (
     Tree,
     canonical_code,
     centroids,
-    code_from_adjacency,
+    code_at_roots,
+    format_tree,
     subtree_codes,
     vertex_adjacency,
 )
@@ -207,12 +209,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_decodes_the_sequences_with_leaves_at_0_and_1_once(self, n, monkeypatch):
-        # The sequences over 2..m-1 that hold m - 1: 0 and 1 are leaves and
-        # m - 1 is not. In a sequence without m - 1 the last vertex is a
-        # leaf, so no centroid, and gets no key (see
-        # test_skipped_sequences_get_no_key); every class has a labelling
-        # with leaves at 0 and 1 and a centroid at m - 1 (see
-        # test_every_class_has_a_decoded_labelling).
+        # The sequences over 2..m-1 that hold m - 1, and whose first entry
+        # is at most the second: 0 and 1 are leaves and m - 1 is not. In a
+        # sequence without m - 1 the last vertex is a leaf, so no centroid,
+        # and gets no key (see test_skipped_sequences_get_no_key); swapping
+        # labels 0 and 1 swaps the first two entries (see
+        # test_swapping_the_two_low_leaves_swaps_the_first_two_entries);
+        # every class has a labelling with leaves at 0 and 1, the neighbour
+        # of 0 no larger than the neighbour of 1, and a centroid at m - 1
+        # (see test_every_class_has_a_decoded_labelling).
         decoded = Counter()
 
         def counting_decode(seq, m):
@@ -224,11 +229,27 @@ class TestOracle:
         m = n + 1
         everything = product(range(m), repeat=m - 2)
         # at m = 2 the one, empty, sequence: both vertices are centroids
-        expected = [seq for seq in everything if (m - 1 in seq and 0 not in seq and 1 not in seq) or m == 2]
+        expected = [
+            seq for seq in everything
+            if (m - 1 in seq and 0 not in seq and 1 not in seq and list(seq[:2]) == sorted(seq[:2])) or m == 2
+        ]
         assert dict(decoded) == dict.fromkeys(((seq, m) for seq in expected), 1)
         if n == 7:
-            # the (n-1)^(n-1) - (n-2)^(n-1) sequences over 2..n that hold n
-            assert len(decoded) == 31_031
+            # half of the 6^6 - 5^6 = 31,031 sequences over 2..7 that hold 7,
+            # plus half of the 6^5 - 5^5 = 4,651 among them whose first two
+            # entries are equal
+            assert len(decoded) == 17_841
+
+    @pytest.mark.parametrize("m", range(4, 8))
+    def test_swapping_the_two_low_leaves_swaps_the_first_two_entries(self, m):
+        # The swap's argument, checked apart from the census: in a sequence
+        # over 2..m-1, 0 and 1 are leaves, removed first and second next to
+        # seq[0] and seq[1], so relabelling 0 as 1 and 1 as 0 changes only
+        # those two entries, and the census may decode one of the pair.
+        swap = {0: 1, 1: 0}
+        for seq in product(range(2, m), repeat=m - 2):
+            edges = [(swap.get(u, u), swap.get(v, v)) for u, v in decode_prufer(seq, m)]
+            assert naive_encode(edges, m) == (seq[1], seq[0]) + seq[2:], (m, seq)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_skipped_sequences_get_no_key(self, m):
@@ -244,8 +265,9 @@ class TestOracle:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_every_class_has_a_decoded_labelling(self, n):
         # The leaf-label argument, checked apart from the census: relabel
-        # each class with a centroid at m - 1 and two leaves at 0 and 1; its
-        # sequence is one the census decodes, and its decode gets a key.
+        # each class with a centroid at m - 1 and two leaves at 0 and 1, the
+        # one whose neighbour gets the smaller label at 0; its sequence is
+        # one the census decodes, and its decode gets a key.
         m = n + 1
         codes = {(): 0}
         for t in enumerate_trees(n).trees:
@@ -255,8 +277,11 @@ class TestOracle:
             rest = [v for v in range(m) if v not in (a, b, centroid)]
             label = {a: 0, b: 1, centroid: m - 1}
             label.update(zip(rest, range(2, m - 1)))
+            if label[adj[a][0]] > label[adj[b][0]]:
+                label[a], label[b] = 1, 0
             seq = naive_encode([(label[u], label[v]) for u, v in t.edges], m)
             assert m - 1 in seq and 0 not in seq and 1 not in seq, t
+            assert list(seq[:2]) == sorted(seq[:2]), t
             assert _census_key(decode_prufer(seq, m), m, codes) is not None, t
 
     def test_rejects_out_of_range(self):
@@ -298,20 +323,56 @@ class TestEnumerateTrees:
             assert catalog.codes == codes, n
             assert [t.edges for t in catalog.trees] == [t.edges for t in trees], n
 
+    @pytest.mark.parametrize("n, digest", [
+        (11, "c250ef7a6bde2a05bcb08e4efcddf420b447ff0f2cc20856e2121dc392dbacfd"),
+        (12, "a156bdaf081579ff4eb7c824bae23e66c7caa4be9d30f792cda16d2d82650b7e"),
+    ])
+    def test_pinned_large_catalogues(self, n, digest):
+        # Past the reach of reference_catalogs in tier-1: the codes and
+        # representatives' edge lists of the 11- and 12-edge catalogues, as
+        # grown with a centroids() pass per candidate.
+        catalog = enumerate_trees(n)
+        text = "".join(code + "\n" + format_tree(t) for code, t in zip(catalog.codes, catalog.trees))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_codes_taken_by_a_cold_catalogue(self, monkeypatch):
         # one code per candidate, candidates that repeat a twin leaf's skipped
         calls = Counter()
 
-        def counting_code(n, adj):
+        def counting_code(n, adj, roots):
             calls[n] += 1
-            return code_from_adjacency(n, adj)
+            return code_at_roots(n, adj, roots)
 
         cold = lru_cache(maxsize=None, typed=True)(enumerate_trees.__wrapped__)
         monkeypatch.setattr(enumeration, "enumerate_trees", cold)
-        monkeypatch.setattr(enumeration, "code_from_adjacency", counting_code)
+        monkeypatch.setattr(enumeration, "code_at_roots", counting_code)
         assert len(cold(12)) == FREE_TREE_COUNTS[12]
         assert calls[13] == 5_344
         assert sum(calls.values()) == 8_847
+
+    def test_candidate_roots_are_its_centroids(self, monkeypatch):
+        # The roots the catalogue reads off each parent, rooted at its first
+        # centroid c, are the candidate's centroids: c when it stays, the
+        # parent's second centroid when the leaf grows that half, and two
+        # when the leaf's branch becomes half the candidate.
+        cases = Counter()
+
+        def checking_code(n, adj, roots):
+            assert sorted(roots) == centroids(n, adj), (n, adj, roots)
+            leaf = n - 1
+            parent = centroids(leaf, [[y for y in nbrs if y != leaf] for nbrs in adj[:leaf]])
+            if len(roots) == 2:
+                cases["two"] += 1
+            else:
+                cases["moves" if roots[0] != parent[0] else "stays"] += 1
+            return code_at_roots(n, adj, roots)
+
+        cold = lru_cache(maxsize=None, typed=True)(enumerate_trees.__wrapped__)
+        monkeypatch.setattr(enumeration, "enumerate_trees", cold)
+        monkeypatch.setattr(enumeration, "code_at_roots", checking_code)
+        assert len(cold(12)) == FREE_TREE_COUNTS[12]
+        assert sum(cases.values()) == 8_847
+        assert set(cases) == {"stays", "moves", "two"}
 
     def test_codes_strictly_increasing(self):
         for n in range(9):

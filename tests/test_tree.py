@@ -398,7 +398,7 @@ def adjacency_neighbours(t):
 
 
 class TestVertexAdjacency:
-    # The order matters: ``_rooted``'s BFS follows it into ``depths``,
+    # The order matters: ``rooted``'s BFS follows it into ``depths``,
     # ``side_tables`` and ``automorphism_generators``, and so into the
     # search order.
     def test_matches_adjacency_on_catalogue_trees(self):
