@@ -115,12 +115,77 @@ def is_realizable(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
 
 
 def _edge_order(k: Tree) -> list[int]:
-    # Edges at high-degree vertices first: their constraints complete earliest.
+    # The mapped edges grow as one subtree, so each even-distance pair is
+    # checked as early as it can be. The first edge is the lowest-id edge at
+    # a highest-degree vertex. Each later one is the edge next to the
+    # subtree that completes the most pairs, then the one with the larger
+    # maximum endpoint degree, then the lowest id. A vertex is complete once
+    # all its edges are mapped, and then closes one pair with each complete
+    # vertex of its depth parity.
+    #
+    # An edge next to the subtree has one end ``u`` in it. It completes
+    # ``u`` when it is ``u``'s last untaken edge, and its other end when
+    # that is a leaf. So each vertex of the subtree offers one candidate:
+    # its last edge, else its lowest-id leaf edge if complete vertices of
+    # the other parity make that close pairs, else its first edge by
+    # (-max endpoint degree, id). Both lists keep a pointer past taken
+    # edges, so no step rescans the edges.
+    n = k.edge_count
+    if n == 0:
+        return []
     deg = k.degrees
-    def key(eid: int) -> tuple[int, int, int]:
-        u, v = k.edges[eid]
-        return (-max(deg[u], deg[v]), -(deg[u] + deg[v]), eid)
-    return sorted(range(k.edge_count), key=key)
+    edges = k.edges
+    parity = [d & 1 for d in k.depths]
+    wide = [max(deg[u], deg[v]) for u, v in edges]
+    to_leaf = [min(deg[u], deg[v]) == 1 for u, v in edges]
+    by_width = [sorted((e for _, e in nbrs), key=lambda e: -wide[e]) for nbrs in k.adjacency]
+    leaf_edges = [[e for _, e in nbrs if to_leaf[e]] for nbrs in k.adjacency]
+    at_width = [0] * k.vertex_count
+    at_leaf = [0] * k.vertex_count
+    left = list(deg)  # untaken edges at each vertex
+    taken = [False] * n
+    closed = [0, 0]  # complete vertices of each depth parity
+    active: set[int] = set()  # vertices of the subtree with untaken edges
+    e = wide.index(max(wide))
+    order = []
+    while True:
+        order.append(e)
+        taken[e] = True
+        for w in edges[e]:
+            left[w] -= 1
+            if left[w]:
+                active.add(w)
+            else:
+                closed[parity[w]] += 1
+                active.discard(w)
+        if not active:
+            return order
+        best = None
+        for u in active:
+            es = by_width[u]
+            i = at_width[u]
+            while taken[es[i]]:
+                i += 1
+            at_width[u] = i
+            e = es[i]
+            p = parity[u]
+            if left[u] == 1:
+                score = closed[p] + (closed[p ^ 1] if to_leaf[e] else 0)
+            else:
+                score = 0
+                if closed[p ^ 1]:
+                    ls = leaf_edges[u]
+                    j = at_leaf[u]
+                    while j < len(ls) and taken[ls[j]]:
+                        j += 1
+                    at_leaf[u] = j
+                    if j < len(ls):
+                        e = ls[j]
+                        score = closed[p ^ 1]
+            key = (score, wide[e], -e)
+            if best is None or key > best:
+                best = key
+        e = -best[2]
 
 
 # Each tree's plan, for as long as the tree lives: a survey reuses its trees
@@ -177,9 +242,12 @@ def _plan(t: Tree) -> tuple:
 def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     """Search for a realizable bijection by backtracking over source edges.
 
-    Source edges are assigned in a fixed heuristic order, candidate images in
-    ascending edge id, so the search reaches bijections in lexicographic
-    order of their images. Two kinds of cut prune a branch:
+    Source edges are assigned in one fixed order per tree, which grows the
+    mapped edges as a single subtree and next takes the edge that completes
+    the most even-distance pairs (``_edge_order`` gives the rule), so each
+    pair is checked as early as it can be. Candidate images go in ascending
+    edge id, so the search reaches bijections in lexicographic order of
+    their images in that edge order. Two kinds of cut prune a branch:
 
     - Constraint: an even-distance vertex pair is checked the moment both its
       incident sets are fully mapped. Mapped images never change, so a

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from friendly_trees import realizability
@@ -119,8 +119,8 @@ class TestFindRealizableBijection:
         path = Tree(301, [(i, i + 1) for i in range(300)])
         cert = find_realizable_bijection(path, path)
         assert cert.verdict == FRIENDLY
-        assert cert.witness == (299,) + tuple(range(299))
-        assert (cert.nodes, cert.checked) == (302, 2)
+        assert cert.witness == tuple(range(300))
+        assert (cert.nodes, cert.checked) == (300, 1)
 
     def test_unsound_witness_raises(self, monkeypatch):
         # The search re-tests its witness whole before returning it.
@@ -371,9 +371,9 @@ def test_search_output_pinned_through_eight_edges():
             unfriendly += cert.verdict == UNFRIENDLY
             nodes += cert.nodes
             checked += cert.checked
-    assert (pairs, unfriendly, nodes, checked) == (2910, 8, 188_043, 12_638)
+    assert (pairs, unfriendly, nodes, checked) == (2910, 8, 164_995, 12_097)
     assert digest.hexdigest() == (
-        "0222ba532d1a4554654a78467b627674d618d1ef0fee6cd24f7d1a530a403ec9"
+        "3f3d19f95906f39383128e0fc0bf4752076a0e1ed97f54851d4ce2e7e10d2b03"
     )
 
 
@@ -394,7 +394,7 @@ def test_nine_edge_sweep():
             checked += cert.checked
             if cert.verdict == UNFRIENDLY:
                 unfriendly.append((i, j))
-    assert (nodes, checked) == (2_642_201, 81_651)
+    assert (nodes, checked) == (2_067_679, 77_767)
     both_ways = CATALOG9_UNFRIENDLY | {(j, i) for i, j in CATALOG9_UNFRIENDLY}
     assert sorted(unfriendly) == sorted(both_ways)
     for i, j in unfriendly:
@@ -564,6 +564,75 @@ def search_key(k, h):
     return tuple(h[eid] for eid in _edge_order(k))
 
 
+def pairs_closed(k, taken, eid):
+    """Even-distance pairs whose last incident edge is ``eid``, once the
+    edges in ``taken`` are mapped."""
+    def complete(v, mapped):
+        return all(e in mapped for _, e in k.adjacency[v])
+
+    after = set(taken) | {eid}
+    return sum(
+        (complete(a, after) and complete(b, after))
+        and not (complete(a, taken) and complete(b, taken))
+        for a, b in even_vertex_pairs(k)
+    )
+
+
+def frontier(k, taken):
+    """Untaken edges that share a vertex with a taken one."""
+    touched = {v for e in taken for v in k.edges[e]}
+    return [
+        e for e, (u, v) in enumerate(k.edges)
+        if e not in taken and (u in touched or v in touched)
+    ]
+
+
+def edge_order_by_rescan(k):
+    """The search's edge order by its rule, rescanning the whole frontier at
+    every step: the reference for ``_edge_order``."""
+    n = k.edge_count
+    if n == 0:
+        return []
+    deg = k.degrees
+
+    def wide(e):
+        u, v = k.edges[e]
+        return max(deg[u], deg[v])
+
+    top = max(deg)
+    order = [min(e for e in range(n) if wide(e) == top)]
+    while len(order) < n:
+        order.append(max(
+            frontier(k, order), key=lambda e: (pairs_closed(k, order, e), wide(e), -e)
+        ))
+    return order
+
+
+@settings(deadline=None)
+@given(trees(max_edges=12))
+@example(Tree(1, []))
+@example(Tree(2, [(0, 1)]))
+@example(Tree(13, [(0, leaf) for leaf in range(1, 13)]))
+@example(Tree(13, [(i, i + 1) for i in range(12)]))
+def test_edge_order_grows_one_subtree_closing_the_most_pairs(k):
+    order = _edge_order(k)
+    assert sorted(order) == list(range(k.edge_count))
+    for m in range(1, len(order) + 1):
+        # A forest with m edges on m + 1 vertices is one tree.
+        assert len({v for e in order[:m] for v in k.edges[e]}) == m + 1
+    for m in range(1, len(order)):
+        taken = order[:m]
+        best = pairs_closed(k, taken, order[m])
+        assert all(pairs_closed(k, taken, e) <= best for e in frontier(k, taken))
+    assert order == edge_order_by_rescan(k)
+
+
+def test_edge_order_matches_rescan_on_the_catalogues():
+    for n in range(11):
+        for k in enumerate_trees(n).trees:
+            assert _edge_order(k) == edge_order_by_rescan(k), k
+
+
 @settings(deadline=None)
 @given(trees(max_edges=9, min_edges=2), st.data())
 def test_generators_keep_a_witness_realizable(k, data):
@@ -619,7 +688,21 @@ def test_cut_reaches_isomorphic_branches():
     for k, k2 in ((catalog[43], catalog[229]), (catalog[229], catalog[43])):
         cert = find_realizable_bijection(k, k2)
         assert cert.verdict == UNFRIENDLY
-        assert cert.nodes < 20_000
+        assert cert.nodes < 5_000
+
+
+def test_twelve_edge_tail_pairs():
+    # Friendly 12-edge pairs from the slow tail of a random catalogue
+    # sample: the node counts pin how early the edge order closes pairs.
+    catalog = enumerate_trees(12).trees
+    nodes = []
+    for i, j in ((48, 361), (416, 1203), (527, 752)):
+        k, k2 = catalog[i], catalog[j]
+        cert = find_realizable_bijection(k, k2)
+        assert cert.verdict == FRIENDLY
+        assert is_realizable(k, k2, cert.witness)
+        nodes.append(cert.nodes)
+    assert nodes == [83_837, 34_803, 143_256]
 
 
 @pytest.mark.slow

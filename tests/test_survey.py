@@ -49,19 +49,26 @@ GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0"
 # they pin the search order, not just the verdicts. A change that alters the
 # search order on purpose re-pins them and says so.
 REPORT_SHA256 = {
-    7: "7f0753b63e73913abc267fa65dbbd6959b37472908e5c2ca20b1bdbf6d28dff5",
-    8: "d59cc36ef56782537c2cc4e8ec8755873766ef88744c8e9e9bc918b62d0987dd",
-    9: "818bd0a61809b8ca03734f15022b994c239cb51050b5659117c7f647d1c293f3",
+    7: "946696fde390c8ed9ee61377d8c8717488c173b02ecf86f16a392c4e09838d98",
+    8: "a806f7444601a8ff389a4e14508d754b6ff67573dc8b97eb2468534be96d1ed4",
+    9: "aec978232e8582d6979a6ca76d73ae0ec76957c8942ad486a179bafe0135abaf",
 }
-G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=386 checked=47\n"
-H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=305 checked=13\n"
+G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=417 checked=15\n"
+H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=320 checked=10\n"
 # The same reports with every ``nodes=`` field stripped: verdicts, witnesses
 # and codes only. A pruning that never cuts the first realizable bijection in
 # search order moves the pins above but must leave these alone.
 WITNESS_SHA256 = {
-    7: "7f1e5e8a06e070d52528216474a22c4250925f19399379b3ab32926a7dcb861e",
-    8: "a6c4def1adc4373c7407554934dc18bb956780df6dd7865aabd2d90d51be0553",
-    9: "1b34b72509b33adbd4590be4e8f4d116db23736a65769f7c718a5dd090757f23",
+    7: "191d661c35a8d9330dc46ad010695f8dc326e9ad88c6486381655c9ca20c3536",
+    8: "7ad9a8bb190e2f820f7acf11ee2e2c092cb6a5c366fd31d57c9ea30da5f74f04",
+    9: "b976f1d60153dbb748f50ca12bb950a93147057cdd6ad8a2042a24f6edd989aa",
+}
+# The same reports with witnesses stripped too: verdicts and codes only. A
+# new edge order moves every pin above but must leave these alone.
+VERDICT_SHA256 = {
+    7: "380b2086c93c64a373dc5502b412445d2132d53515766decabc80b9143eeb3d2",
+    8: "e729e6aa1e07d9b644d2c26716c22a12a2ede7e04dec74086adfdb8b3e816eea",
+    9: "659ed3688042b83c8ecb41c768bf1213250617fba23ada8f72c9e6828648576c",
 }
 # The 9-edge survey takes seconds, so its pins run with the ``slow`` set.
 PINNED_EDGES = [7, 8, pytest.param(9, marks=pytest.mark.slow)]
@@ -171,13 +178,23 @@ class TestSurveyPairs:
     @pytest.mark.parametrize("edges", PINNED_EDGES)
     def test_report_bytes_pinned(self, edges):
         text = report_text(edges)
+        verify_report_witnesses(parse_report(text))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_SHA256[edges]
 
     @pytest.mark.parametrize("edges", PINNED_EDGES)
     def test_report_witnesses_pinned(self, edges):
+        verify_report_witnesses(parse_report(report_text(edges)))
         text = re.sub(r" nodes=\d+", "", report_text(edges))
         assert "nodes=" not in text
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == WITNESS_SHA256[edges]
+
+    @pytest.mark.parametrize("edges", PINNED_EDGES)
+    def test_report_verdicts_pinned(self, edges):
+        verify_report_witnesses(parse_report(report_text(edges)))
+        text = re.sub(r"(?m)( friendly)[ \d]*$| nodes=\d+", r"\1", report_text(edges))
+        assert "nodes=" not in text
+        assert all(line.endswith("friendly") for line in text.splitlines()[1:-1])
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == VERDICT_SHA256[edges]
 
     @pytest.mark.slow
     def test_nine_edge_unfriendly_rows(self):
