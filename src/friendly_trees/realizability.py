@@ -117,19 +117,13 @@ def is_realizable(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
 def _edge_order(k: Tree) -> list[int]:
     # The mapped edges grow as one subtree, so each even-distance pair is
     # checked as early as it can be. The first edge is the lowest-id edge at
-    # a highest-degree vertex. Each later one is the edge next to the
-    # subtree that completes the most pairs, then the one with the larger
-    # maximum endpoint degree, then the lowest id. A vertex is complete once
-    # all its edges are mapped, and then closes one pair with each complete
-    # vertex of its depth parity.
-    #
-    # An edge next to the subtree has one end ``u`` in it. It completes
-    # ``u`` when it is ``u``'s last untaken edge, and its other end when
-    # that is a leaf. So each vertex of the subtree offers one candidate:
-    # its last edge, else its lowest-id leaf edge if complete vertices of
-    # the other parity make that close pairs, else its first edge by
-    # (-max endpoint degree, id). Both lists keep a pointer past taken
-    # edges, so no step rescans the edges.
+    # a highest-degree vertex. Each later one is the frontier edge, untaken
+    # and next to the subtree, that completes the most pairs, then the one
+    # with the larger maximum endpoint degree, then the lowest id. A vertex
+    # is complete once all its edges are mapped, and then closes one pair
+    # with each complete vertex of its depth parity. Each step scans the
+    # whole frontier: quadratic in the worst case, as ``_plan`` already is
+    # through ``even_vertex_pairs``.
     n = k.edge_count
     if n == 0:
         return []
@@ -137,55 +131,34 @@ def _edge_order(k: Tree) -> list[int]:
     edges = k.edges
     parity = [d & 1 for d in k.depths]
     wide = [max(deg[u], deg[v]) for u, v in edges]
-    to_leaf = [min(deg[u], deg[v]) == 1 for u, v in edges]
-    by_width = [sorted((e for _, e in nbrs), key=lambda e: -wide[e]) for nbrs in k.adjacency]
-    leaf_edges = [[e for _, e in nbrs if to_leaf[e]] for nbrs in k.adjacency]
-    at_width = [0] * k.vertex_count
-    at_leaf = [0] * k.vertex_count
     left = list(deg)  # untaken edges at each vertex
-    taken = [False] * n
     closed = [0, 0]  # complete vertices of each depth parity
-    active: set[int] = set()  # vertices of the subtree with untaken edges
+    frontier: set[int] = set()  # untaken edges next to the subtree
+
+    def key(f: int) -> tuple[int, int, int]:
+        # ``f`` completes each end that has no other untaken edge.
+        u, v = edges[f]
+        score = 0
+        if left[u] == 1:
+            score += closed[parity[u]]
+        if left[v] == 1:
+            score += closed[parity[v]]
+        return score, wide[f], -f
+
     e = wide.index(max(wide))
     order = []
     while True:
         order.append(e)
-        taken[e] = True
+        frontier.discard(e)
         for w in edges[e]:
+            if left[w] == deg[w]:  # ``w`` joins the subtree
+                frontier.update(f for _, f in k.adjacency[w] if f != e)
             left[w] -= 1
-            if left[w]:
-                active.add(w)
-            else:
+            if not left[w]:
                 closed[parity[w]] += 1
-                active.discard(w)
-        if not active:
+        if not frontier:
             return order
-        best = None
-        for u in active:
-            es = by_width[u]
-            i = at_width[u]
-            while taken[es[i]]:
-                i += 1
-            at_width[u] = i
-            e = es[i]
-            p = parity[u]
-            if left[u] == 1:
-                score = closed[p] + (closed[p ^ 1] if to_leaf[e] else 0)
-            else:
-                score = 0
-                if closed[p ^ 1]:
-                    ls = leaf_edges[u]
-                    j = at_leaf[u]
-                    while j < len(ls) and taken[ls[j]]:
-                        j += 1
-                    at_leaf[u] = j
-                    if j < len(ls):
-                        e = ls[j]
-                        score = closed[p ^ 1]
-            key = (score, wide[e], -e)
-            if best is None or key > best:
-                best = key
-        e = -best[2]
+        e = max(frontier, key=key)
 
 
 # Each tree's plan, for as long as the tree lives: a survey reuses its trees

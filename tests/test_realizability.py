@@ -29,7 +29,7 @@ from friendly_trees.realizability import (
 from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
 
-from helpers import CATALOG9_UNFRIENDLY, random_tree, trees
+from helpers import CATALOG9_UNFRIENDLY, attachment_tree, random_tree, trees
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR3 = Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -627,10 +627,33 @@ def test_edge_order_grows_one_subtree_closing_the_most_pairs(k):
     assert order == edge_order_by_rescan(k)
 
 
-def test_edge_order_matches_rescan_on_the_catalogues():
-    for n in range(11):
-        for k in enumerate_trees(n).trees:
-            assert _edge_order(k) == edge_order_by_rescan(k), k
+@pytest.mark.parametrize("n", [
+    *range(11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))
+])
+def test_edge_order_matches_rescan_on_the_catalogues(n):
+    for k in enumerate_trees(n).trees:
+        assert _edge_order(k) == edge_order_by_rescan(k), k
+
+
+def test_edge_order_pinned():
+    # Every catalogue tree with 0-12 edges, and large trees past the reach
+    # of ``edge_order_by_rescan``, with parents computed, not drawn, so the
+    # digest is the same on every Python. A moved order moves witnesses and
+    # node counts, and so every pinned report.
+    large = [
+        Tree(1101, [(0, leaf) for leaf in range(1, 1101)]),
+        Tree(301, [(i, i + 1) for i in range(300)]),
+        attachment_tree([i // 2 for i in range(200)]),
+        attachment_tree([i // 3 for i in range(400)]),
+        attachment_tree([i * 37 % (i + 1) for i in range(600)]),
+        attachment_tree([i % 10 for i in range(1000)]),
+    ]
+    digest = hashlib.sha256()
+    for k in [t for n in range(13) for t in enumerate_trees(n).trees] + large:
+        digest.update((" ".join(map(str, _edge_order(k))) + "\n").encode())
+    assert digest.hexdigest() == (
+        "da630f81e33db772f9fbd633a7142c225da6111fe1f2fd3f88b6645aa367cf73"
+    )
 
 
 @settings(deadline=None)
