@@ -26,7 +26,8 @@ def _check_edge_set(t: Tree, mask: int, name: str) -> None:
     if type(mask) is not int:
         raise ValueError(f"{name} must be an int edge mask, got {mask!r}")
     if mask < 0 or mask >> t.edge_count:
-        raise ValueError(f"{name} has edge ids outside 0..{t.edge_count - 1}, got {mask}")
+        ids = f"outside 0..{t.edge_count - 1}" if t.edge_count else "but the tree has none"
+        raise ValueError(f"{name} has edge ids {ids}, got {mask}")
 
 
 def endpoints(t: Tree, mask: int) -> tuple[int, ...]:

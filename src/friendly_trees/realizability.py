@@ -64,7 +64,8 @@ def _check_bijection(n: int, h: EdgeBijection) -> tuple[int, ...]:
         h = None
     # A float such as 1.0 sorts equal to 1 but cannot index or shift.
     if h is None or len(h) != n or any(type(f) is not int for f in h) or sorted(h) != list(range(n)):
-        raise ValueError("map is not a bijection on edge ids 0..%d" % (n - 1))
+        ids = " on edge ids 0..%d" % (n - 1) if n else ": the trees have no edge ids"
+        raise ValueError("map is not a bijection" + ids)
     return h
 
 
@@ -161,34 +162,29 @@ def _edge_order(k: Tree) -> list[int]:
         e = max(frontier, key=key)
 
 
-# Each tree's plan, for as long as the tree lives: a survey reuses its trees
-# in both roles, and a tree made for one decision leaves nothing behind.
+# Each source's plan, for as long as the tree lives: a survey reuses its trees
+# as sources, and a tree made for one decision leaves nothing behind.
 _plans: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
 
 
 def _plan(t: Tree) -> tuple:
-    # Everything the search reads of ``t`` but its side tables, in both roles.
-    # As source, ``pos, bounds, complete, checks``: the search depth of each
-    # edge; per depth the earlier depths whose images bound it from below (a
-    # generator σ pairs the first depth ``d0`` whose edge it moves with
-    # ``d1``, the depth of that edge's image, and the search keeps
-    # ``img[d1] > img[d0]``); per depth the vertices whose last edge it maps,
-    # each with the depths of all its edges; and per depth the even-distance
-    # pairs checked there, once both vertices are complete.
-    # As target, ``lockers, hitmask``: per image ``f``, the generators that
-    # map ``f`` lower and the generators that move ``f``, generator ``i`` as
-    # bit ``1 << i``. A generator locks the images it maps lower until it is
-    # hit, that is until an image it moves is used.
+    # Everything the search reads of ``t`` as source, ``pos, bounds,
+    # complete, checks``: the search depth of each edge; per depth the
+    # earlier depths whose images bound it from below (a generator σ pairs
+    # the first depth ``d0`` whose edge it moves with ``d1``, the depth of
+    # that edge's image, and the search keeps ``img[d1] > img[d0]``); per
+    # depth the vertices whose last edge it maps, each with the depths of all
+    # its edges; and per depth the even-distance pairs checked there, once
+    # both vertices are complete.
     plan = _plans.get(t)
     if plan is not None:
         return plan
     n = t.edge_count
-    gens = t.automorphism_generators
     pos = [0] * n
     for depth, eid in enumerate(_edge_order(t)):
         pos[eid] = depth
     bounds: list[list[int]] = [[] for _ in range(n)]
-    for gen in gens:
+    for gen in t.automorphism_generators:
         e0, e1 = min(gen, key=lambda moved: pos[moved[0]])
         bounds[pos[e1]].append(pos[e0])
     done = []
@@ -200,15 +196,7 @@ def _plan(t: Tree) -> tuple:
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, b in even_vertex_pairs(t):
         checks[max(done[a], done[b])].append((a, b))
-
-    lockers = [0] * n
-    hitmask = [0] * n
-    for i, gen in enumerate(gens):
-        for f, tf in gen:
-            hitmask[f] |= 1 << i
-            if tf < f:
-                lockers[f] |= 1 << i
-    plan = _plans[t] = (pos, bounds, complete, checks, lockers, hitmask)
+    plan = _plans[t] = (pos, bounds, complete, checks)
     return plan
 
 
@@ -248,10 +236,10 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     above its source bounds, and a per-depth mask holds the target
     generators not yet hit. A candidate is skipped, before it counts as a
     node, while an unhit generator maps it lower; using an image hits every
-    generator that moves it, and a hit generator stays hit. Every table the
-    search reads of a tree, its generators, cut tables and constraint
-    schedule, is built once per tree, by one memoized plan that serves both
-    roles.
+    generator that moves it, and a hit generator stays hit. The source's
+    edge order, cut bounds and constraint schedule are one memoized plan,
+    built once per tree; the target's two per-image generator masks are
+    read straight off its generators on each call.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check is two mask tests: when a source
@@ -269,8 +257,18 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     if n == 0:
         return Certificate(FRIENDLY, (), 0, 1)
 
-    pos, bounds, complete, checks = _plan(k)[:4]
-    lockers, hitmask = _plan(k2)[4:]
+    pos, bounds, complete, checks = _plan(k)
+    # The target's cut tables, per image ``f``: the generators that map ``f``
+    # lower (``lockers``) and those that move ``f`` (``hitmask``), generator
+    # ``i`` as bit ``1 << i``. A generator locks the images it maps lower
+    # until it is hit, that is until an image it moves is used.
+    lockers = [0] * n
+    hitmask = [0] * n
+    for i, gen in enumerate(k2.automorphism_generators):
+        for f, tf in gen:
+            hitmask[f] |= 1 << i
+            if tf < f:
+                lockers[f] |= 1 << i
     below, ends = k2.side_tables
 
     img = [0] * n  # image of the edge mapped at each depth

@@ -241,10 +241,11 @@ def parse_report(text: str) -> SurveyReport:
             nodes: int | None = None
             if verdict == FRIENDLY:
                 witness = parse_ints(lineno, fields[6:], "witness")
-                if sorted(witness) != list(range(head["edges"])):
-                    raise ValueError(
-                        f"line {lineno}: witness is not a permutation of 0..{head['edges'] - 1}"
-                    )
+                n = head["edges"]
+                if sorted(witness) != list(range(n)):
+                    what = (f"a permutation of 0..{n - 1}" if n
+                            else "empty, but the trees have no edge ids")
+                    raise ValueError(f"line {lineno}: witness is not {what}")
             elif verdict == UNFRIENDLY:
                 nodes = key_values(lineno, fields[6:], nodes=count)["nodes"]
             else:

@@ -26,7 +26,7 @@ from friendly_trees.realizability import (
     parse_certificate,
     recheck_certificate,
 )
-from friendly_trees.survey import build_G, build_H
+from friendly_trees.survey import build_G, build_H, parse_report
 from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
 
 from helpers import CATALOG9_UNFRIENDLY, attachment_tree, random_tree, trees
@@ -71,6 +71,23 @@ class TestIsRealizable:
         # No bijection on no edges either, though () would be one.
         with pytest.raises(ValueError, match="not a bijection"):
             is_realizable(Tree(1, []), Tree(1, []), None)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: is_realizable(Tree(1, []), Tree(1, []), (0,)),
+         "map is not a bijection: the trees have no edge ids"),
+        (lambda: unlinked(Tree(1, []), 1, 0), "p has edge ids but the tree has none, got 1"),
+        (lambda: parse_report("SURVEY edges=0 trees=1 pairs=1\nPAIR 0 0 () () friendly 0\n"),
+         "line 2: witness is not empty, but the trees have no edge ids"),
+    ],
+    ids=["bijection", "edge-set", "report-witness"],
+)
+def test_zero_edge_errors_say_there_are_no_edge_ids(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestEvenVertexPairs:
@@ -132,9 +149,9 @@ class TestFindRealizableBijection:
         a = find_realizable_bijection(build_H(), build_G())
         assert a == find_realizable_bijection(build_H(), build_G())
 
-    def test_plan_built_once_per_tree_for_both_roles_and_not_kept(self, monkeypatch):
-        # A survey reuses its trees as source and as target; a tree made for
-        # one decision must not outlive it through the plans' memo.
+    def test_source_plan_built_once_per_tree_and_not_kept(self, monkeypatch):
+        # A survey reuses its trees as sources; a tree made for one decision
+        # must not outlive it through the plans' memo.
         built = []
         edge_order = realizability._edge_order
         monkeypatch.setattr(
@@ -150,6 +167,45 @@ class TestFindRealizableBijection:
         del g, h, built
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+    def test_target_only_tree_gets_no_plan(self, monkeypatch):
+        # A target's cut tables come straight from its generators: it gets
+        # no edge order, no constraint schedule and no entry in the memo.
+        seen = []
+        edge_order = realizability._edge_order
+        pairs = realizability.even_vertex_pairs
+        monkeypatch.setattr(
+            realizability, "_edge_order", lambda t: seen.append(t) or edge_order(t)
+        )
+        monkeypatch.setattr(
+            realizability, "even_vertex_pairs", lambda t: seen.append(t) or pairs(t)
+        )
+        for g, h in ((build_G(), build_H()), (build_H(), build_H())):
+            find_realizable_bijection(g, h)
+            assert h not in realizability._plans
+            assert all(t is not h for t in seen)
+            assert g in realizability._plans
+
+    def test_fresh_random_pairs_pinned(self):
+        # Relabelled, edge-shuffled trees made for one decision each, so every
+        # target's cut tables are built for that call; the certificate must
+        # not change once the target has a source plan as well.
+        rng = random.Random(2013)
+        digest = hashlib.sha256()
+        nodes = checked = 0
+        for i in range(200):
+            a, b = random_tree(rng, 9 + i % 2), random_tree(rng, 9 + i % 2)
+            cert = find_realizable_bijection(a, b)
+            realizability._plan(b)
+            assert find_realizable_bijection(a, b) == cert
+            digest.update(certificate_to_text(cert).encode())
+            nodes += cert.nodes
+            checked += cert.checked
+        assert (digest.hexdigest(), nodes, checked) == (
+            "386bacc09e26a6f96384f8be8be06b3ad9f870f35b94b1c7c76444ad54c3aed6",
+            382625,
+            5525,
+        )
 
     def test_planned_pair_reads_no_vertex_pairs(self, monkeypatch):
         # The constraint schedule is part of the plan: deciding a pair again
