@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, TypeVar
 
 from .circles import dual_tree, parse_nesting
 from .enumeration import enumerate_trees
@@ -24,17 +25,29 @@ from .realizability import certificate_to_text, find_realizable_bijection
 from .survey import survey_pairs, verify_theorem1, write_report
 from .tree import format_tree, parse_tree, split_lines
 
+T = TypeVar("T")
 
-def _read(path: str) -> str:
-    """The ASCII text of a file; a non-ASCII byte is a ``ValueError`` that
-    names its line, counted as ``line_records`` counts lines."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of the ASCII text of the file at ``path``.
+
+    A file that cannot be read, holds a non-ASCII byte or does not parse is
+    a ``ValueError`` that starts with ``path``. A non-ASCII byte is then
+    placed by its line, counted as ``line_records`` counts lines."""
     try:
-        return data.decode("ascii")
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as err:
+        raise ValueError(f"{path}: {err.strerror}") from None
+    try:
+        text = data.decode("ascii")
     except UnicodeDecodeError as err:
         line = len(split_lines(data[: err.start].decode("ascii")))
-        raise ValueError(f"line {line}: non-ASCII byte 0x{data[err.start]:02x}") from None
+        raise ValueError(f"{path}: line {line}: non-ASCII byte 0x{data[err.start]:02x}") from None
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -47,8 +60,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    a = parse_tree(_read(args.a))
-    b = parse_tree(_read(args.b))
+    a = _load(args.a, parse_tree)
+    b = _load(args.b, parse_tree)
     cert = find_realizable_bijection(a, b)
     sys.stdout.write(certificate_to_text(cert))
     return 0
@@ -90,7 +103,7 @@ def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    forest = parse_nesting(_read(args.nesting))
+    forest = _load(args.nesting, parse_nesting)
     sys.stdout.write(format_tree(dual_tree(forest)))
     return 0
 

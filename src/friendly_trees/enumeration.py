@@ -13,8 +13,10 @@ those whose first entry is at most the second: 17,841 at 7 edges and
 307,300 at 8. The codes are interned in a table local to one census
 call and share no code with ``tree.canonical_code``.
 The catalogue generator that follows grows trees one leaf at a time and
-collapses them by the string canonical codes of ``tree``, rooted at
-centroids it reads off each parent. The tests pin it four ways: its class
+collapses them by the string canonical codes of ``tree``. It codes each
+parent once, rooted at a centroid, and each candidate by recoding only the
+path from the new leaf to that root; the same rooting tells where the
+candidate's centroids are. The tests pin it four ways: its class
 counts match the census through 8 edges (the acceptance suite); its codes
 and representatives match a reference catalogue, grown at every vertex,
 through 10 edges; SHA-256 digests pin both at 11 and 12 edges; and its
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple, Sequence
 
 # ``perfbench/tracing.py`` patches ``code_from_adjacency`` here by name, so
 # it stays importable from this module although the catalogue no longer
@@ -35,7 +38,6 @@ from .tree import (
     Tree,
     canonical_code,
     centroids,
-    code_at_roots,
     code_from_adjacency,  # noqa: F401
     rooted,
     vertex_adjacency,
@@ -212,6 +214,86 @@ class TreeCatalog:
         return len(self.trees)
 
 
+class CentroidRooting(NamedTuple):
+    """A tree rooted once at its first centroid ``root``, for
+    ``code_with_leaf``. Per vertex: its ``parent`` (``-1`` at the root), the
+    ``head`` of its branch of the root (the root's child above it, and the
+    root itself at the root), its subtree's ``size`` and ``code`` as
+    ``tree.subtree_codes`` codes it, and its children's codes in ascending
+    order, ``kids``."""
+
+    root: int
+    parent: list[int]
+    head: list[int]
+    size: list[int]
+    code: list[str]
+    kids: list[list[str]]
+
+
+def centroid_rooting(n: int, adj: Sequence[Sequence[int]]) -> CentroidRooting:
+    """The tree on ``n`` vertices with neighbour lists ``adj``, rooted at
+    its first centroid."""
+    c = centroids(n, adj)[0]
+    order, parent = rooted(adj, c)
+    size = [1] * n
+    code = [""] * n
+    kids: list[list[str]] = [[] for _ in range(n)]
+    for v in reversed(order):
+        k = kids[v]
+        k.sort()
+        code[v] = "(" + "".join(k) + ")"
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
+            kids[p].append(code[v])
+    head = [c] * n
+    for v in order[1:]:
+        p = parent[v]
+        head[v] = v if p == c else head[p]
+    return CentroidRooting(c, parent, head, size, code, kids)
+
+
+def code_with_leaf(rooting: CentroidRooting, v: int) -> str:
+    """Canonical code of the tree of ``rooting`` with a new leaf ``n`` at
+    ``v``, equal to ``tree.code_from_adjacency`` of the grown tree, rebuilt
+    along the path from ``v`` to the root ``c`` alone.
+
+    ``v`` gains the child ``()``, the greatest code, so last in order.
+    Rooted at ``r``, the head of ``v``'s branch, the grown tree has ``r``'s
+    new children and one more: ``c`` with its other branches. Which of
+    ``c`` and ``r`` are centroids is set out in ``enumerate_trees``. A leaf
+    at ``c`` starts a branch of one, which is half the candidate only at
+    ``n == 1``; the leaf's code ``(())`` is then ``c``'s.
+    """
+    c, parent, head, size, code, kids = rooting
+    n = len(parent)
+    if v == c:
+        return code[c][:-1] + "())"
+    r = head[v]
+    k = kids[v] + ["()"]
+    u = v
+    while u != r:
+        old, new = code[u], "(" + "".join(k) + ")"
+        u = parent[u]
+        k = kids[u][:]
+        k[k.index(old)] = new
+        k.sort()
+    grown = 2 * (size[r] + 1)
+    codes = []
+    if grown <= n + 1:
+        top = kids[c][:]
+        top[top.index(code[r])] = "(" + "".join(k) + ")"
+        top.sort()
+        codes.append("(" + "".join(top) + ")")
+    if grown >= n + 1:
+        rest = kids[c][:]
+        rest.remove(code[r])
+        k.append("(" + "".join(rest) + ")")
+        k.sort()
+        codes.append("(" + "".join(k) + ")")
+    return min(codes)
+
+
 # typed: ``enumerate_trees(True)`` must not return the cached catalogue of 1
 @lru_cache(maxsize=None, typed=True)
 def enumerate_trees(edge_count: int) -> TreeCatalog:
@@ -223,16 +305,19 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     deleting one of its leaves), and canonical codes collapse duplicates.
     A leaf whose neighbour an earlier leaf shares is skipped: swapping the
     two twins is an automorphism, so its candidate repeats the earlier
-    one's. Each candidate's code is taken from the parent's neighbour lists
-    plus the new leaf, and a ``Tree`` is built only for a code not seen yet.
+    one's. A ``Tree`` is built only for a code not seen yet.
 
-    The candidate's centroids come from the parent, rooted once at one of
-    its centroids ``c``, where each branch holds at most ``n / 2`` of the
-    ``n`` vertices. A leaf at ``v`` grows the branch of ``v`` (headed by
-    ``r``; at ``c``, a new branch of one, the leaf) to ``s`` vertices.
-    ``c`` stays the one centroid while ``2s < n + 1``, shares it with ``r``
-    at ``2s == n + 1``, and gives it up to ``r`` past that, since then
-    every component left by removing ``r`` is smaller than half.
+    Each parent is coded once by ``centroid_rooting``, rooted at one of its
+    centroids ``c``, and each candidate by ``code_with_leaf``. A leaf at
+    ``v`` changes only the codes on the path from ``v`` to ``c``, so only
+    those are rebuilt, each from its old children's codes with the one that
+    changed swapped in. Each branch of ``c`` holds at most ``n / 2`` of the
+    ``n`` vertices. The leaf grows the branch of ``v``, headed by ``r``, to
+    ``s`` vertices. ``c`` stays the one centroid while ``2s < n + 1``,
+    shares it with ``r`` at ``2s == n + 1``, and gives it up to ``r`` past
+    that, since then every component left by removing ``r`` is smaller
+    than half. With two centroids the smaller of the two codes is the key,
+    as ``code_from_adjacency`` takes it.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
@@ -246,19 +331,8 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     n = edge_count  # vertices of each parent, and the id of the new leaf
     found: dict[str, Tree] = {}
     for t in enumerate_trees(n - 1).trees:
-        adj = vertex_adjacency(t) + [[]]
-        c = centroids(n, adj)[0]
-        order, parent = rooted(adj, c)
-        # size[v]: the vertices below v in the tree rooted at c; head[v]:
-        # the head of v's branch of c, or at c the new leaf n, whose branch
-        # is empty before it is attached
-        size = [1] * n + [0]
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        head = [n] * n
-        for v in order[1:]:
-            p = parent[v]
-            head[v] = v if p == c else head[p]
+        adj = vertex_adjacency(t)
+        rooting = centroid_rooting(n, adj)
         leaf_neighbours = set()
         for v in range(n):
             nbrs = adj[v]
@@ -266,19 +340,7 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
                 if nbrs[0] in leaf_neighbours:
                     continue
                 leaf_neighbours.add(nbrs[0])
-            # twice the size of v's branch with the leaf, against n + 1
-            r = head[v]
-            grown = 2 * (size[r] + 1)
-            if grown < n + 1:
-                roots: tuple[int, ...] = (c,)
-            elif grown > n + 1:
-                roots = (r,)
-            else:
-                roots = (c, r)
-            nbrs.append(n)
-            adj[n] = [v]
-            code = code_at_roots(n + 1, adj, roots)
-            nbrs.pop()
+            code = code_with_leaf(rooting, v)
             if code not in found:
                 found[code] = Tree(n + 1, t.edges + ((v, n),))
     codes = tuple(sorted(found))

@@ -356,20 +356,13 @@ def subtree_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> list[str]:
     return code
 
 
-def code_at_roots(n: int, adj: Sequence[Sequence[int]], roots: Iterable[int]) -> str:
-    """The lexicographically smallest of the codes of the tree with neighbor
-    lists ``adj`` rooted at each of ``roots``: its canonical code when
-    ``roots`` are its centroids, for a caller that already knows them."""
-    return min(subtree_codes(n, adj, r)[r] for r in roots)
-
-
 def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
     """Canonical code of a free tree given as neighbor lists.
 
     Roots at the centroid; with two centroids, takes the lexicographically
     smaller of the two rooted codes. Equal codes characterize isomorphism.
     """
-    return code_at_roots(n, adj, centroids(n, adj))
+    return min(subtree_codes(n, adj, r)[r] for r in centroids(n, adj))
 
 
 def canonical_code(t: Tree) -> str:

@@ -47,10 +47,11 @@ class TestEnumerate:
         assert capsys.readouterr().out == first
 
     # SHA-256 of the whole stdout: codes, representatives and their edge
-    # lists are all pinned.
+    # lists are all pinned; 0..8 edges as one concatenated stdout.
     @pytest.mark.parametrize(
         "edges, digest",
         [
+            (range(9), "abe66e1868a0d3f3cf2ab3bf2a1f075060b541f2af9f12552704734557116364"),
             (9, "d3f21cde16bc5b0202f8d857226435d86d41f48d035f3f6561c86011f32a536b"),
             (10, "abf5d228b7ea39cc8306d383ac6104759ac4ce262062939ca2b032e4cf427083"),
             (11, "37bde33c6c4ad959b9b299c9a0c1bfd0e9995c8b79f3a878ed6750c24271763c"),
@@ -58,7 +59,8 @@ class TestEnumerate:
         ],
     )
     def test_stdout_pinned(self, capsys, edges, digest):
-        assert main(["enumerate", "--edges", str(edges)]) == 0
+        for n in edges if isinstance(edges, range) else [edges]:
+            assert main(["enumerate", "--edges", str(n)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
@@ -101,12 +103,24 @@ class TestCheck:
         bad.write_bytes("V 3\nE 0 1\nE 1 2 \u00e9\n".encode("utf-8"))
         ok = write(tmp_path, "ok.tree", "V 3\nE 0 1\nE 1 2\n")
         assert main(["check", "--a", str(bad), "--b", ok]) == 1
-        assert capsys.readouterr().err == "error: line 3: non-ASCII byte 0xc3\n"
+        assert capsys.readouterr().err == f"error: {bad}: line 3: non-ASCII byte 0xc3\n"
+
+    def test_bad_b_named(self, tmp_path, capsys):
+        good = write(tmp_path, "good.tree", "V 2\nE 0 1\n")
+        bad = write(tmp_path, "bad.tree", "3\n")
+        assert main(["check", "--a", good, "--b", bad]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 1: unrecognized line '3'\n"
 
     def test_missing_file(self, tmp_path, capsys):
         a = write(tmp_path, "a.tree", H_TEXT)
-        assert main(["check", "--a", a, "--b", str(tmp_path / "nope")]) == 1
-        assert "error:" in capsys.readouterr().err
+        nope = str(tmp_path / "nope")
+        assert main(["check", "--a", a, "--b", nope]) == 1
+        assert capsys.readouterr().err == f"error: {nope}: No such file or directory\n"
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        a = write(tmp_path, "a.tree", H_TEXT)
+        assert main(["check", "--a", str(tmp_path), "--b", a]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
 class TestSurvey:
@@ -271,9 +285,9 @@ class TestDual:
         nesting = tmp_path / "bad.nest"
         nesting.write_bytes(b"C 0 -\r\nC 1 -\rC 2 - \xff\n")
         assert main(["dual", "--nesting", str(nesting)]) == 1
-        assert capsys.readouterr().err == "error: line 3: non-ASCII byte 0xff\n"
+        assert capsys.readouterr().err == f"error: {nesting}: line 3: non-ASCII byte 0xff\n"
 
     def test_malformed(self, tmp_path, capsys):
         nesting = write(tmp_path, "bad.nest", "C 0 7\n")
         assert main(["dual", "--nesting", nesting]) == 1
-        assert "dangling" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {nesting}: line 1: circle 0: dangling parent id 7\n"

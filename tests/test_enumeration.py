@@ -6,11 +6,14 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given
 
 from friendly_trees import enumeration
 from friendly_trees.enumeration import (
     _census_key,
     _decode_prufer,
+    centroid_rooting,
+    code_with_leaf,
     decode_prufer,
     enumerate_trees,
     prufer_oracle_count,
@@ -19,11 +22,13 @@ from friendly_trees.tree import (
     Tree,
     canonical_code,
     centroids,
-    code_at_roots,
+    code_from_adjacency,
     format_tree,
     subtree_codes,
     vertex_adjacency,
 )
+
+from helpers import trees
 
 # Class counts frozen as regression values: 1..8 produced by the Prüfer
 # census, the rest re-derived with the rooted-tree/Otter counting recurrence.
@@ -78,6 +83,14 @@ def reference_catalogs(max_edges):
                 candidate = Tree(n + 1, t.edges + ((v, n),))
                 grown.setdefault(canonical_code(candidate), candidate)
         found = {code: grown[code] for code in sorted(grown)}
+
+
+def with_leaf(adj, v):
+    """Copies of the neighbour lists ``adj`` with a new leaf at ``v``."""
+    n = len(adj)
+    grown = [list(nbrs) for nbrs in adj] + [[v]]
+    grown[v].append(n)
+    return grown
 
 
 def automorphism_count(t):
@@ -330,7 +343,7 @@ class TestEnumerateTrees:
     def test_pinned_large_catalogues(self, n, digest):
         # Past the reach of reference_catalogs in tier-1: the codes and
         # representatives' edge lists of the 11- and 12-edge catalogues, as
-        # grown with a centroids() pass per candidate.
+        # grown with a full recode of every candidate.
         catalog = enumerate_trees(n)
         text = "".join(code + "\n" + format_tree(t) for code, t in zip(catalog.codes, catalog.trees))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -339,40 +352,59 @@ class TestEnumerateTrees:
         # one code per candidate, candidates that repeat a twin leaf's skipped
         calls = Counter()
 
-        def counting_code(n, adj, roots):
-            calls[n] += 1
-            return code_at_roots(n, adj, roots)
+        def counting_code(rooting, v):
+            calls[len(rooting.parent) + 1] += 1
+            return code_with_leaf(rooting, v)
 
         cold = lru_cache(maxsize=None, typed=True)(enumerate_trees.__wrapped__)
         monkeypatch.setattr(enumeration, "enumerate_trees", cold)
-        monkeypatch.setattr(enumeration, "code_at_roots", counting_code)
+        monkeypatch.setattr(enumeration, "code_with_leaf", counting_code)
         assert len(cold(12)) == FREE_TREE_COUNTS[12]
         assert calls[13] == 5_344
         assert sum(calls.values()) == 8_847
 
-    def test_candidate_roots_are_its_centroids(self, monkeypatch):
-        # The roots the catalogue reads off each parent, rooted at its first
-        # centroid c, are the candidate's centroids: c when it stays, the
-        # parent's second centroid when the leaf grows that half, and two
-        # when the leaf's branch becomes half the candidate.
+    def test_candidate_codes_match_a_full_recode(self, monkeypatch):
+        # Every candidate of a cold catalogue through 12 edges, coded from
+        # its parent's path alone, against the code of its whole neighbour
+        # lists. The parent's first centroid c stays the candidate's one
+        # centroid, gives way to another, or shares with one: all three
+        # occur.
         cases = Counter()
+        parent_adj = []
 
-        def checking_code(n, adj, roots):
-            assert sorted(roots) == centroids(n, adj), (n, adj, roots)
-            leaf = n - 1
-            parent = centroids(leaf, [[y for y in nbrs if y != leaf] for nbrs in adj[:leaf]])
+        def recording_rooting(n, adj):
+            parent_adj[:] = [adj]
+            return centroid_rooting(n, adj)
+
+        def checking_code(rooting, v):
+            code = code_with_leaf(rooting, v)
+            (adj,) = parent_adj
+            grown = with_leaf(adj, v)
+            assert code == code_from_adjacency(len(grown), grown), (adj, v)
+            roots = centroids(len(grown), grown)
             if len(roots) == 2:
                 cases["two"] += 1
             else:
-                cases["moves" if roots[0] != parent[0] else "stays"] += 1
-            return code_at_roots(n, adj, roots)
+                cases["moves" if roots[0] != rooting.root else "stays"] += 1
+            return code
 
         cold = lru_cache(maxsize=None, typed=True)(enumerate_trees.__wrapped__)
         monkeypatch.setattr(enumeration, "enumerate_trees", cold)
-        monkeypatch.setattr(enumeration, "code_at_roots", checking_code)
+        monkeypatch.setattr(enumeration, "centroid_rooting", recording_rooting)
+        monkeypatch.setattr(enumeration, "code_with_leaf", checking_code)
         assert len(cold(12)) == FREE_TREE_COUNTS[12]
         assert sum(cases.values()) == 8_847
         assert set(cases) == {"stays", "moves", "two"}
+
+    @given(trees(max_edges=40))
+    def test_leaf_codes_match_a_full_recode_past_twelve_edges(self, t):
+        # Trees of up to 40 edges have longer paths and centroid moves than
+        # any parent in the 12-edge catalogue. A leaf at every vertex.
+        adj = vertex_adjacency(t)
+        rooting = centroid_rooting(t.vertex_count, adj)
+        for v in range(t.vertex_count):
+            grown = with_leaf(adj, v)
+            assert code_with_leaf(rooting, v) == code_from_adjacency(len(grown), grown), (t, v)
 
     def test_codes_strictly_increasing(self):
         for n in range(9):
