@@ -4,20 +4,22 @@ The Prüfer census below is the independent oracle and is written first: it
 runs over the labelled trees on a fixed vertex set, keeps those in which the
 last vertex is a centroid, and buckets them by an integer AHU code (Aho,
 Hopcroft and Ullman 1974) of the tree rooted there. Every class has such a
-labelling, so every class gets a bucket. Since every tree on three or more
-vertices also has two leaves, and no leaf is a centroid, every class also
-has such a labelling with leaves at 0 and 1; so the census decodes only the
-sequences over ``2..m-1`` that contain the last vertex. Swapping labels 0
-and 1 swaps the first two entries of such a sequence, so it decodes only
-those whose first entry is at most the second: 17,841 at 7 edges and
-307,300 at 8. The codes are interned in a table local to one census
-call and share no code with ``tree.canonical_code``.
+labelling, so every class gets a bucket. A tree on three or more vertices
+has leaves, and no leaf is a centroid, so every class also has such a
+labelling with its L leaves at ``0..L-1``. Prüfer's decoder removes those
+leaves first, in label order, so their neighbours are the first entries of
+the sequence, and relabelling the leaves only permutes those entries; the
+census decodes only the sequences over ``L..m-1`` that hold each of them
+and whose leaves' entries do not decrease, one labelling per orbit of leaf
+relabellings: 892 at 7 edges and 6,937 at 8. The codes are interned in a
+table local to one census call and share no code with
+``tree.canonical_code``.
 The catalogue generator that follows grows trees one leaf at a time and
 collapses them by the string canonical codes of ``tree``. It codes each
 parent once, rooted at a centroid, and each candidate by recoding only the
 path from the new leaf to that root; the same rooting tells where the
 candidate's centroids are. The tests pin it four ways: its class
-counts match the census through 8 edges (the acceptance suite); its codes
+counts match the census through 10 edges (the acceptance suite); its codes
 and representatives match a reference catalogue, grown at every vertex,
 through 10 edges; SHA-256 digests pin both at 11 and 12 edges; and its
 classes' labellings add up to Cayley's count through 12 edges
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 # ``perfbench/tracing.py`` patches ``code_from_adjacency`` here by name, so
@@ -43,7 +45,7 @@ from .tree import (
     vertex_adjacency,
 )
 
-MAX_ORACLE_EDGES = 8
+MAX_ORACLE_EDGES = 10
 MAX_CATALOG_EDGES = 12
 
 
@@ -151,6 +153,43 @@ def _census_key(
     return (x, second) if x < second else (second, x)
 
 
+def _leaf_sorted_sequences(m: int):
+    """The Prüfer sequences ``prufer_oracle_count`` decodes for ``m``
+    vertices, each once: for each leaf count ``L`` in ``2..m-1``, those over
+    the internal labels ``L..m-1`` that hold each of them and whose first
+    ``min(L, m - 2)`` entries do not decrease; at ``m = 2`` the empty one.
+
+    Each is a non-decreasing prefix followed by a tail that holds every
+    internal label the prefix missed. A prefix that misses more labels than
+    the tail has places is skipped, and only the tails that cover what is
+    missing are built, memoised per length and missing set within one leaf
+    count.
+    """
+    if m == 2:
+        yield ()
+        return
+    for leaves in range(2, m):
+        labels = range(leaves, m)
+        head = min(leaves, m - 2)
+
+        @lru_cache(maxsize=None)
+        def covering(length: int, missing: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+            # the tuples of ``length`` labels that hold every label in
+            # ``missing``; the recursion is at most ``m - 4`` deep
+            if len(missing) > length:
+                return ()
+            if length == 0:
+                return ((),)
+            return tuple(
+                (x,) + rest for x in labels for rest in covering(length - 1, missing - {x})
+            )
+
+        everything = frozenset(labels)
+        for prefix in combinations_with_replacement(labels, head):
+            for tail in covering(m - 2 - head, everything.difference(prefix)):
+                yield prefix + tail
+
+
 def prufer_oracle_count(edge_count: int) -> int:
     """Number of isomorphism classes of trees with ``edge_count`` edges,
     counted as the distinct ``_census_key`` values other than ``None`` over
@@ -165,24 +204,23 @@ def prufer_oracle_count(edge_count: int) -> int:
     for each call, independent of ``tree.canonical_code``, which the
     catalogue uses.
 
-    Only sequences over ``2..m-1`` that contain ``m - 1`` are decoded.
-    A vertex occurs ``degree - 1`` times in its tree's sequence, so these
-    are exactly the labellings in which ``m - 1`` is no leaf and 0 and 1
-    are leaves. A leaf of a tree on ``m >= 3`` vertices is no centroid,
-    since removing it leaves one component of ``m - 1 > m / 2`` vertices:
-    so a sequence without ``m - 1`` gets no key, and every tree, which has
-    at least two leaves, has a labelling with a centroid at ``m - 1`` and
-    leaves at 0 and 1. Every class still gets a key. At ``m = 2`` the one,
-    empty, sequence is decoded: both vertices are leaves and centroids.
-
-    And of those, only the ones with ``seq[0] <= seq[1]``. In them 0 and 1
-    are leaves and every other leaf is labelled 2 or more, so leaf 0 is
-    removed first, next to ``seq[0]``, and leaf 1 second, next to
-    ``seq[1]``. Swapping labels 0 and 1, which keeps the class, therefore
-    swaps the first two entries and keeps the rest, and one of the two
-    sequences has ``seq[0] <= seq[1]``. At ``m = 3`` the one sequence,
-    ``(2,)``, is decoded. That is 17,841 of 262,144 sequences at 7 edges
-    and 307,300 of 4,782,969 at 8.
+    Only the sequences of ``_leaf_sorted_sequences`` are decoded: one
+    labelling per orbit of leaf relabellings. A vertex occurs
+    ``degree - 1`` times in its tree's sequence, so a sequence over
+    ``L..m-1`` that holds each of them is a labelling whose ``L`` leaves are
+    ``0..L-1``. Every vertex that later becomes a leaf is labelled ``L`` or
+    more, so the decoder removes leaves ``0..L-1`` first, in label order,
+    and the first ``min(L, m - 2)`` entries are their neighbours.
+    Relabelling those leaves among themselves, which keeps the class,
+    therefore permutes exactly those entries and keeps the rest, and one
+    order of them does not decrease. A leaf of a tree on ``m >= 3`` vertices
+    is no centroid, since removing it leaves one component of
+    ``m - 1 > m / 2`` vertices, so every class has a labelling with its
+    leaves at ``0..L-1`` in neighbour order and a centroid at ``m - 1``,
+    which is always internal here. At ``m = 2`` the one, empty, sequence
+    is decoded: both vertices are leaves and centroids. That is 892 of
+    262,144 sequences at 7 edges, 6,937 of 4,782,969 at 8, 61,886 at 9
+    and 621,956 at 10.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
@@ -191,12 +229,10 @@ def prufer_oracle_count(edge_count: int) -> int:
             f"oracle supports 1..{MAX_ORACLE_EDGES} edges, got {edge_count}"
         )
     m = edge_count + 1
-    top = m - 1
     codes = {(): 0}
     keys = {
         _census_key(_decode_prufer(seq, m), m, codes)
-        for seq in product(range(2, m), repeat=m - 2)
-        if m < 4 or (top in seq and seq[0] <= seq[1])
+        for seq in _leaf_sorted_sequences(m)
     }
     keys.discard(None)
     return len(keys)

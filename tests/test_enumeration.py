@@ -30,7 +30,7 @@ from friendly_trees.tree import (
 
 from helpers import trees
 
-# Class counts frozen as regression values: 1..8 produced by the Prüfer
+# Class counts frozen as regression values: 1..10 produced by the Prüfer
 # census, the rest re-derived with the rooted-tree/Otter counting recurrence.
 FREE_TREE_COUNTS = {
     1: 1, 2: 1, 3: 2, 4: 3, 5: 6, 6: 11, 7: 23, 8: 47,
@@ -216,21 +216,21 @@ class TestOracle:
         assert prufer_oracle_count(1) == 1
         assert prufer_oracle_count(2) == 1
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "n", [*range(1, 10), pytest.param(10, marks=pytest.mark.slow)]
+    )
     def test_matches_frozen_counts(self, n):
         assert prufer_oracle_count(n) == FREE_TREE_COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_decodes_the_sequences_with_leaves_at_0_and_1_once(self, n, monkeypatch):
-        # The sequences over 2..m-1 that hold m - 1, and whose first entry
-        # is at most the second: 0 and 1 are leaves and m - 1 is not. In a
-        # sequence without m - 1 the last vertex is a leaf, so no centroid,
-        # and gets no key (see test_skipped_sequences_get_no_key); swapping
-        # labels 0 and 1 swaps the first two entries (see
-        # test_swapping_the_two_low_leaves_swaps_the_first_two_entries);
-        # every class has a labelling with leaves at 0 and 1, the neighbour
-        # of 0 no larger than the neighbour of 1, and a centroid at m - 1
-        # (see test_every_class_has_a_decoded_labelling).
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_decodes_the_leaf_sorted_sequences_once(self, n, monkeypatch):
+        # For each leaf count L, the sequences over L..m-1 that hold each of
+        # them, whose first min(L, m - 2) entries do not decrease: labellings
+        # with leaves at 0..L-1. Relabelling the leaves permutes those
+        # entries and keeps the rest (see
+        # test_relabelling_the_leaves_permutes_the_first_entries), and every
+        # class has such a labelling with its leaves in neighbour order and
+        # a centroid at m - 1 (see test_every_class_has_a_decoded_labelling).
         decoded = Counter()
 
         def counting_decode(seq, m):
@@ -240,68 +240,89 @@ class TestOracle:
         monkeypatch.setattr(enumeration, "_decode_prufer", counting_decode)
         assert prufer_oracle_count(n) == FREE_TREE_COUNTS[n]
         m = n + 1
-        everything = product(range(m), repeat=m - 2)
         # at m = 2 the one, empty, sequence: both vertices are centroids
-        expected = [
-            seq for seq in everything
-            if (m - 1 in seq and 0 not in seq and 1 not in seq and list(seq[:2]) == sorted(seq[:2])) or m == 2
-        ]
+        expected = [()] if m == 2 else []
+        for leaves in range(2, m):
+            head = min(leaves, m - 2)
+            internal = set(range(leaves, m))
+            expected += [
+                seq for seq in product(range(leaves, m), repeat=m - 2)
+                if internal.issubset(seq) and list(seq[:head]) == sorted(seq[:head])
+            ]
         assert dict(decoded) == dict.fromkeys(((seq, m) for seq in expected), 1)
-        if n == 7:
-            # half of the 6^6 - 5^6 = 31,031 sequences over 2..7 that hold 7,
-            # plus half of the 6^5 - 5^5 = 4,651 among them whose first two
-            # entries are equal
-            assert len(decoded) == 17_841
+        pinned = {7: 892, 8: 6_937}
+        if n in pinned:
+            assert len(decoded) == pinned[n]
 
-    @pytest.mark.parametrize("m", range(4, 8))
-    def test_swapping_the_two_low_leaves_swaps_the_first_two_entries(self, m):
-        # The swap's argument, checked apart from the census: in a sequence
-        # over 2..m-1, 0 and 1 are leaves, removed first and second next to
-        # seq[0] and seq[1], so relabelling 0 as 1 and 1 as 0 changes only
-        # those two entries, and the census may decode one of the pair.
-        swap = {0: 1, 1: 0}
-        for seq in product(range(2, m), repeat=m - 2):
-            edges = [(swap.get(u, u), swap.get(v, v)) for u, v in decode_prufer(seq, m)]
-            assert naive_encode(edges, m) == (seq[1], seq[0]) + seq[2:], (m, seq)
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_relabelling_the_leaves_permutes_the_first_entries(self, m):
+        # The leaf-orbit argument, checked apart from the census: in a
+        # sequence over L..m-1 that holds each of them, 0..L-1 are the
+        # leaves, removed first in label order, so the first min(L, m - 2)
+        # entries are their neighbours; relabelling them by any permutation
+        # moves those entries with their leaves and keeps the rest. Checked
+        # for every swap of two adjacent leaf labels, which generate all the
+        # permutations, and for one random permutation per sequence.
+        rng = random.Random(m)
+        for leaves in range(2, m):
+            head = min(leaves, m - 2)
+            identity = list(range(leaves))
+            swaps = [identity[:i] + [i + 1, i] + identity[i + 2:] for i in range(leaves - 1)]
+            internal = set(range(leaves, m))
+            for seq in product(range(leaves, m), repeat=m - 2):
+                if not internal.issubset(seq):
+                    continue
+                edges = decode_prufer(seq, m)
+                neighbour = dict(edges)
+                assert seq[:head] == tuple(neighbour[i] for i in range(head)), (m, seq)
+                for perm in swaps + [rng.sample(identity, leaves)]:
+                    label = dict(enumerate(perm))
+                    relabelled = [(label.get(u, u), label.get(v, v)) for u, v in edges]
+                    moved = tuple(neighbour[perm.index(j)] for j in range(head))
+                    assert naive_encode(relabelled, m) == moved + seq[head:], (m, seq, perm)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_skipped_sequences_get_no_key(self, m):
-        # The skip's argument, checked apart from the census: a sequence
-        # without m - 1 decodes to a tree in which m - 1 is a leaf, and a
-        # leaf of a tree on 3 or more vertices gets no key.
+        # A leaf of a tree on 3 or more vertices is no centroid, so a
+        # labelling with a leaf at m - 1 gets no key: the census, whose
+        # sequences all hold m - 1, skips no class by leaving these out.
+        # A sequence without m - 1 decodes to a tree in which m - 1 is a
+        # leaf.
         codes = {(): 0}
         for seq in product(range(m - 1), repeat=m - 2):
             edges = decode_prufer(seq, m)
             assert sum(m - 1 in e for e in edges) == 1, (m, seq)
             assert _census_key(edges, m, codes) is None, (m, seq)
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_every_class_has_a_decoded_labelling(self, n):
-        # The leaf-label argument, checked apart from the census: relabel
-        # each class with a centroid at m - 1 and two leaves at 0 and 1, the
-        # one whose neighbour gets the smaller label at 0; its sequence is
-        # one the census decodes, and its decode gets a key.
+        # The leaf-orbit argument, checked apart from the census: relabel
+        # each class with a centroid at m - 1, its other internal vertices
+        # next below, and its L leaves at 0..L-1 in the order of their
+        # neighbours' labels; its sequence is one the census decodes, and
+        # its decode gets a key.
         m = n + 1
         codes = {(): 0}
         for t in enumerate_trees(n).trees:
             adj = vertex_adjacency(t)
             centroid = centroids(m, adj)[0]
-            a, b = [v for v in range(m) if len(adj[v]) == 1][:2]
-            rest = [v for v in range(m) if v not in (a, b, centroid)]
-            label = {a: 0, b: 1, centroid: m - 1}
-            label.update(zip(rest, range(2, m - 1)))
-            if label[adj[a][0]] > label[adj[b][0]]:
-                label[a], label[b] = 1, 0
+            leaves = [v for v in range(m) if len(adj[v]) == 1]
+            internal = [v for v in range(m) if len(adj[v]) > 1 and v != centroid]
+            label = {centroid: m - 1}
+            label.update(zip(internal, range(len(leaves), m - 1)))
+            leaves.sort(key=lambda v: label[adj[v][0]])
+            label.update(zip(leaves, range(len(leaves))))
             seq = naive_encode([(label[u], label[v]) for u, v in t.edges], m)
-            assert m - 1 in seq and 0 not in seq and 1 not in seq, t
-            assert list(seq[:2]) == sorted(seq[:2]), t
+            head = min(len(leaves), m - 2)
+            assert set(seq) == set(range(len(leaves), m)), t
+            assert list(seq[:head]) == sorted(seq[:head]), t
             assert _census_key(decode_prufer(seq, m), m, codes) is not None, t
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="oracle supports"):
             prufer_oracle_count(0)
         with pytest.raises(ValueError, match="oracle supports"):
-            prufer_oracle_count(9)
+            prufer_oracle_count(11)
         for n in (3.0, True, "3", None):
             with pytest.raises(ValueError, match="edge_count must be an int"):
                 prufer_oracle_count(n)

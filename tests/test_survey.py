@@ -352,6 +352,23 @@ class TestReportFormat:
         write_report(report, path)
         assert sorted(os.listdir(tmp_path)) == ["r2.report"]
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_report_gets_the_mode_of_a_new_file(self, umask, existing, tmp_path):
+        # not the 0600 of the temp file, nor the mode of the report it
+        # replaces
+        path = tmp_path / "r2.report"
+        if existing:
+            path.write_text("old\n", encoding="ascii")
+            path.chmod(0o644)
+        old = os.umask(umask)
+        try:
+            write_report(survey_pairs(2), str(path))
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
     @pytest.mark.parametrize("fault", ["write", "replace"])
     def test_failed_write_keeps_the_destination(self, fault, tmp_path, monkeypatch):
         # The error propagates, the temp file is removed and an existing
