@@ -33,9 +33,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
-# ``perfbench/tracing.py`` patches ``code_from_adjacency`` here by name, so
-# it stays importable from this module although the catalogue no longer
-# calls it.
+# ``perfbench/tracing.py`` patches ``canonical_code`` and
+# ``code_from_adjacency`` here by name, so both stay importable from this
+# module, though the catalogue calls ``canonical_code`` only for the 0-edge
+# tree and ``code_from_adjacency`` not at all.
 from .tree import (
     Tree,
     canonical_code,
@@ -341,7 +342,9 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     deleting one of its leaves), and canonical codes collapse duplicates.
     A leaf whose neighbour an earlier leaf shares is skipped: swapping the
     two twins is an automorphism, so its candidate repeats the earlier
-    one's. A ``Tree`` is built only for a code not seen yet.
+    one's. Only a code not seen yet keeps its candidate, grown from its
+    parent by ``Tree.with_leaf``, which checks the new leaf's neighbour
+    alone: the parent was validated when it was made.
 
     Each parent is coded once by ``centroid_rooting``, rooted at one of its
     centroids ``c``, and each candidate by ``code_with_leaf``. A leaf at
@@ -378,6 +381,6 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
                 leaf_neighbours.add(nbrs[0])
             code = code_with_leaf(rooting, v)
             if code not in found:
-                found[code] = Tree(n + 1, t.edges + ((v, n),))
+                found[code] = t.with_leaf(v)
     codes = tuple(sorted(found))
     return TreeCatalog(edge_count, tuple(found[c] for c in codes), codes)

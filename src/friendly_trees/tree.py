@@ -52,7 +52,10 @@ class Tree:
     ``edges[i]`` holds the endpoint pair of edge id ``i``. Input order is
     preserved: file formats, bijections and reports all index edges by it.
     Construction validates every tree invariant and names the violated one;
-    a fault of a single edge is an ``ItemError`` carrying its edge id.
+    a fault of a single edge is an ``ItemError`` carrying its edge id. The
+    one other way a ``Tree`` is made is ``with_leaf``, which grows a tree
+    that is already valid by one leaf: a new vertex joined by one edge
+    closes no cycle, so it needs no union-find.
 
     The vertex count is checked first, then that ``edges`` is iterable,
     then the edge count. Then one pass
@@ -108,6 +111,22 @@ class Tree:
         # n-1 edges and no cycle force connectivity, so the invariants all hold.
         self.vertex_count = n
         self.edges = tuple(pairs)
+
+    def with_leaf(self, v: int) -> Tree:
+        """This tree plus a new vertex ``vertex_count``, joined to ``v`` by
+        the new edge id ``edge_count``.
+
+        Only ``v`` is checked, as ``_check_vertex`` checks a vertex id. A
+        tree plus a new vertex joined to it by one edge is a tree (still
+        connected, one edge fewer than vertices), so the result is built
+        without ``__init__`` and its union-find.
+        """
+        _check_vertex(self, v)
+        n = self.vertex_count
+        grown = Tree.__new__(Tree)
+        grown.vertex_count = n + 1
+        grown.edges = self.edges + ((v, n),)
+        return grown
 
     @property
     def edge_count(self) -> int:

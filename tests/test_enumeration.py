@@ -439,11 +439,30 @@ class TestEnumerateTrees:
                 assert canonical_code(t) == code
 
     def test_every_tree_valid(self):
-        # Tree construction enforces the invariants; just confirm the sizes
+        # The catalogue grows its trees by ``Tree.with_leaf``, which skips
+        # the validating constructor; every tree must still pass it.
         for n in range(9):
             for t in enumerate_trees(n).trees:
                 assert t.edge_count == n
                 assert t.vertex_count == n + 1
+                assert Tree(t.vertex_count, t.edges).edges == t.edges
+
+    def test_validates_only_the_zero_edge_tree(self, monkeypatch):
+        # Every other tree is a validated parent plus one leaf, grown by
+        # ``Tree.with_leaf``; a return to the validating constructor would
+        # otherwise show only as a slower benchmark.
+        calls = []
+        init = Tree.__init__
+
+        def counting_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        cold = lru_cache(maxsize=None, typed=True)(enumerate_trees.__wrapped__)
+        monkeypatch.setattr(enumeration, "enumerate_trees", cold)
+        monkeypatch.setattr(Tree, "__init__", counting_init)
+        assert len(cold(12)) == FREE_TREE_COUNTS[12]
+        assert calls == [(1, [])]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="catalogue supports"):

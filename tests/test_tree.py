@@ -178,6 +178,54 @@ class TestConstructionMatchesReference:
         assert tree_outcome(n, edges) == reference_outcome(n, edges) == expected
 
 
+def derived_tables(t):
+    return (
+        t.vertex_count,
+        t.edges,
+        t.adjacency,
+        t.depths,
+        t.side_tables,
+        t.automorphism_generators,
+        canonical_code(t),
+    )
+
+
+class TestWithLeaf:
+    # ``with_leaf`` skips ``__init__``: every table of its result must be
+    # that of the same tree built through the validating constructor.
+    def test_matches_the_constructor_on_catalogue_trees(self):
+        for n in range(9):
+            for t in enumerate_trees(n).trees:
+                for v in range(t.vertex_count):
+                    built = Tree(n + 2, t.edges + ((v, n + 1),))
+                    assert derived_tables(t.with_leaf(v)) == derived_tables(built), (t, v)
+
+    @given(trees(max_edges=20), st.data())
+    def test_matches_the_constructor_on_any_tree(self, t, data):
+        v = data.draw(st.integers(0, t.vertex_count - 1))
+        n = t.vertex_count
+        built = Tree(n + 1, t.edges + ((v, n),))
+        assert derived_tables(t.with_leaf(v)) == derived_tables(built)
+
+    def test_leaves_the_parent_unchanged(self):
+        t = Tree(5, [(3, 1), (1, 0), (4, 1), (2, 4)])
+        derived_tables(t)
+        before = dict(vars(t))
+        for v in range(t.vertex_count):
+            t.with_leaf(v)
+        assert vars(t) == before
+
+    @pytest.mark.parametrize("v, message", [
+        (True, "vertex id must be an int, got True"),
+        (1.0, "vertex id must be an int, got 1.0"),
+        (-1, "vertex id -1 outside 0..3"),
+        (4, "vertex id 4 outside 0..3"),
+    ])
+    def test_rejects_a_bad_vertex(self, v, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PATH3.with_leaf(v)
+
+
 @pytest.mark.parametrize(
     "query",
     [delta, lambda t, v: parity(t, 0, v), lambda t, v: path_edges(t, 0, v)],
