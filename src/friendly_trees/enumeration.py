@@ -16,8 +16,9 @@ table local to one census call and share no code with
 ``tree.canonical_code``.
 The catalogue generator that follows grows trees one leaf at a time and
 collapses them by the string canonical codes of ``tree``. It codes each
-parent once, rooted at a centroid, and each candidate by recoding only the
-path from the new leaf to that root; the same rooting tells where the
+parent once with ``tree.rooted_codes``, the one pass behind every string
+code, rooted at a centroid, and each candidate by recoding only the path
+from the new leaf to that root; the same rooting tells where the
 candidate's centroids are. The tests pin it four ways: its class
 counts match the census through 10 edges (the acceptance suite); its codes
 and representatives match a reference catalogue, grown at every vertex,
@@ -31,18 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Sequence
 
 # ``perfbench/tracing.py`` patches ``canonical_code`` and
 # ``code_from_adjacency`` here by name, so both stay importable from this
 # module, though the catalogue calls ``canonical_code`` only for the 0-edge
 # tree and ``code_from_adjacency`` not at all.
 from .tree import (
+    RootedCodes,
     Tree,
     canonical_code,
     centroids,
     code_from_adjacency,  # noqa: F401
-    rooted,
+    rooted_codes,
     vertex_adjacency,
 )
 
@@ -251,70 +252,33 @@ class TreeCatalog:
         return len(self.trees)
 
 
-class CentroidRooting(NamedTuple):
-    """A tree rooted once at its first centroid ``root``, for
-    ``code_with_leaf``. Per vertex: its ``parent`` (``-1`` at the root), the
-    ``head`` of its branch of the root (the root's child above it, and the
-    root itself at the root), its subtree's ``size`` and ``code`` as
-    ``tree.subtree_codes`` codes it, and its children's codes in ascending
-    order, ``kids``."""
-
-    root: int
-    parent: list[int]
-    head: list[int]
-    size: list[int]
-    code: list[str]
-    kids: list[list[str]]
-
-
-def centroid_rooting(n: int, adj: Sequence[Sequence[int]]) -> CentroidRooting:
-    """The tree on ``n`` vertices with neighbour lists ``adj``, rooted at
-    its first centroid."""
-    c = centroids(n, adj)[0]
-    order, parent = rooted(adj, c)
-    size = [1] * n
-    code = [""] * n
-    kids: list[list[str]] = [[] for _ in range(n)]
-    for v in reversed(order):
-        k = kids[v]
-        k.sort()
-        code[v] = "(" + "".join(k) + ")"
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-            kids[p].append(code[v])
-    head = [c] * n
-    for v in order[1:]:
-        p = parent[v]
-        head[v] = v if p == c else head[p]
-    return CentroidRooting(c, parent, head, size, code, kids)
-
-
-def code_with_leaf(rooting: CentroidRooting, v: int) -> str:
+def code_with_leaf(rooting: RootedCodes, v: int) -> str:
     """Canonical code of the tree of ``rooting`` with a new leaf ``n`` at
     ``v``, equal to ``tree.code_from_adjacency`` of the grown tree, rebuilt
-    along the path from ``v`` to the root ``c`` alone.
+    along the path from ``v`` to the root ``c``, a centroid, alone.
 
-    ``v`` gains the child ``()``, the greatest code, so last in order.
-    Rooted at ``r``, the head of ``v``'s branch, the grown tree has ``r``'s
-    new children and one more: ``c`` with its other branches. Which of
-    ``c`` and ``r`` are centroids is set out in ``enumerate_trees``. A leaf
-    at ``c`` starts a branch of one, which is half the candidate only at
+    ``v`` gains the child ``()``, the greatest code, so last in order. The
+    walk up from ``v`` stops at ``r``, the child of ``c`` that heads
+    ``v``'s branch. Rooted at ``r``, the grown tree has ``r``'s new
+    children and one more: ``c`` with its other branches. Which of ``c``
+    and ``r`` are centroids is set out in ``enumerate_trees``. A leaf at
+    ``c`` starts a branch of one, which is half the candidate only at
     ``n == 1``; the leaf's code ``(())`` is then ``c``'s.
     """
-    c, parent, head, size, code, kids = rooting
-    n = len(parent)
+    order, parent, size, code, kids = rooting
+    c = order[0]
+    n = len(order)
     if v == c:
         return code[c][:-1] + "())"
-    r = head[v]
     k = kids[v] + ["()"]
     u = v
-    while u != r:
+    while parent[u] != c:
         old, new = code[u], "(" + "".join(k) + ")"
         u = parent[u]
         k = kids[u][:]
         k[k.index(old)] = new
         k.sort()
+    r = u
     grown = 2 * (size[r] + 1)
     codes = []
     if grown <= n + 1:
@@ -346,17 +310,18 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     parent by ``Tree.with_leaf``, which checks the new leaf's neighbour
     alone: the parent was validated when it was made.
 
-    Each parent is coded once by ``centroid_rooting``, rooted at one of its
-    centroids ``c``, and each candidate by ``code_with_leaf``. A leaf at
+    Each parent is coded once by ``tree.rooted_codes``, rooted at its first
+    centroid ``c``, and each candidate by ``code_with_leaf``. A leaf at
     ``v`` changes only the codes on the path from ``v`` to ``c``, so only
     those are rebuilt, each from its old children's codes with the one that
     changed swapped in. Each branch of ``c`` holds at most ``n / 2`` of the
-    ``n`` vertices. The leaf grows the branch of ``v``, headed by ``r``, to
-    ``s`` vertices. ``c`` stays the one centroid while ``2s < n + 1``,
-    shares it with ``r`` at ``2s == n + 1``, and gives it up to ``r`` past
-    that, since then every component left by removing ``r`` is smaller
-    than half. With two centroids the smaller of the two codes is the key,
-    as ``code_from_adjacency`` takes it.
+    ``n`` vertices. The leaf grows the branch of ``v``, whose head ``r`` is
+    the child of ``c`` where that path's walk stops, to ``s`` vertices.
+    ``c`` stays the one centroid while ``2s < n + 1``, shares it with ``r``
+    at ``2s == n + 1``, and gives it up to ``r`` past that, since then
+    every component left by removing ``r`` is smaller than half. With two
+    centroids the smaller of the two codes is the key, as
+    ``code_from_adjacency`` takes it.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")
@@ -371,7 +336,7 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     found: dict[str, Tree] = {}
     for t in enumerate_trees(n - 1).trees:
         adj = vertex_adjacency(t)
-        rooting = centroid_rooting(n, adj)
+        rooting = rooted_codes(n, adj, centroids(n, adj)[0])
         leaf_neighbours = set()
         for v in range(n):
             nbrs = adj[v]

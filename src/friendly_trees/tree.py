@@ -11,7 +11,7 @@ of vertices are served as well as the dozen-edge trees of a survey.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 def edge_mask(ids: Iterable[int]) -> int:
@@ -204,8 +204,7 @@ class Tree:
         n = self.vertex_count
         adj = vertex_adjacency(self)
         root, *other = centroids(n, adj)
-        code = subtree_codes(n, adj, root)
-        order, parent = rooted(adj, root)
+        order, parent, _, code, _ = rooted_codes(n, adj, root)
         up = [-1] * n  # edge id to the parent
         for eid, (u, v) in enumerate(self.edges):
             up[v if parent[v] == u else u] = eid
@@ -355,24 +354,42 @@ def centroids(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def subtree_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> list[str]:
-    """Parenthesis code of every vertex's subtree, for the tree rooted at
-    ``root``.
+class RootedCodes(NamedTuple):
+    """A tree rooted at ``order[0]``: its vertices in BFS order, and per
+    vertex its ``parent`` (``-1`` at the root), its subtree's ``size`` and
+    parenthesis ``code``, and its children's codes in ascending order,
+    ``kids``."""
+
+    order: list[int]
+    parent: list[int]
+    size: list[int]
+    code: list[str]
+    kids: list[list[str]]
+
+
+def rooted_codes(n: int, adj: Sequence[Sequence[int]], root: int) -> RootedCodes:
+    """The tree on ``n`` vertices with neighbor lists ``adj``, rooted at
+    ``root``, with the AHU code (Aho, Hopcroft and Ullman 1974) of every
+    vertex's subtree.
 
     A vertex wraps the ascending lexicographic concatenation of its
     children's codes in one more pair, so a childless vertex is ``()``.
-    Iterative, so no tree size can exhaust the recursion limit.
+    One ``rooted`` walk and one bottom-up pass, so no tree size can exhaust
+    the recursion limit.
     """
     order, parent = rooted(adj, root)
+    size = [1] * n
     code = [""] * n
     kids: list[list[str]] = [[] for _ in range(n)]
     for v in reversed(order):
-        c = kids[v]
-        c.sort()
-        code[v] = "(" + "".join(c) + ")"
-        if v != root:
-            kids[parent[v]].append(code[v])
-    return code
+        k = kids[v]
+        k.sort()
+        code[v] = "(" + "".join(k) + ")"
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
+            kids[p].append(code[v])
+    return RootedCodes(order, parent, size, code, kids)
 
 
 def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
@@ -381,7 +398,7 @@ def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
     Roots at the centroid; with two centroids, takes the lexicographically
     smaller of the two rooted codes. Equal codes characterize isomorphism.
     """
-    return min(subtree_codes(n, adj, r)[r] for r in centroids(n, adj))
+    return min(rooted_codes(n, adj, r).code[r] for r in centroids(n, adj))
 
 
 def canonical_code(t: Tree) -> str:

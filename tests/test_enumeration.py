@@ -12,7 +12,6 @@ from friendly_trees import enumeration
 from friendly_trees.enumeration import (
     _census_key,
     _decode_prufer,
-    centroid_rooting,
     code_with_leaf,
     decode_prufer,
     enumerate_trees,
@@ -24,7 +23,7 @@ from friendly_trees.tree import (
     centroids,
     code_from_adjacency,
     format_tree,
-    subtree_codes,
+    rooted_codes,
     vertex_adjacency,
 )
 
@@ -100,7 +99,7 @@ def automorphism_count(t):
     n = t.vertex_count
     adj = vertex_adjacency(t)
     cs = centroids(n, adj)
-    code = subtree_codes(n, adj, cs[0])
+    code = rooted_codes(n, adj, cs[0]).code
     count = 1
     for v in range(n):
         # a child's subtree is smaller than v's, the parent's larger
@@ -393,9 +392,9 @@ class TestEnumerateTrees:
         cases = Counter()
         parent_adj = []
 
-        def recording_rooting(n, adj):
+        def recording_rooting(n, adj, root):
             parent_adj[:] = [adj]
-            return centroid_rooting(n, adj)
+            return rooted_codes(n, adj, root)
 
         def checking_code(rooting, v):
             code = code_with_leaf(rooting, v)
@@ -406,12 +405,12 @@ class TestEnumerateTrees:
             if len(roots) == 2:
                 cases["two"] += 1
             else:
-                cases["moves" if roots[0] != rooting.root else "stays"] += 1
+                cases["moves" if roots[0] != rooting.order[0] else "stays"] += 1
             return code
 
         cold = lru_cache(maxsize=None, typed=True)(enumerate_trees.__wrapped__)
         monkeypatch.setattr(enumeration, "enumerate_trees", cold)
-        monkeypatch.setattr(enumeration, "centroid_rooting", recording_rooting)
+        monkeypatch.setattr(enumeration, "rooted_codes", recording_rooting)
         monkeypatch.setattr(enumeration, "code_with_leaf", checking_code)
         assert len(cold(12)) == FREE_TREE_COUNTS[12]
         assert sum(cases.values()) == 8_847
@@ -422,7 +421,7 @@ class TestEnumerateTrees:
         # Trees of up to 40 edges have longer paths and centroid moves than
         # any parent in the 12-edge catalogue. A leaf at every vertex.
         adj = vertex_adjacency(t)
-        rooting = centroid_rooting(t.vertex_count, adj)
+        rooting = rooted_codes(t.vertex_count, adj, centroids(t.vertex_count, adj)[0])
         for v in range(t.vertex_count):
             grown = with_leaf(adj, v)
             assert code_with_leaf(rooting, v) == code_from_adjacency(len(grown), grown), (t, v)

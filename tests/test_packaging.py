@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -28,3 +29,15 @@ def test_ci_tests_the_lowest_supported_python():
     floor = re.search(r'^requires-python = ">=([\d.]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
     assert matrix is not None and floor is not None
     assert min(map(version, re.findall(r'"([\d.]+)"', matrix.group(1)))) == version(floor.group(1))
+
+
+def test_console_script_resolves_to_the_cli():
+    # Every CI step runs ``python -m friendly_trees``, so only this test
+    # reaches the ``[project.scripts]`` entry. Read as text: Python 3.10 has
+    # no tomllib.
+    from friendly_trees import cli
+
+    entry = re.search(r'^friendly-trees = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert entry is not None
+    module, attr = entry.groups()
+    assert getattr(importlib.import_module(module), attr) is cli.main

@@ -20,6 +20,7 @@ from friendly_trees.tree import (
     parity,
     parse_tree,
     path_edges,
+    rooted_codes,
     vertex_adjacency,
 )
 
@@ -461,6 +462,57 @@ class TestVertexAdjacency:
             assert vertex_adjacency(t) == adjacency_neighbours(t), t
         for t in (LONG_PATH, CATERPILLAR):
             assert vertex_adjacency(t) == adjacency_neighbours(t)
+
+
+def reference_rooting(t, root):
+    """``(parent, size, code, kids)`` per vertex of ``t`` rooted at ``root``,
+    by a recursive walk over ``Tree.adjacency``: ``size`` counts the
+    vertices below a vertex and the vertex itself, ``kids`` holds its
+    children's codes sorted, and ``code`` wraps their concatenation in one
+    more pair."""
+    parent = {root: -1}
+    below, code, kids = {}, {}, {}
+
+    def walk(v):
+        below[v] = [v]
+        for y, _ in t.adjacency[v]:
+            if y != parent[v]:
+                parent[y] = v
+                walk(y)
+                below[v] += below[y]
+        kids[v] = sorted(code[y] for y, _ in t.adjacency[v] if y != parent[v])
+        code[v] = "(" + "".join(kids[v]) + ")"
+
+    walk(root)
+    size = {v: len(vs) for v, vs in below.items()}
+    return parent, size, code, kids
+
+
+class TestRootedCodes:
+    @given(trees(max_edges=30))
+    def test_matches_a_recursive_walk_at_every_root(self, t):
+        n = t.vertex_count
+        adj = vertex_adjacency(t)
+        for root in range(n):
+            order, parent, size, code, kids = rooted_codes(n, adj, root)
+            ref_parent, ref_size, ref_code, ref_kids = reference_rooting(t, root)
+            assert order[0] == root
+            assert sorted(order) == list(range(n))
+            seen = set()
+            for v in order:
+                assert v == root or parent[v] in seen, (t, root, v)
+                seen.add(v)
+            assert parent == [ref_parent[v] for v in range(n)]
+            assert size == [ref_size[v] for v in range(n)]
+            assert code == [ref_code[v] for v in range(n)]
+            assert kids == [ref_kids[v] for v in range(n)]
+
+    def test_long_path_from_one_end(self):
+        # 3,000 levels deep: a recursive pass would exceed the default limit.
+        rooting = rooted_codes(3000, vertex_adjacency(LONG_PATH), 0)
+        assert rooting.code[0] == "(" * 3000 + ")" * 3000
+        assert rooting.order == list(range(3000))
+        assert rooting.size[0] == 3000
 
 
 class TestCanonicalCode:
