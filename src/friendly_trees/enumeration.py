@@ -43,6 +43,7 @@ from .tree import (
     canonical_code,
     centroids,
     code_from_adjacency,  # noqa: F401
+    rooted,
     rooted_codes,
     vertex_adjacency,
 )
@@ -336,7 +337,7 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     found: dict[str, Tree] = {}
     for t in enumerate_trees(n - 1).trees:
         adj = vertex_adjacency(t)
-        rooting = rooted_codes(n, adj, centroids(n, adj)[0])
+        rooting = rooted_codes(n, adj, centroids(*rooted(adj, 0))[0])
         leaf_neighbours = set()
         for v in range(n):
             nbrs = adj[v]

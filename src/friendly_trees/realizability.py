@@ -9,6 +9,7 @@ search that finds none certifies the pair unfriendly.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from itertools import permutations
 from weakref import WeakKeyDictionary
@@ -57,7 +58,13 @@ def _check_edge_counts(k: Tree, k2: Tree) -> int:
 
 
 def _check_bijection(n: int, h: EdgeBijection) -> tuple[int, ...]:
-    """``h`` as a tuple, once it is checked to be a bijection on ``0..n-1``."""
+    """``h`` as a tuple, once it is checked to be a bijection on ``0..n-1``.
+
+    ``h`` lists the images in edge-id order. A mapping or a set holds no
+    such order (a dict iterates its keys), so it is refused outright.
+    """
+    if isinstance(h, (Mapping, Set)):
+        raise ValueError(f"map must be a sequence of images, got a {type(h).__name__}")
     try:
         h = tuple(h)
     except TypeError:
@@ -115,53 +122,6 @@ def is_realizable(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
     return _realizes(k, k2, _check_bijection(n, h))
 
 
-def _edge_order(k: Tree) -> list[int]:
-    # The mapped edges grow as one subtree, so each even-distance pair is
-    # checked as early as it can be. The first edge is the lowest-id edge at
-    # a highest-degree vertex. Each later one is the frontier edge, untaken
-    # and next to the subtree, that completes the most pairs, then the one
-    # with the larger maximum endpoint degree, then the lowest id. A vertex
-    # is complete once all its edges are mapped, and then closes one pair
-    # with each complete vertex of its depth parity. Each step scans the
-    # whole frontier: quadratic in the worst case, as ``_plan`` already is
-    # through ``even_vertex_pairs``.
-    n = k.edge_count
-    if n == 0:
-        return []
-    deg = k.degrees
-    edges = k.edges
-    parity = [d & 1 for d in k.depths]
-    wide = [max(deg[u], deg[v]) for u, v in edges]
-    left = list(deg)  # untaken edges at each vertex
-    closed = [0, 0]  # complete vertices of each depth parity
-    frontier: set[int] = set()  # untaken edges next to the subtree
-
-    def key(f: int) -> tuple[int, int, int]:
-        # ``f`` completes each end that has no other untaken edge.
-        u, v = edges[f]
-        score = 0
-        if left[u] == 1:
-            score += closed[parity[u]]
-        if left[v] == 1:
-            score += closed[parity[v]]
-        return score, wide[f], -f
-
-    e = wide.index(max(wide))
-    order = []
-    while True:
-        order.append(e)
-        frontier.discard(e)
-        for w in edges[e]:
-            if left[w] == deg[w]:  # ``w`` joins the subtree
-                frontier.update(f for _, f in k.adjacency[w] if f != e)
-            left[w] -= 1
-            if not left[w]:
-                closed[parity[w]] += 1
-        if not frontier:
-            return order
-        e = max(frontier, key=key)
-
-
 # Each source's plan, for as long as the tree lives: a survey reuses its trees
 # as sources, and a tree made for one decision leaves nothing behind.
 _plans: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
@@ -176,26 +136,59 @@ def _plan(t: Tree) -> tuple:
     # depth the vertices whose last edge it maps, each with the depths of all
     # its edges; and per depth the even-distance pairs checked there, once
     # both vertices are complete.
+    #
+    # One pass orders the edges and fills ``complete`` and ``checks`` as it
+    # goes. The mapped edges grow as one subtree, so each even-distance pair
+    # is checked as early as it can be. The first edge is the lowest-id edge
+    # at a highest-degree vertex. Each later one is the frontier edge, untaken
+    # and next to the subtree, that completes the most pairs, then the one
+    # with the larger maximum endpoint degree, then the lowest id. A vertex
+    # is complete once all its edges are mapped, and then closes one pair
+    # with each complete vertex of its depth parity. Each step scans the
+    # whole frontier: quadratic in the worst case, as the pairs are.
     plan = _plans.get(t)
     if plan is not None:
         return plan
     n = t.edge_count
+    deg = t.degrees
+    edges = t.edges
+    parity = [d & 1 for d in t.depths]
+    wide = [max(deg[u], deg[v]) for u, v in edges]
+    left = list(deg)  # untaken edges at each vertex
+    closed: tuple[list[int], list[int]] = ([], [])  # complete vertices by depth parity
+    frontier = {wide.index(max(wide))} if n else set()  # untaken edges next to the subtree
+
+    def key(f: int) -> tuple[int, int, int]:
+        # ``f`` completes each end that has no other untaken edge.
+        u, v = edges[f]
+        score = 0
+        if left[u] == 1:
+            score += len(closed[parity[u]])
+        if left[v] == 1:
+            score += len(closed[parity[v]])
+        return score, wide[f], -f
+
     pos = [0] * n
-    for depth, eid in enumerate(_edge_order(t)):
-        pos[eid] = depth
+    complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for depth in range(n):
+        e = max(frontier, key=key)
+        frontier.remove(e)
+        pos[e] = depth
+        for w in edges[e]:
+            if left[w] == deg[w]:  # ``w`` joins the subtree
+                frontier.update(f for _, f in t.adjacency[w] if f != e)
+            left[w] -= 1
+            if not left[w]:
+                at = tuple(sorted(pos[f] for _, f in t.adjacency[w]))
+                complete[depth].append((w, at))
+                same = closed[parity[w]]
+                checks[depth] += [(a, w) for a in same]
+                same.append(w)
     bounds: list[list[int]] = [[] for _ in range(n)]
     for gen in t.automorphism_generators:
         e0, e1 = min(gen, key=lambda moved: pos[moved[0]])
         bounds[pos[e1]].append(pos[e0])
-    done = []
-    complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for v, nbrs in enumerate(t.adjacency):
-        at = tuple(sorted(pos[e] for _, e in nbrs))
-        done.append(at[-1])
-        complete[at[-1]].append((v, at))
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in even_vertex_pairs(t):
-        checks[max(done[a], done[b])].append((a, b))
     plan = _plans[t] = (pos, bounds, complete, checks)
     return plan
 
@@ -205,7 +198,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
 
     Source edges are assigned in one fixed order per tree, which grows the
     mapped edges as a single subtree and next takes the edge that completes
-    the most even-distance pairs (``_edge_order`` gives the rule), so each
+    the most even-distance pairs (``_plan`` gives the rule), so each
     pair is checked as early as it can be. Candidate images go in ascending
     edge id, so the search reaches bijections in lexicographic order of
     their images in that edge order. Two kinds of cut prune a branch:
@@ -238,7 +231,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     node, while an unhit generator maps it lower; using an image hits every
     generator that moves it, and a hit generator stays hit. The source's
     edge order, cut bounds and constraint schedule are one memoized plan,
-    built once per tree; the target's two per-image generator masks are
+    built in one pass once per tree; the target's two per-image generator masks are
     read straight off its generators on each call.
 
     The search is an explicit per-depth loop, so no tree size exhausts the

@@ -149,14 +149,16 @@ class Tree:
         return tuple(len(a) for a in self.adjacency)
 
     @cached_property
-    def _bfs(self) -> tuple[list[int], list[int]]:
-        """``(order, parent)`` of the tree rooted at vertex 0."""
-        return rooted(vertex_adjacency(self), 0)
+    def _bfs(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """``(adj, order, parent)``: the plain neighbor lists of
+        ``vertex_adjacency``, and the tree rooted at vertex 0."""
+        adj = vertex_adjacency(self)
+        return (adj, *rooted(adj, 0))
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         """Distance of every vertex from vertex 0."""
-        order, parent = self._bfs
+        _, order, parent = self._bfs
         depth = [0] * self.vertex_count
         for v in order[1:]:
             depth[v] = depth[parent[v]] + 1
@@ -177,7 +179,7 @@ class Tree:
         of ``ends`` over ``p``, a set ``p`` disjoint from ``q`` is on one
         side of ``q`` exactly when ``E(p) & S(q)`` is ``0`` or ``E(p)``.
         """
-        order, parent = self._bfs
+        _, order, parent = self._bfs
         sub = [1 << v for v in range(self.vertex_count)]
         for v in reversed(order[1:]):
             sub[parent[v]] |= sub[v]
@@ -202,8 +204,8 @@ class Tree:
         such a product. Built without recursion.
         """
         n = self.vertex_count
-        adj = vertex_adjacency(self)
-        root, *other = centroids(n, adj)
+        adj, order, parent = self._bfs
+        root, *other = centroids(order, parent)
         order, parent, _, code, _ = rooted_codes(n, adj, root)
         up = [-1] * n  # edge id to the parent
         for eid, (u, v) in enumerate(self.edges):
@@ -328,10 +330,12 @@ def vertex_adjacency(t: Tree) -> list[list[int]]:
     return adj
 
 
-def centroids(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+def centroids(order: Sequence[int], parent: Sequence[int]) -> list[int]:
     """The one or two vertices minimizing the largest component left by
-    their removal."""
-    order, parent = rooted(adj, 0)
+    their removal, ascending, read off any rooting ``(order, parent)`` of
+    the tree as ``rooted`` gives it: one bottom-up pass sizes every subtree,
+    and the component above a vertex holds the rest."""
+    n = len(order)
     size = [1] * n
     heaviest_child = [0] * n
     for v in reversed(order):
@@ -398,7 +402,7 @@ def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
     Roots at the centroid; with two centroids, takes the lexicographically
     smaller of the two rooted codes. Equal codes characterize isomorphism.
     """
-    return min(rooted_codes(n, adj, r).code[r] for r in centroids(n, adj))
+    return min(rooted_codes(n, adj, r).code[r] for r in centroids(*rooted(adj, 0)))
 
 
 def canonical_code(t: Tree) -> str:

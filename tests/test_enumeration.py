@@ -23,6 +23,7 @@ from friendly_trees.tree import (
     centroids,
     code_from_adjacency,
     format_tree,
+    rooted,
     rooted_codes,
     vertex_adjacency,
 )
@@ -98,7 +99,7 @@ def automorphism_count(t):
     when two centroids carry equal halves, which the swap exchanges."""
     n = t.vertex_count
     adj = vertex_adjacency(t)
-    cs = centroids(n, adj)
+    cs = centroids(*rooted(adj, 0))
     code = rooted_codes(n, adj, cs[0]).code
     count = 1
     for v in range(n):
@@ -172,7 +173,8 @@ def assert_same_classes(trees):
     for m, edges in trees:
         key = _census_key(edges, m, codes)
         t = Tree(m, edges)
-        assert (key is None) == (m - 1 not in centroids(m, vertex_adjacency(t))), (m, edges)
+        centroid_last = m - 1 in centroids(*rooted(vertex_adjacency(t), 0))
+        assert (key is None) == (not centroid_last), (m, edges)
         if key is None:
             continue
         code = canonical_code(t)
@@ -304,7 +306,7 @@ class TestOracle:
         codes = {(): 0}
         for t in enumerate_trees(n).trees:
             adj = vertex_adjacency(t)
-            centroid = centroids(m, adj)[0]
+            centroid = centroids(*rooted(adj, 0))[0]
             leaves = [v for v in range(m) if len(adj[v]) == 1]
             internal = [v for v in range(m) if len(adj[v]) > 1 and v != centroid]
             label = {centroid: m - 1}
@@ -401,7 +403,7 @@ class TestEnumerateTrees:
             (adj,) = parent_adj
             grown = with_leaf(adj, v)
             assert code == code_from_adjacency(len(grown), grown), (adj, v)
-            roots = centroids(len(grown), grown)
+            roots = centroids(*rooted(grown, 0))
             if len(roots) == 2:
                 cases["two"] += 1
             else:
@@ -421,7 +423,7 @@ class TestEnumerateTrees:
         # Trees of up to 40 edges have longer paths and centroid moves than
         # any parent in the 12-edge catalogue. A leaf at every vertex.
         adj = vertex_adjacency(t)
-        rooting = rooted_codes(t.vertex_count, adj, centroids(t.vertex_count, adj)[0])
+        rooting = rooted_codes(t.vertex_count, adj, centroids(*rooted(adj, 0))[0])
         for v in range(t.vertex_count):
             grown = with_leaf(adj, v)
             assert code_with_leaf(rooting, v) == code_from_adjacency(len(grown), grown), (t, v)

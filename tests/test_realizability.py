@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import weakref
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from friendly_trees import realizability
+from friendly_trees import realizability, tree
 from friendly_trees.enumeration import enumerate_trees
 from friendly_trees.linking import unlinked, unlinked_bruteforce
 from friendly_trees.realizability import (
@@ -17,7 +18,6 @@ from friendly_trees.realizability import (
     MAX_RECHECK_EDGES,
     UNFRIENDLY,
     Certificate,
-    _edge_order,
     certificate_to_text,
     even_vertex_pairs,
     exhaustive_search,
@@ -53,6 +53,19 @@ class TestIsRealizable:
             assert parity(PATH3, a, b) == "even"
             assert unlinked_bruteforce(STAR3, delta(PATH3, a), delta(PATH3, b))
         assert is_realizable(PATH3, STAR3, h)
+
+    def test_rejects_an_unordered_map(self):
+        # A dict iterates its keys, so {0: 1, 1: 0, 2: 2} would read as the
+        # identity, which is realizable, though (1, 0, 2) is not. A set has
+        # no order of its own either.
+        t = Tree(4, [(0, 1), (0, 2), (1, 3)])
+        assert is_realizable(t, t, (0, 1, 2))
+        assert not is_realizable(t, t, (1, 0, 2))
+        for h in ({0: 1, 1: 0, 2: 2}, {0, 1, 2}, frozenset({0, 1, 2})):
+            message = f"map must be a sequence of images, got a {type(h).__name__}"
+            with pytest.raises(ValueError, match=message):
+                is_realizable(t, t, h)
+            assert not recheck_certificate(t, t, Certificate(FRIENDLY, h, 1, 1))
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="edge counts differ"):
@@ -153,10 +166,13 @@ class TestFindRealizableBijection:
         # A survey reuses its trees as sources; a tree made for one decision
         # must not outlive it through the plans' memo.
         built = []
-        edge_order = realizability._edge_order
-        monkeypatch.setattr(
-            realizability, "_edge_order", lambda t: built.append(t) or edge_order(t)
-        )
+
+        class RecordingPlans(weakref.WeakKeyDictionary):
+            def __setitem__(self, t, plan):
+                built.append(t)
+                super().__setitem__(t, plan)
+
+        monkeypatch.setattr(realizability, "_plans", RecordingPlans())
         g, h = build_G(), build_H()
         find_realizable_bijection(g, h)
         find_realizable_bijection(h, g)
@@ -164,7 +180,8 @@ class TestFindRealizableBijection:
         assert built == [g, h]
         assert realizability._plan(g) is realizability._plan(g)
         refs = weakref.ref(g), weakref.ref(h)
-        del g, h, built
+        del g, h
+        built.clear()
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
@@ -172,11 +189,9 @@ class TestFindRealizableBijection:
         # A target's cut tables come straight from its generators: it gets
         # no edge order, no constraint schedule and no entry in the memo.
         seen = []
-        edge_order = realizability._edge_order
+        plan = realizability._plan
         pairs = realizability.even_vertex_pairs
-        monkeypatch.setattr(
-            realizability, "_edge_order", lambda t: seen.append(t) or edge_order(t)
-        )
+        monkeypatch.setattr(realizability, "_plan", lambda t: seen.append(t) or plan(t))
         monkeypatch.setattr(
             realizability, "even_vertex_pairs", lambda t: seen.append(t) or pairs(t)
         )
@@ -208,8 +223,10 @@ class TestFindRealizableBijection:
         )
 
     def test_planned_pair_reads_no_vertex_pairs(self, monkeypatch):
-        # The constraint schedule is part of the plan: deciding a pair again
-        # walks no even-distance pair list.
+        # The constraint schedule is built in the plan's own pass, as the
+        # edges are ordered: deciding a pair, the first time or again, walks
+        # no even-distance pair list. Only a witness's re-test walks the
+        # source's.
         calls = []
         pairs = realizability.even_vertex_pairs
         monkeypatch.setattr(
@@ -217,10 +234,28 @@ class TestFindRealizableBijection:
         )
         g, h = build_G(), build_H()
         first = find_realizable_bijection(g, h)
-        assert calls
-        calls.clear()
+        assert first.verdict == UNFRIENDLY
+        assert g in realizability._plans
         assert find_realizable_bijection(g, h) == first
         assert calls == []
+        assert find_realizable_bijection(h, h).verdict == FRIENDLY
+        assert calls == [h]
+
+    def test_fresh_pair_roots_each_tree_twice(self, monkeypatch):
+        # Each tree is rooted at vertex 0 once, with its plain neighbour
+        # lists (``Tree._bfs``): the depths, the side tables and the
+        # centroid all read that rooting. The generators' codes root it once
+        # more, at its centroid.
+        calls = Counter()
+        for name in ("rooted", "vertex_adjacency"):
+            real = getattr(tree, name)
+            monkeypatch.setattr(
+                tree, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
+            )
+        rng = random.Random(8)
+        a, b = random_tree(rng, 8), random_tree(rng, 8)
+        find_realizable_bijection(a, b)
+        assert calls == {"rooted": 4, "vertex_adjacency": 2}
 
     def test_agrees_with_unpruned_search_up_to_six_edges(self):
         for n in range(7):
@@ -614,10 +649,19 @@ def test_all_bijections_fail_on_fixture_pair():
     )
 
 
+def plan_order(k):
+    """The search's edge order, read off the depth of each edge in ``k``'s
+    plan."""
+    order = [0] * k.edge_count
+    for eid, depth in enumerate(realizability._plan(k)[0]):
+        order[depth] = eid
+    return order
+
+
 def search_key(k, h):
     """``h``'s images in the search's edge order: the search reaches
     bijections in ascending order of this key."""
-    return tuple(h[eid] for eid in _edge_order(k))
+    return tuple(h[eid] for eid in plan_order(k))
 
 
 def pairs_closed(k, taken, eid):
@@ -645,7 +689,7 @@ def frontier(k, taken):
 
 def edge_order_by_rescan(k):
     """The search's edge order by its rule, rescanning the whole frontier at
-    every step: the reference for ``_edge_order``."""
+    every step: the reference for the plan's edge order."""
     n = k.edge_count
     if n == 0:
         return []
@@ -671,7 +715,7 @@ def edge_order_by_rescan(k):
 @example(Tree(13, [(0, leaf) for leaf in range(1, 13)]))
 @example(Tree(13, [(i, i + 1) for i in range(12)]))
 def test_edge_order_grows_one_subtree_closing_the_most_pairs(k):
-    order = _edge_order(k)
+    order = plan_order(k)
     assert sorted(order) == list(range(k.edge_count))
     for m in range(1, len(order) + 1):
         # A forest with m edges on m + 1 vertices is one tree.
@@ -688,7 +732,7 @@ def test_edge_order_grows_one_subtree_closing_the_most_pairs(k):
 ])
 def test_edge_order_matches_rescan_on_the_catalogues(n):
     for k in enumerate_trees(n).trees:
-        assert _edge_order(k) == edge_order_by_rescan(k), k
+        assert plan_order(k) == edge_order_by_rescan(k), k
 
 
 def test_edge_order_pinned():
@@ -706,10 +750,60 @@ def test_edge_order_pinned():
     ]
     digest = hashlib.sha256()
     for k in [t for n in range(13) for t in enumerate_trees(n).trees] + large:
-        digest.update((" ".join(map(str, _edge_order(k))) + "\n").encode())
+        digest.update((" ".join(map(str, plan_order(k))) + "\n").encode())
     assert digest.hexdigest() == (
         "da630f81e33db772f9fbd633a7142c225da6111fe1f2fd3f88b6645aa367cf73"
     )
+
+
+def two_pass_schedule(k):
+    """``complete`` and ``checks`` of ``k``'s plan, rebuilt from its edge
+    depths in two more passes: a vertex is done at the depth of its last
+    edge, and each pair of ``even_vertex_pairs`` is checked at the later of
+    its two. Each depth's entries are sorted, pairs as ``(a, b)`` with
+    ``a < b``."""
+    pos = realizability._plan(k)[0]
+    done = []
+    complete = [[] for _ in range(k.edge_count)]
+    for v, nbrs in enumerate(k.adjacency):
+        at = tuple(sorted(pos[e] for _, e in nbrs))
+        done.append(at[-1])
+        complete[at[-1]].append((v, at))
+    checks = [[] for _ in range(k.edge_count)]
+    for a, b in even_vertex_pairs(k):
+        checks[max(done[a], done[b])].append((a, b))
+    return [sorted(c) for c in complete], [sorted(c) for c in checks]
+
+
+def assert_plan_matches_two_passes(k):
+    _, _, complete, checks = realizability._plan(k)
+    ref_complete, ref_checks = two_pass_schedule(k)
+    assert [sorted(c) for c in complete] == ref_complete, k
+    assert [sorted(tuple(sorted(p)) for p in c) for c in checks] == ref_checks, k
+
+
+@pytest.mark.parametrize("n", [
+    *range(1, 11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))
+])
+def test_plan_schedule_matches_two_passes_on_the_catalogues(n):
+    for k in enumerate_trees(n).trees:
+        assert_plan_matches_two_passes(k)
+
+
+@settings(deadline=None)
+@given(trees(min_edges=1, max_edges=30))
+@example(Tree(2, [(0, 1)]))
+@example(Tree(31, [(i, i + 1) for i in range(30)]))
+def test_plan_schedule_matches_two_passes(k):
+    assert_plan_matches_two_passes(k)
+
+
+def test_plan_schedule_matches_two_passes_on_a_large_star():
+    # 604,450 pairs, all among the leaves, each checked once the later of
+    # its two leaf edges is mapped.
+    star = Tree(1101, [(0, leaf) for leaf in range(1, 1101)])
+    assert_plan_matches_two_passes(star)
+    assert sum(map(len, realizability._plan(star)[3])) == 1100 * 1099 // 2
 
 
 @settings(deadline=None)
@@ -738,13 +832,13 @@ def test_generators_keep_a_witness_realizable(k, data):
 
 def test_witness_is_first_realizable_in_search_order():
     # The search reaches bijections in lexicographic order of the images it
-    # gives the source edges in ``_edge_order``. The automorphism cut claims
+    # gives the source edges in the plan's edge order. The automorphism cut claims
     # never to skip the first realizable one, so a plain scan in that order finds
     # exactly the search's witness, or nothing when the verdict is unfriendly.
     for n in range(7):
         catalog = enumerate_trees(n).trees
         for k, k2 in product(catalog, repeat=2):
-            order = _edge_order(k)
+            order = plan_order(k)
             first = None
             for images in permutations(range(n)):
                 h = [0] * n

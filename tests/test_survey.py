@@ -295,6 +295,16 @@ class TestReportFormat:
         with pytest.raises(RuntimeError, match="trees=3 but the catalogue of 2-edge trees has 1"):
             verify_report_witnesses(report)
 
+    def test_witness_check_rejects_a_dict_witness(self):
+        # A dict iterates its keys. Any dict on 0..n-1 would read as the
+        # identity, which a tree paired with itself always realizes.
+        report = survey_pairs(3)
+        rows = list(report.rows)
+        i = next(i for i, row in enumerate(rows) if row.index_a == row.index_b)
+        rows[i] = replace(rows[i], witness=dict(enumerate(rows[i].witness)))
+        with pytest.raises(RuntimeError, match=r"friendly row \(\d, \d\) has no valid witness"):
+            verify_report_witnesses(replace(report, rows=tuple(rows)))
+
     def test_witness_check_rejects_an_edge_count_without_a_catalogue(self):
         code = "(" * 14 + ")" * 14
         text = "\n".join(

@@ -12,6 +12,7 @@ from friendly_trees.tree import (
     ItemError,
     Tree,
     canonical_code,
+    centroids,
     delta,
     edge_mask,
     format_tree,
@@ -20,6 +21,7 @@ from friendly_trees.tree import (
     parity,
     parse_tree,
     path_edges,
+    rooted,
     rooted_codes,
     vertex_adjacency,
 )
@@ -513,6 +515,45 @@ class TestRootedCodes:
         assert rooting.code[0] == "(" * 3000 + ")" * 3000
         assert rooting.order == list(range(3000))
         assert rooting.size[0] == 3000
+
+
+def largest_component_without(t, v):
+    """Vertex count of the largest component left by deleting ``v``, by a
+    walk from each of its neighbours."""
+    largest = 0
+    for start, _ in t.adjacency[v]:
+        seen = {v, start}
+        stack = [start]
+        while stack:
+            for y, _ in t.adjacency[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        largest = max(largest, len(seen) - 1)
+    return largest
+
+
+class TestCentroids:
+    @given(trees(max_edges=30))
+    def test_match_the_definition(self, t):
+        # Delete each vertex and take the largest remaining component; the
+        # centroids are the vertices where it is smallest.
+        heaviest = [largest_component_without(t, v) for v in range(t.vertex_count)]
+        expected = [v for v, h in enumerate(heaviest) if h == min(heaviest)]
+        assert centroids(*rooted(vertex_adjacency(t), 0)) == expected, t
+
+    @given(trees(max_edges=30))
+    def test_same_at_every_root(self, t):
+        adj = vertex_adjacency(t)
+        first = centroids(*rooted(adj, 0))
+        for root in range(1, t.vertex_count):
+            assert centroids(*rooted(adj, root)) == first, (t, root)
+
+    def test_long_paths(self):
+        # The middle vertex, or the middle two; no recursion at any depth.
+        assert centroids(*rooted(vertex_adjacency(LONG_PATH), 2999)) == [1499, 1500]
+        odd = Tree(3001, [(i, i + 1) for i in range(3000)])
+        assert centroids(*rooted(vertex_adjacency(odd), 0)) == [1500]
 
 
 class TestCanonicalCode:
