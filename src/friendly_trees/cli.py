@@ -72,6 +72,9 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         raise ValueError(f"output path names no file: {args.out!r}")
     if os.path.isdir(args.out):
         raise ValueError(f"output path is a directory: {args.out}")
+    # The report's rename would replace a FIFO, or a symlink to one.
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        raise ValueError(f"output path is not a regular file: {args.out}")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory does not exist: {out_dir}")

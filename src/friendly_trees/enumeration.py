@@ -261,10 +261,10 @@ def code_with_leaf(rooting: RootedCodes, v: int) -> str:
     ``v`` gains the child ``()``, the greatest code, so last in order. The
     walk up from ``v`` stops at ``r``, the child of ``c`` that heads
     ``v``'s branch. Rooted at ``r``, the grown tree has ``r``'s new
-    children and one more: ``c`` with its other branches. Which of ``c``
-    and ``r`` are centroids is set out in ``enumerate_trees``. A leaf at
-    ``c`` starts a branch of one, which is half the candidate only at
-    ``n == 1``; the leaf's code ``(())`` is then ``c``'s.
+    children and one more: ``c`` with its other branches. ``r``'s size
+    sets which of ``c`` and ``r`` are centroids, by the half-size rule of
+    ``tree.centroids``. A leaf at ``c`` starts a branch of one, half the
+    candidate only at ``n == 1``, when the leaf's code ``(())`` is ``c``'s.
     """
     order, parent, size, code, kids = rooting
     c = order[0]
@@ -315,14 +315,14 @@ def enumerate_trees(edge_count: int) -> TreeCatalog:
     centroid ``c``, and each candidate by ``code_with_leaf``. A leaf at
     ``v`` changes only the codes on the path from ``v`` to ``c``, so only
     those are rebuilt, each from its old children's codes with the one that
-    changed swapped in. Each branch of ``c`` holds at most ``n / 2`` of the
-    ``n`` vertices. The leaf grows the branch of ``v``, whose head ``r`` is
-    the child of ``c`` where that path's walk stops, to ``s`` vertices.
-    ``c`` stays the one centroid while ``2s < n + 1``, shares it with ``r``
-    at ``2s == n + 1``, and gives it up to ``r`` past that, since then
-    every component left by removing ``r`` is smaller than half. With two
-    centroids the smaller of the two codes is the key, as
-    ``code_from_adjacency`` takes it.
+    changed swapped in. The leaf grows the branch of ``v``, whose head
+    ``r`` is the child of ``c`` where that path's walk stops, to ``s``
+    vertices. Every other subtree below ``c`` held at most ``n / 2`` of the
+    ``n`` vertices, and one below ``r`` fewer, so each stays under half of
+    the candidate's ``n + 1``. The half-size rule of ``tree.centroids``
+    then makes ``c`` a centroid while ``2s <= n + 1`` and ``r`` one while
+    ``2s >= n + 1``. With two centroids the smaller of the two codes is
+    the key, as ``code_from_adjacency`` takes it.
     """
     if type(edge_count) is not int:
         raise ValueError(f"edge_count must be an int, got {edge_count!r}")

@@ -9,7 +9,7 @@ search that finds none certifies the pair unfriendly.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 from itertools import permutations
 from weakref import WeakKeyDictionary
@@ -432,6 +432,16 @@ def certificate_to_text(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_witness(lineno: int, tokens: Sequence[str], n: int) -> EdgeBijection:
+    """``tokens`` as the witness of two trees with ``n`` edges each, a
+    permutation of ``0..n-1``, or a ``ValueError`` naming the line."""
+    witness = parse_ints(lineno, tokens, "witness")
+    if sorted(witness) != list(range(n)):
+        what = f"a permutation of 0..{n - 1}" if n else "empty, but the trees have no edge ids"
+        raise ValueError(f"line {lineno}: witness is not {what}")
+    return witness
+
+
 def parse_certificate(text: str) -> Certificate:
     """Parse the certificate text format.
 
@@ -452,11 +462,7 @@ def parse_certificate(text: str) -> Certificate:
                 raise ValueError(f"line {lineno}: bad verdict {verdict!r}")
         elif kind == "WITNESS":
             witness_line = lineno
-            witness = parse_ints(lineno, fields[1:], "witness")
-            if sorted(witness) != list(range(len(witness))):
-                raise ValueError(
-                    f"line {lineno}: witness is not a permutation of 0..{len(witness) - 1}"
-                )
+            witness = parse_witness(lineno, fields[1:], len(fields) - 1)
         elif kind == "STATS":
             stats = key_values(lineno, fields[1:], nodes=count, checked=count)
         else:

@@ -25,6 +25,7 @@ from .realizability import (
     exhaustive_search,
     find_realizable_bijection,
     is_realizable,
+    parse_witness,
     recheck_certificate,
 )
 from .tree import Tree, count, key_values, line_records, parse_ints
@@ -240,12 +241,7 @@ def parse_report(text: str) -> SurveyReport:
             witness: EdgeBijection | None = None
             nodes: int | None = None
             if verdict == FRIENDLY:
-                witness = parse_ints(lineno, fields[6:], "witness")
-                n = head["edges"]
-                if sorted(witness) != list(range(n)):
-                    what = (f"a permutation of 0..{n - 1}" if n
-                            else "empty, but the trees have no edge ids")
-                    raise ValueError(f"line {lineno}: witness is not {what}")
+                witness = parse_witness(lineno, fields[6:], head["edges"])
             elif verdict == UNFRIENDLY:
                 nodes = key_values(lineno, fields[6:], nodes=count)["nodes"]
             else:

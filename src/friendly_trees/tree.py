@@ -212,10 +212,8 @@ class Tree:
             up[v if parent[v] == u else u] = eid
         # BFS lists each vertex's children in edge-id order; the sort is stable.
         kids: list[list[int]] = [[] for _ in range(n)]
-        for v in order[1:]:
+        for v in sorted(order[1:], key=code.__getitem__):
             kids[parent[v]].append(v)
-        for c in kids:
-            c.sort(key=code.__getitem__)
 
         def exchange(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
             # Map each branch of a pair onto the other, child by child.
@@ -332,30 +330,21 @@ def vertex_adjacency(t: Tree) -> list[list[int]]:
 
 def centroids(order: Sequence[int], parent: Sequence[int]) -> list[int]:
     """The one or two vertices minimizing the largest component left by
-    their removal, ascending, read off any rooting ``(order, parent)`` of
-    the tree as ``rooted`` gives it: one bottom-up pass sizes every subtree,
-    and the component above a vertex holds the rest."""
+    their removal (Jordan 1869), ascending, read off any rooting
+    ``(order, parent)`` that lists parents before children, as ``rooted``.
+
+    The half-size rule: the subtrees holding at least half of the ``n``
+    vertices lie on one root path, as two disjoint ones would leave out the
+    root, and ``order`` meets them top down. The lowest, ``c``, leaves each
+    child's subtree under half and at most half above, so it is a centroid;
+    its parent is the other exactly when ``c`` holds ``n / 2``.
+    """
     n = len(order)
     size = [1] * n
-    heaviest_child = [0] * n
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-            if size[v] > heaviest_child[p]:
-                heaviest_child[p] = size[v]
-    best = n
-    out: list[int] = []
-    for v in range(n):
-        h = n - size[v]
-        if heaviest_child[v] > h:
-            h = heaviest_child[v]
-        if h < best:
-            best = h
-            out = [v]
-        elif h == best:
-            out.append(v)
-    return out
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    half = [v for v in order if 2 * size[v] >= n][-2:]
+    return sorted(half) if 2 * size[half[-1]] == n else half[-1:]
 
 
 class RootedCodes(NamedTuple):

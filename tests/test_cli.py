@@ -1,5 +1,6 @@
 import hashlib
 import os
+import stat
 
 import pytest
 
@@ -196,6 +197,26 @@ class TestSurvey:
         out = str(tmp_path)
         assert main(["survey", "--edges", "1", "--out", out]) == 1
         assert capsys.readouterr().err == f"error: output path is a directory: {out}\n"
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "symlink-to-fifo"])
+    def test_output_is_not_a_regular_file(self, via_link, tmp_path, capsys, monkeypatch):
+        # refused before any pair is surveyed; the rename would replace the
+        # FIFO, or the link to it, with a regular file
+        def no_survey(*args, **kwargs):
+            raise AssertionError("survey_pairs called")
+
+        monkeypatch.setattr(cli, "survey_pairs", no_survey)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "link"
+        if via_link:
+            out.symlink_to(fifo)
+        else:
+            out = fifo
+        assert main(["survey", "--edges", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output path is not a regular file: {out}\n"
+        assert stat.S_ISFIFO(os.stat(fifo, follow_symlinks=False).st_mode)
+        assert out.is_symlink() == via_link
 
     @pytest.mark.parametrize("name", ["", "new/", "existing/"])
     def test_output_names_no_file(self, name, tmp_path, capsys, monkeypatch):

@@ -41,3 +41,27 @@ def test_console_script_resolves_to_the_cli():
     assert entry is not None
     module, attr = entry.groups()
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def test_benchmark_tracer_patches_and_restores_the_library(monkeypatch):
+    # perfbench/tracing.py patches library names from outside; a name it
+    # patches that the library drops fails every traced benchmark run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    importlib.import_module("workloads")
+    modules = [importlib.import_module(f"friendly_trees.{layer}") for layer in tracing.LAYERS]
+
+    def names():
+        return {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+
+    before = names()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = {key for key, value in names().items() if value is not before.get(key)}
+    finally:
+        tracer.uninstall()
+    assert len(patched) == 18
+    after = names()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -533,14 +533,28 @@ def largest_component_without(t, v):
     return largest
 
 
+def defined_centroids(t):
+    """Delete each vertex and take the largest remaining component; the
+    centroids are the vertices where it is smallest."""
+    heaviest = [largest_component_without(t, v) for v in range(t.vertex_count)]
+    return [v for v, h in enumerate(heaviest) if h == min(heaviest)]
+
+
 class TestCentroids:
     @given(trees(max_edges=30))
     def test_match_the_definition(self, t):
-        # Delete each vertex and take the largest remaining component; the
-        # centroids are the vertices where it is smallest.
-        heaviest = [largest_component_without(t, v) for v in range(t.vertex_count)]
-        expected = [v for v, h in enumerate(heaviest) if h == min(heaviest)]
-        assert centroids(*rooted(vertex_adjacency(t), 0)) == expected, t
+        assert centroids(*rooted(vertex_adjacency(t), 0)) == defined_centroids(t), t
+
+    def test_every_small_tree_at_every_root(self):
+        # Every tree through 10 edges, the 1- and 2-vertex trees among them,
+        # and a 1,100-edge star, at every rooting.
+        pool = [t for n in range(11) for t in enumerate_trees(n).trees]
+        pool.append(Tree(1101, [(0, i) for i in range(1, 1101)]))
+        for t in pool:
+            expected = defined_centroids(t)
+            adj = vertex_adjacency(t)
+            for root in range(t.vertex_count):
+                assert centroids(*rooted(adj, root)) == expected, (t, root)
 
     @given(trees(max_edges=30))
     def test_same_at_every_root(self, t):
