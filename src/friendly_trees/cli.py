@@ -75,7 +75,8 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     # The report's rename would replace a FIFO, or a symlink to one.
     if os.path.exists(args.out) and not os.path.isfile(args.out):
         raise ValueError(f"output path is not a regular file: {args.out}")
-    out_dir = os.path.dirname(os.path.abspath(args.out))
+    # The report is written beside the file a symlink resolves to.
+    out_dir = os.path.dirname(os.path.realpath(args.out))
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory does not exist: {out_dir}")
     if not os.access(out_dir, os.W_OK):

@@ -129,23 +129,30 @@ _plans: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
 
 def _plan(t: Tree) -> tuple:
     # Everything the search reads of ``t`` as source, ``pos, bounds,
-    # complete, checks``: the search depth of each edge; per depth the
-    # earlier depths whose images bound it from below (a generator σ pairs
-    # the first depth ``d0`` whose edge it moves with ``d1``, the depth of
-    # that edge's image, and the search keeps ``img[d1] > img[d0]``); per
-    # depth the vertices whose last edge it maps, each with the depths of all
-    # its edges; and per depth the even-distance pairs checked there, once
-    # both vertices are complete.
+    # complete, checks, new_leaf, old_leaves``: the search depth of each
+    # edge; per depth the earlier depths whose images bound it from below (a
+    # generator σ pairs the first depth ``d0`` whose edge it moves with
+    # ``d1``, the depth of that edge's image, and the search keeps
+    # ``img[d1] > img[d0]``); per depth the inner (non-leaf) vertices whose
+    # last edge it maps, each with the depths of all its edges; and per depth
+    # the even-distance pairs checked there, once both vertices are
+    # complete, split three ways. Two inner vertices go in ``checks``. A
+    # leaf mapped at this depth lists, in ``new_leaf``, the complete inner
+    # vertices it pairs with. An inner vertex complete here lists, in
+    # ``old_leaves``, the depths of its earlier edges and the depths of the
+    # complete leaves it pairs with. Two leaves are never listed: distinct
+    # edges are always unlinked.
     #
-    # One pass orders the edges and fills ``complete`` and ``checks`` as it
-    # goes. The mapped edges grow as one subtree, so each even-distance pair
-    # is checked as early as it can be. The first edge is the lowest-id edge
-    # at a highest-degree vertex. Each later one is the frontier edge, untaken
-    # and next to the subtree, that completes the most pairs, then the one
-    # with the larger maximum endpoint degree, then the lowest id. A vertex
-    # is complete once all its edges are mapped, and then closes one pair
-    # with each complete vertex of its depth parity. Each step scans the
-    # whole frontier: quadratic in the worst case, as the pairs are.
+    # One pass orders the edges and fills the schedule as it goes. The
+    # mapped edges grow as one subtree, so each even-distance pair is
+    # checked as early as it can be. The first edge is the lowest-id edge at
+    # a highest-degree vertex. Each later one is the frontier edge, untaken
+    # and next to the subtree, that completes the most pairs, leaf pairs
+    # included, then the one with the larger maximum endpoint degree, then
+    # the lowest id. A vertex is complete once all its edges are mapped, and
+    # then closes one pair with each complete vertex of its depth parity.
+    # Each step scans the whole frontier: quadratic in the worst case, as
+    # the pairs are.
     plan = _plans.get(t)
     if plan is not None:
         return plan
@@ -155,7 +162,11 @@ def _plan(t: Tree) -> tuple:
     parity = [d & 1 for d in t.depths]
     wide = [max(deg[u], deg[v]) for u, v in edges]
     left = list(deg)  # untaken edges at each vertex
-    closed: tuple[list[int], list[int]] = ([], [])  # complete vertices by depth parity
+    # Complete vertices by depth parity: how many, the inner ones, and the
+    # depths of the leaves' edges.
+    closed = [0, 0]
+    inner: tuple[list[int], list[int]] = ([], [])
+    leaves: tuple[list[int], list[int]] = ([], [])
     frontier = {wide.index(max(wide))} if n else set()  # untaken edges next to the subtree
 
     def key(f: int) -> tuple[int, int, int]:
@@ -163,14 +174,16 @@ def _plan(t: Tree) -> tuple:
         u, v = edges[f]
         score = 0
         if left[u] == 1:
-            score += len(closed[parity[u]])
+            score += closed[parity[u]]
         if left[v] == 1:
-            score += len(closed[parity[v]])
+            score += closed[parity[v]]
         return score, wide[f], -f
 
     pos = [0] * n
     complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    new_leaf: list[tuple[int, ...]] = [()] * n
+    old_leaves: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
     for depth in range(n):
         e = max(frontier, key=key)
         frontier.remove(e)
@@ -180,17 +193,92 @@ def _plan(t: Tree) -> tuple:
                 frontier.update(f for _, f in t.adjacency[w] if f != e)
             left[w] -= 1
             if not left[w]:
+                p = parity[w]
+                closed[p] += 1
+                if deg[w] == 1:
+                    new_leaf[depth] = tuple(inner[p])
+                    leaves[p].append(depth)
+                    continue
                 at = tuple(sorted(pos[f] for _, f in t.adjacency[w]))
                 complete[depth].append((w, at))
-                same = closed[parity[w]]
-                checks[depth] += [(a, w) for a in same]
-                same.append(w)
+                checks[depth] += [(a, w) for a in inner[p]]
+                if leaves[p]:
+                    old_leaves[depth].append((at[:-1], tuple(leaves[p])))
+                inner[p].append(w)
     bounds: list[list[int]] = [[] for _ in range(n)]
     for gen in t.automorphism_generators:
         e0, e1 = min(gen, key=lambda moved: pos[moved[0]])
         bounds[pos[e1]].append(pos[e0])
-    plan = _plans[t] = (pos, bounds, complete, checks)
+    plan = _plans[t] = (pos, bounds, complete, checks, new_leaf, old_leaves)
     return plan
+
+
+# Each target's cut tables, for as long as the tree lives, like ``_plans``.
+_targets: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
+
+
+def _target(t: Tree) -> tuple:
+    # Everything the search reads of ``t`` as target, ``lockers, hitmask,
+    # lows, locks, paths, inside, unsplit``. Per image ``f``: the generators
+    # that map ``f`` lower (``lockers``) and those that move ``f``
+    # (``hitmask``), generator ``i`` as bit ``1 << i``. Per generator, the
+    # images it maps lower (``lows``), and a memo from each set of unhit
+    # generators to the images they lock (``locks``). Per vertex, the edges
+    # on its path to vertex 0, the edges whose ``below`` holds it
+    # (``paths``). Per image ``g``, the images with both ends in ``below[g]``
+    # (``inside``). And a memo of ``_unsplit`` masks, filled as searches
+    # ask for them.
+    entry = _targets.get(t)
+    if entry is not None:
+        return entry
+    n = t.edge_count
+    gens = t.automorphism_generators
+    lockers = [0] * n
+    hitmask = [0] * n
+    lows = [0] * len(gens)
+    for i, gen in enumerate(gens):
+        for f, tf in gen:
+            hitmask[f] |= 1 << i
+            if tf < f:
+                lockers[f] |= 1 << i
+                lows[i] |= 1 << f
+    lock = 0
+    for m in lows:
+        lock |= m
+    locks = {(1 << len(gens)) - 1: lock}
+    # Each vertex but 0 with its edge towards vertex 0 and that edge's other
+    # end, parents before children.
+    below = t.side_tables[0]
+    depths = t.depths
+    up = []
+    for f, (u, v) in enumerate(t.edges):
+        if below[f] >> u & 1:
+            u, v = v, u
+        up.append((depths[v], v, f, u))
+    up.sort()
+    paths = [0] * (n + 1)
+    for _, v, f, u in up:
+        paths[v] = paths[u] | 1 << f
+    inside = [0] * n
+    sub = [0] * (n + 1)  # the edges below each vertex
+    for _, v, f, u in reversed(up):
+        inside[f] = sub[v]
+        sub[u] |= sub[v] | 1 << f
+    entry = _targets[t] = (lockers, hitmask, lows, locks, paths, inside, {})
+    return entry
+
+
+def _unsplit(paths: Sequence[int], e: int) -> int:
+    # The images whose ``below`` holds all or none of the vertex set ``e``:
+    # those on the root path of every vertex of ``e``, or of none.
+    every, some = -1, 0
+    while e:
+        low = e & -e
+        e ^= low
+        path = paths[low.bit_length() - 1]
+        every &= path
+        some |= path
+    return every | ~some
 
 
 def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
@@ -225,23 +313,51 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     prefix of it is cut either. The search is therefore deterministic and
     returns it, or an exhaustion certificate if there is none. ``nodes`` and
     ``checked`` count what the cuts leave. The rules cost a few mask
-    operations per node: each depth's candidates are the unused images
-    above its source bounds, and a per-depth mask holds the target
-    generators not yet hit. A candidate is skipped, before it counts as a
-    node, while an unhit generator maps it lower; using an image hits every
-    generator that moves it, and a hit generator stays hit. The source's
-    edge order, cut bounds and constraint schedule are one memoized plan,
-    built in one pass once per tree; the target's two per-image generator masks are
-    read straight off its generators on each call.
+    operations per depth: each depth's candidates are the unused images
+    above its source bounds, less the locked ones. On entry to a depth, a
+    mask holds the target generators not yet hit, and the lock mask is the
+    union, over them, of the images each maps lower; using an image hits
+    every generator that moves it, and a hit generator stays hit. The
+    source's edge order, cut bounds and constraint schedule are one
+    memoized plan, built in one pass once per tree. The target's tables
+    are one memoized entry per tree, built in linear passes: its per-image
+    generator masks, and the root paths and subtrees that the leaf masks
+    read. The entry also memoizes each lock mask and each mask of the first
+    leaf kind (below) as searches ask for them.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
-    recursion limit. A constraint check is two mask tests: when a source
-    vertex's last edge is mapped, its image set's side colouring ``S`` and
-    endpoint mask ``E`` are built from ``k2.side_tables``, and an
-    even-distance pair ``(a, b)`` is unlinked exactly when ``E[a] & S[b]`` is
-    ``0`` or ``E[a]`` and the same holds with ``a`` and ``b`` swapped. The two
-    image sets need no overlap test: vertices at even distance are not
-    adjacent, so their incident sets, and hence their images, are disjoint.
+    recursion limit. A constraint check between two inner (non-leaf)
+    vertices is two mask tests on each candidate: when a source vertex's
+    last edge is mapped, its image set's side colouring ``S`` and endpoint
+    mask ``E`` are built from ``k2.side_tables``, and an even-distance pair
+    ``(a, b)`` is unlinked exactly when ``E[a] & S[b]`` is ``0`` or
+    ``E[a]`` and the same holds with ``a`` and ``b`` swapped. The two image
+    sets need no overlap test: vertices at even distance are not adjacent,
+    so their incident sets, and hence their images, are disjoint.
+
+    A pair with a leaf is decided for all of a depth's candidates at once,
+    on entry to the depth (forward checking, Haralick and Elliott 1980). A
+    leaf's image set is one edge, and one edge outside a set is always on
+    one side of it, as its two ends differ only in that edge. So:
+
+    - Two leaves need no test: two distinct edges are unlinked.
+    - A leaf mapped at this depth, against a complete inner vertex with
+      image set ``A``: a candidate ``f`` passes when ``below[f]`` holds all
+      or none of ``E(A)``, that is when ``f`` is on the root path of every
+      vertex of ``E(A)`` or of none. The mask of those ``f`` is memoized per
+      target and ``E(A)``.
+    - A complete leaf with image ``g``, against an inner vertex whose last
+      edge this depth maps and whose earlier images are ``W'``: the pair
+      fails for every candidate unless ``E(W')`` lies on one side of ``g``,
+      and then a candidate passes when both its ends lie on that side too.
+      The images with both ends in ``below[g]`` are the edges under ``g``.
+
+    The masks leave ``nodes`` and ``checked`` those of a search that pops
+    every unlocked candidate and tests it against each pair. A candidate a
+    mask removes counts as a node when it is removed, and on the last depth
+    as a checked bijection. A search that finds its witness stops before it
+    would pop the candidates above the witness's image on each depth, so
+    the removed ones among them are subtracted once, at the end.
     A witness is re-tested whole before it is returned, by the same check as
     ``is_realizable``: it reads the same side tables but none of the
     search's per-depth state, and a failure raises ``RuntimeError``.
@@ -250,31 +366,25 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     if n == 0:
         return Certificate(FRIENDLY, (), 0, 1)
 
-    pos, bounds, complete, checks = _plan(k)
-    # The target's cut tables, per image ``f``: the generators that map ``f``
-    # lower (``lockers``) and those that move ``f`` (``hitmask``), generator
-    # ``i`` as bit ``1 << i``. A generator locks the images it maps lower
-    # until it is hit, that is until an image it moves is used.
-    lockers = [0] * n
-    hitmask = [0] * n
-    for i, gen in enumerate(k2.automorphism_generators):
-        for f, tf in gen:
-            hitmask[f] |= 1 << i
-            if tf < f:
-                lockers[f] |= 1 << i
+    pos, bounds, complete, checks, new_leaf, old_leaves = _plan(k)
+    lockers, hitmask, lows, locks, paths, inside, unsplit = _target(k2)
     below, ends = k2.side_tables
 
     img = [0] * n  # image of the edge mapped at each depth
-    # S and E of each complete vertex's image set.
+    # S and E of each complete inner vertex's image set.
     side = [0] * k.vertex_count
     span = [0] * k.vertex_count
     todo = [0] * n  # candidate images not yet tried at each depth
-    # On entry to each depth: the unused images, and the target generators
-    # not yet hit.
+    # On entry to each depth: the unused images, the target generators not
+    # yet hit, the images they lock, and the candidates a leaf mask removed.
     unused = [0] * n
     unhit = [0] * n
-    unused[0] = todo[0] = (1 << n) - 1
-    unhit[0] = (1 << len(k2.automorphism_generators)) - 1
+    locked = [0] * n
+    cut = [0] * n
+    unused[0] = (1 << n) - 1
+    unhit[0] = live = (1 << len(lows)) - 1
+    locked[0] = lock = locks[live]
+    todo[0] = unused[0] & ~lock
     last = n - 1
     depth = nodes = checked = 0
     witness = None
@@ -286,16 +396,14 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         low = cand & -cand
         todo[depth] = cand ^ low
         f = low.bit_length() - 1
-        if unhit[depth] & lockers[f]:
-            continue
         img[depth] = f
         nodes += 1
         for v, at in complete[depth]:
             s = e = 0
             for d in at:
-                f = img[d]
-                s ^= below[f]
-                e |= ends[f]
+                g = img[d]
+                s ^= below[g]
+                e |= ends[g]
             side[v] = s
             span[v] = e
         ok = True
@@ -316,18 +424,67 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
                 witness = tuple(img[pos[eid]] for eid in range(n))
                 break
         elif ok:
-            # ``img[depth]``, not ``f``: the ``complete`` loop rebinds ``f``.
             free = unused[depth] ^ low
-            live = unhit[depth] & ~hitmask[img[depth]]
+            live = unhit[depth]
+            lock = locked[depth]
+            hit = live & hitmask[f]
+            if hit:
+                live ^= hit
+                m = locks.get(live)
+                if m is None:
+                    # A hit generator locks no more: free each image it
+                    # mapped lower that no live generator still locks.
+                    while hit:
+                        bit = hit & -hit
+                        hit ^= bit
+                        m = lows[bit.bit_length() - 1]
+                        while m:
+                            bit = m & -m
+                            m ^= bit
+                            if not lockers[bit.bit_length() - 1] & live:
+                                lock &= ~bit
+                    m = locks[live] = lock
+                lock = m
             depth += 1
             unused[depth] = free
             unhit[depth] = live
+            locked[depth] = lock
+            free &= ~lock
             for d in bounds[depth]:
                 free &= ~((2 << img[d]) - 1)
-            todo[depth] = free
-
+            keep = free
+            for a in new_leaf[depth]:
+                e = span[a]
+                m = unsplit.get(e)
+                if m is None:
+                    m = unsplit[e] = _unsplit(paths, e)
+                keep &= m
+            for prior, leaf_depths in old_leaves[depth]:
+                e = 0
+                for d in prior:
+                    e |= ends[img[d]]
+                for d in leaf_depths:
+                    g = img[d]
+                    x = e & below[g]
+                    if x and x != e:
+                        keep = 0
+                        break
+                    # The candidates exclude ``g``: outside is not inside.
+                    keep &= inside[g] if x else ~inside[g]
+            todo[depth] = keep
+            gone = cut[depth] = free ^ keep
+            if gone:
+                gone = gone.bit_count()
+                nodes += gone
+                if depth == last:
+                    checked += gone
     if witness is None:
         return Certificate(UNFRIENDLY, None, nodes, checked)
+    # The search stopped at the witness, before popping the candidates above
+    # its image on each depth, so those a mask removed never were nodes. On
+    # the last depth the witness's image is the only candidate.
+    for d in range(last):
+        nodes -= (cut[d] >> img[d]).bit_count()
     if not _realizes(k, k2, witness):
         raise RuntimeError(f"search produced an unsound witness {witness!r}")
     return Certificate(FRIENDLY, witness, nodes, checked)

@@ -277,9 +277,10 @@ def parse_report(text: str) -> SurveyReport:
 def write_report(report: SurveyReport, path: str) -> None:
     """Write the report atomically: temp file in the target directory, then
     rename over the destination. The report gets the mode a new file gets
-    under the process umask, not the temp file's 0600."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".survey-", suffix=".tmp")
+    under the process umask, not the temp file's 0600. A symlink at ``path``
+    stays a link: the destination is the file it resolves to."""
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".survey-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
             handle.write(format_report(report))

@@ -1,4 +1,5 @@
-"""Shared test utilities: random tree generation and brute-force oracles."""
+"""Shared test utilities: random tree generation, brute-force oracles and the
+reference search."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from itertools import permutations
 
 from hypothesis import strategies as st
 
+from friendly_trees import realizability
+from friendly_trees.realizability import FRIENDLY, UNFRIENDLY, Certificate, even_vertex_pairs
 from friendly_trees.tree import Tree
 
 # The unordered unfriendly pairs of the 9-edge catalogue, by index.
@@ -64,3 +67,97 @@ def trees_with_two_edge_sets(draw, max_edges: int = 10):
     p = draw(st.integers(0, top))
     q = draw(st.integers(0, top))
     return t, p, q
+
+
+def two_pass_schedule(k: Tree):
+    """The search's constraint schedule over every vertex and every
+    even-distance pair of ``k``, rebuilt from the edge depths of its plan
+    in two more passes: a vertex is done at the depth of its last edge, with
+    the depths of all its edges, and each pair of ``even_vertex_pairs`` is
+    checked at the later of its two. Each depth's entries are sorted, pairs
+    as ``(a, b)`` with ``a < b``."""
+    pos = realizability._plan(k)[0]
+    done = []
+    complete = [[] for _ in range(k.edge_count)]
+    for v, nbrs in enumerate(k.adjacency):
+        at = tuple(sorted(pos[e] for _, e in nbrs))
+        done.append(at[-1])
+        complete[at[-1]].append((v, at))
+    checks = [[] for _ in range(k.edge_count)]
+    for a, b in even_vertex_pairs(k):
+        checks[max(done[a], done[b])].append((a, b))
+    return [sorted(c) for c in complete], [sorted(c) for c in checks]
+
+
+def reference_search(k: Tree, k2: Tree) -> Certificate:
+    """The friendliness search with one candidate per loop pass, the
+    reference for the kernel's image masks and node counts.
+
+    It reads the kernel's edge order and source bounds from ``_plan`` and
+    nothing else of it. Each popped candidate is skipped, uncounted, while a
+    target generator not yet hit maps it lower; otherwise it counts as a node
+    and is tested against every even-distance pair its depth completes,
+    leaves included, by the two mask tests of ``Tree.side_tables``. A
+    certificate of the kernel is equal to this one."""
+    n = k.edge_count
+    if n == 0:
+        return Certificate(FRIENDLY, (), 0, 1)
+    pos, bounds = realizability._plan(k)[:2]
+    complete, checks = two_pass_schedule(k)
+    lockers = [0] * n
+    hitmask = [0] * n
+    for i, gen in enumerate(k2.automorphism_generators):
+        for f, tf in gen:
+            hitmask[f] |= 1 << i
+            if tf < f:
+                lockers[f] |= 1 << i
+    below, ends = k2.side_tables
+    img = [0] * n
+    side = [0] * k.vertex_count
+    span = [0] * k.vertex_count
+    todo = [0] * n
+    unused = [0] * n
+    unhit = [0] * n
+    unused[0] = todo[0] = (1 << n) - 1
+    unhit[0] = (1 << len(k2.automorphism_generators)) - 1
+    depth = nodes = checked = 0
+    while depth >= 0:
+        cand = todo[depth]
+        if not cand:
+            depth -= 1
+            continue
+        low = cand & -cand
+        todo[depth] = cand ^ low
+        f = low.bit_length() - 1
+        if unhit[depth] & lockers[f]:
+            continue
+        img[depth] = f
+        nodes += 1
+        for v, at in complete[depth]:
+            s = e = 0
+            for d in at:
+                s ^= below[img[d]]
+                e |= ends[img[d]]
+            side[v] = s
+            span[v] = e
+        ok = True
+        for a, b in checks[depth]:
+            for p, q in ((a, b), (b, a)):
+                x = span[p] & side[q]
+                if x and x != span[p]:
+                    ok = False
+        if depth == n - 1:
+            checked += 1
+            if ok:
+                witness = tuple(img[pos[eid]] for eid in range(n))
+                return Certificate(FRIENDLY, witness, nodes, checked)
+        elif ok:
+            free = unused[depth] ^ low
+            live = unhit[depth] & ~hitmask[f]
+            depth += 1
+            unused[depth] = free
+            unhit[depth] = live
+            for d in bounds[depth]:
+                free &= ~((2 << img[d]) - 1)
+            todo[depth] = free
+    return Certificate(UNFRIENDLY, None, nodes, checked)

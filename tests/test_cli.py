@@ -218,6 +218,26 @@ class TestSurvey:
         assert stat.S_ISFIFO(os.stat(fifo, follow_symlinks=False).st_mode)
         assert out.is_symlink() == via_link
 
+    def test_output_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        # The link stays a link, and the report replaces its target's bytes.
+        target = tmp_path / "reports" / "survey1.report"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "links" / "latest"
+        link.parent.mkdir()
+        link.symlink_to(os.path.join("..", "reports", "survey1.report"))
+        assert main(["survey", "--edges", "1", "--out", str(link)]) == 0
+        assert capsys.readouterr().out == f"wrote {link}\n"
+        assert link.is_symlink()
+        assert os.readlink(link) == os.path.join("..", "reports", "survey1.report")
+        text = target.read_bytes().decode("ascii")
+        report = parse_report(text)
+        assert (report.edge_count, report.pair_count) == (1, 1)
+        assert text == survey_module.format_report(report)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "latest", "links", "reports", "survey1.report"
+        ]
+
     @pytest.mark.parametrize("name", ["", "new/", "existing/"])
     def test_output_names_no_file(self, name, tmp_path, capsys, monkeypatch):
         # refused before any pair is surveyed, naming the path given

@@ -5,13 +5,14 @@ import weakref
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from friendly_trees import realizability, tree
-from friendly_trees.enumeration import enumerate_trees
+from friendly_trees.enumeration import decode_prufer, enumerate_trees
 from friendly_trees.linking import unlinked, unlinked_bruteforce
 from friendly_trees.realizability import (
     FRIENDLY,
@@ -27,9 +28,16 @@ from friendly_trees.realizability import (
     recheck_certificate,
 )
 from friendly_trees.survey import build_G, build_H, parse_report
-from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, parity
+from friendly_trees.tree import Tree, delta, edge_mask, line_records, mask_ids, parity
 
-from helpers import CATALOG9_UNFRIENDLY, attachment_tree, random_tree, trees
+from helpers import (
+    CATALOG9_UNFRIENDLY,
+    attachment_tree,
+    random_tree,
+    reference_search,
+    trees,
+    two_pass_schedule,
+)
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR3 = Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -163,31 +171,40 @@ class TestFindRealizableBijection:
         assert a == find_realizable_bijection(build_H(), build_G())
 
     def test_source_plan_built_once_per_tree_and_not_kept(self, monkeypatch):
-        # A survey reuses its trees as sources; a tree made for one decision
-        # must not outlive it through the plans' memo.
-        built = []
+        # A survey reuses its trees as sources and targets; a tree made for
+        # one decision must not outlive it through either memo.
+        built, targets = [], []
 
-        class RecordingPlans(weakref.WeakKeyDictionary):
-            def __setitem__(self, t, plan):
-                built.append(t)
-                super().__setitem__(t, plan)
+        class Recording(weakref.WeakKeyDictionary):
+            def __init__(self, log):
+                super().__init__()
+                self.log = log
 
-        monkeypatch.setattr(realizability, "_plans", RecordingPlans())
+            def __setitem__(self, t, entry):
+                self.log.append(t)
+                super().__setitem__(t, entry)
+
+        monkeypatch.setattr(realizability, "_plans", Recording(built))
+        monkeypatch.setattr(realizability, "_targets", Recording(targets))
         g, h = build_G(), build_H()
         find_realizable_bijection(g, h)
         find_realizable_bijection(h, g)
         find_realizable_bijection(g, g)
         assert built == [g, h]
+        assert targets == [h, g]
         assert realizability._plan(g) is realizability._plan(g)
+        assert realizability._target(g) is realizability._target(g)
         refs = weakref.ref(g), weakref.ref(h)
         del g, h
         built.clear()
+        targets.clear()
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
     def test_target_only_tree_gets_no_plan(self, monkeypatch):
-        # A target's cut tables come straight from its generators: it gets
-        # no edge order, no constraint schedule and no entry in the memo.
+        # A target's tables come from its generators and side tables, in an
+        # entry of their own: it gets no edge order, no constraint schedule
+        # and no entry in the plans' memo.
         seen = []
         plan = realizability._plan
         pairs = realizability.even_vertex_pairs
@@ -200,6 +217,7 @@ class TestFindRealizableBijection:
             assert h not in realizability._plans
             assert all(t is not h for t in seen)
             assert g in realizability._plans
+            assert h in realizability._targets
 
     def test_fresh_random_pairs_pinned(self):
         # Relabelled, edge-shuffled trees made for one decision each, so every
@@ -494,6 +512,119 @@ def test_nine_edge_sweep():
         assert cert.checked == factorial(9)
 
 
+@pytest.mark.slow
+def test_nine_edge_certificates_pinned():
+    # Every ordered pair of the 9-edge catalogue, certificate by certificate:
+    # the image masks must keep each witness and node count of the search
+    # that tested every candidate it popped.
+    digest = hashlib.sha256()
+    for k, k2 in product(enumerate_trees(9).trees, repeat=2):
+        digest.update(certificate_to_text(find_realizable_bijection(k, k2)).encode())
+    assert digest.hexdigest() == (
+        "bd039d7097dddf8274649599437d44ae3550102c526f59089934fc07df7eb092"
+    )
+
+
+def test_recorded_ten_edge_pairs_pinned():
+    # The 100 random 10-edge pairs of the benchmark's pair file, read only.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "pairs10.txt"
+    digest = hashlib.sha256()
+    nodes = checked = 0
+    for _, fields in line_records(path.read_text(encoding="utf-8")):
+        if fields[0].startswith("#"):
+            continue
+        a, b = (tuple(map(int, f.split(","))) for f in fields[:2])
+        m = len(a) + 2
+        cert = find_realizable_bijection(Tree(m, decode_prufer(a, m)), Tree(m, decode_prufer(b, m)))
+        assert cert.verdict == fields[2]
+        digest.update(certificate_to_text(cert).encode())
+        nodes += cert.nodes
+        checked += cert.checked
+    assert (digest.hexdigest(), nodes, checked) == (
+        "097c98b97e8ebd4087e374b267d212b7dcb4f7adec8dc87d22b3245a3f59cd70",
+        372_145,
+        4_322,
+    )
+
+
+@settings(deadline=None)
+@given(trees(max_edges=10), st.data())
+def test_kernel_matches_reference_search(k, data):
+    """The kernel's masks remove a candidate where the reference pops it
+    and fails it, and count it the same; a friendly search uncounts those
+    above its witness."""
+    n = k.edge_count
+    k2 = data.draw(trees(max_edges=n, min_edges=n))
+    assert find_realizable_bijection(k, k2) == reference_search(k, k2)
+
+
+def test_kernel_matches_reference_search_on_known_pairs():
+    # Each both ways: the fixture pair; an 8-edge pair whose search uncounts
+    # 4 masked candidates above its witness; a 10-edge pair where masks
+    # remove about a quarter of the nodes; and a 300-edge path.
+    eight, ten = enumerate_trees(8).trees, enumerate_trees(10).trees
+    path = Tree(301, [(i, i + 1) for i in range(300)])
+    pairs = ((build_G(), build_H()), (eight[15], eight[42]), (ten[84], ten[2]), (path, path))
+    for a, b in pairs:
+        for k, k2 in ((a, b), (b, a)):
+            assert find_realizable_bijection(k, k2) == reference_search(k, k2)
+
+
+def span_of(t, mask):
+    """``E``: the endpoints of the edges in ``mask``, as a vertex mask."""
+    ends = t.side_tables[1]
+    e = 0
+    for f in mask_ids(mask):
+        e |= ends[f]
+    return e
+
+
+def assert_leaf_facts(t, a, f, g):
+    """The facts the kernel's leaf masks rest on, each against
+    ``unlinked_bruteforce``, for an edge set ``a`` and edges ``f != g``
+    outside it:
+
+    - two distinct edges are unlinked;
+    - ``f`` and ``a`` are unlinked iff ``f``'s subtree holds all or none of
+      ``E(a)``: ``f`` is in ``_unsplit(paths, E(a))``;
+    - ``a`` plus ``f``, and ``g``, are unlinked iff ``E(a)`` lies on one
+      side of ``g``, and ``f`` wholly on that side: ``f`` is in
+      ``inside[g]`` or outside it, as ``E(a)`` is.
+    """
+    below = t.side_tables[0]
+    paths, inside = realizability._target(t)[4:6]
+    bf, bg = 1 << f, 1 << g
+    assert unlinked_bruteforce(t, bf, bg)
+    e = span_of(t, a)
+    assert bool(realizability._unsplit(paths, e) & bf) == unlinked_bruteforce(t, bf, a)
+    x = e & below[g]
+    holds = (not x or x == e) and bool((inside[g] if x else ~inside[g]) & bf)
+    assert holds == unlinked_bruteforce(t, a | bf, bg)
+
+
+def test_leaf_facts_on_the_catalogues():
+    # Every nonempty edge set and every two edges outside it, on every tree
+    # with 2-6 edges.
+    cases = 0
+    for n in range(2, 7):
+        for t in enumerate_trees(n).trees:
+            for a in range(1, 1 << n):
+                for f, g in permutations([e for e in range(n) if not a >> e & 1], 2):
+                    assert_leaf_facts(t, a, f, g)
+                    cases += 1
+    assert cases == 5_910
+
+
+@settings(deadline=None)
+@given(trees(min_edges=2, max_edges=12), st.data())
+def test_leaf_facts(t, data):
+    n = t.edge_count
+    f, g = data.draw(st.permutations(range(n)))[:2]
+    a = data.draw(st.integers(1, (1 << n) - 1)) & ~(1 << f | 1 << g)
+    if a:
+        assert_leaf_facts(t, a, f, g)
+
+
 def realizable_bruteforce(k, k2, h):
     """Realizability of ``h`` decided constraint by constraint with
     ``unlinked_bruteforce``."""
@@ -756,30 +887,45 @@ def test_edge_order_pinned():
     )
 
 
-def two_pass_schedule(k):
-    """``complete`` and ``checks`` of ``k``'s plan, rebuilt from its edge
-    depths in two more passes: a vertex is done at the depth of its last
-    edge, and each pair of ``even_vertex_pairs`` is checked at the later of
-    its two. Each depth's entries are sorted, pairs as ``(a, b)`` with
-    ``a < b``."""
+def split_schedule(k):
+    """``two_pass_schedule`` split as the plan splits it, per depth: the
+    inner vertices done there; the pairs of two inner vertices; the inner
+    vertices paired with the leaf whose edge the depth maps; and, per inner
+    vertex done there with leaf partners, the depths of its earlier edges
+    and of its partners' edges. Pairs of two leaves go in none."""
+    complete, checks = two_pass_schedule(k)
     pos = realizability._plan(k)[0]
-    done = []
-    complete = [[] for _ in range(k.edge_count)]
-    for v, nbrs in enumerate(k.adjacency):
-        at = tuple(sorted(pos[e] for _, e in nbrs))
-        done.append(at[-1])
-        complete[at[-1]].append((v, at))
-    checks = [[] for _ in range(k.edge_count)]
-    for a, b in even_vertex_pairs(k):
-        checks[max(done[a], done[b])].append((a, b))
-    return [sorted(c) for c in complete], [sorted(c) for c in checks]
+    inner = [v for v, d in enumerate(k.degrees) if d > 1]
+    leaf_depth = {v: pos[nbrs[0][1]] for v, nbrs in enumerate(k.adjacency) if len(nbrs) == 1}
+    at = {v: a for c in complete for v, a in c}
+    split = []
+    for depth, pairs in enumerate(checks):
+        new_leaf, old_leaves = [], {}
+        for a, b in pairs:
+            if a in leaf_depth and b in leaf_depth:
+                continue
+            for leaf, w in ((a, b), (b, a)):
+                if leaf_depth.get(leaf) == depth:
+                    new_leaf.append(w)
+                elif leaf in leaf_depth:
+                    old_leaves.setdefault(w, []).append(leaf_depth[leaf])
+        split.append((
+            [(v, a) for v, a in complete[depth] if v in inner],
+            [(a, b) for a, b in pairs if a in inner and b in inner],
+            sorted(new_leaf),
+            sorted((at[w][:-1], tuple(sorted(ds))) for w, ds in old_leaves.items()),
+        ))
+    return split
 
 
 def assert_plan_matches_two_passes(k):
-    _, _, complete, checks = realizability._plan(k)
-    ref_complete, ref_checks = two_pass_schedule(k)
-    assert [sorted(c) for c in complete] == ref_complete, k
-    assert [sorted(tuple(sorted(p)) for p in c) for c in checks] == ref_checks, k
+    _, _, complete, checks, new_leaf, old_leaves = realizability._plan(k)
+    plan = [
+        (sorted(c), sorted(tuple(sorted(p)) for p in ch), sorted(nl),
+         sorted((prior, tuple(sorted(ds))) for prior, ds in ol))
+        for c, ch, nl, ol in zip(complete, checks, new_leaf, old_leaves)
+    ]
+    assert plan == split_schedule(k), k
 
 
 @pytest.mark.parametrize("n", [
@@ -799,11 +945,14 @@ def test_plan_schedule_matches_two_passes(k):
 
 
 def test_plan_schedule_matches_two_passes_on_a_large_star():
-    # 604,450 pairs, all among the leaves, each checked once the later of
-    # its two leaf edges is mapped.
+    # 604,450 pairs, all among the leaves: two distinct edges are always
+    # unlinked, so the plan lists none of them.
     star = Tree(1101, [(0, leaf) for leaf in range(1, 1101)])
     assert_plan_matches_two_passes(star)
-    assert sum(map(len, realizability._plan(star)[3])) == 1100 * 1099 // 2
+    assert sum(map(len, two_pass_schedule(star)[1])) == 1100 * 1099 // 2
+    _, _, complete, checks, new_leaf, old_leaves = realizability._plan(star)
+    assert complete[-1] == [(0, tuple(range(1100)))]
+    assert not any(checks) and not any(new_leaf) and not any(old_leaves)
 
 
 @settings(deadline=None)
