@@ -91,27 +91,29 @@ def even_vertex_pairs(k: Tree) -> tuple[tuple[int, int], ...]:
 def _realizes(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
     # ``is_realizable`` for a checked bijection: the search's constraint
     # check (see ``find_realizable_bijection``) on the whole of ``h``, with
-    # ``S`` and ``E`` built once per source vertex's image set.
+    # ``S`` and ``E`` built once per source vertex's image set. Vertices at
+    # even distance are those of one depth parity, so each pair of one
+    # parity's list is tested.
     below, ends = k2.side_tables
-    side = []
-    span = []
-    for nbrs in k.adjacency:
+    depths = k.depths
+    sets: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
+    for v, nbrs in enumerate(k.adjacency):
         s = e = 0
         for _, eid in nbrs:
             f = h[eid]
             s ^= below[f]
             e |= ends[f]
-        side.append(s)
-        span.append(e)
-    for a, b in even_vertex_pairs(k):
-        ea = span[a]
-        x = ea & side[b]
-        if x and x != ea:
-            return False
-        eb = span[b]
-        x = eb & side[a]
-        if x and x != eb:
-            return False
+        sets[depths[v] & 1].append((s, e))
+    for group in sets:
+        while group:
+            sa, ea = group.pop()
+            for sb, eb in group:
+                x = ea & sb
+                if x and x != ea:
+                    return False
+                x = eb & sa
+                if x and x != eb:
+                    return False
     return True
 
 
@@ -219,15 +221,16 @@ _targets: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
 
 def _target(t: Tree) -> tuple:
     # Everything the search reads of ``t`` as target, ``lockers, hitmask,
-    # lows, locks, paths, inside, unsplit``. Per image ``f``: the generators
+    # lows, lock, paths, inside, unsplit``. Per image ``f``: the generators
     # that map ``f`` lower (``lockers``) and those that move ``f``
     # (``hitmask``), generator ``i`` as bit ``1 << i``. Per generator, the
-    # images it maps lower (``lows``), and a memo from each set of unhit
-    # generators to the images they lock (``locks``). Per vertex, the edges
-    # on its path to vertex 0, the edges whose ``below`` holds it
-    # (``paths``). Per image ``g``, the images with both ends in ``below[g]``
-    # (``inside``). And a memo of ``_unsplit`` masks, filled as searches
-    # ask for them.
+    # images it maps lower (``lows``), and their union, the lock before any
+    # generator is hit (``lock``). Per vertex, the edges on its path to
+    # vertex 0, the edges whose ``below`` holds it (``paths``). Per image
+    # ``g``, the images with both ends in ``below[g]`` (``inside``). And a
+    # memo of ``_unsplit`` masks, filled as searches ask for them. The paths
+    # and subtrees are one pass each way over ``Tree._bfs``, the rooting
+    # that ``side_tables`` reads.
     entry = _targets.get(t)
     if entry is not None:
         return entry
@@ -236,35 +239,28 @@ def _target(t: Tree) -> tuple:
     lockers = [0] * n
     hitmask = [0] * n
     lows = [0] * len(gens)
+    lock = 0
     for i, gen in enumerate(gens):
         for f, tf in gen:
             hitmask[f] |= 1 << i
             if tf < f:
                 lockers[f] |= 1 << i
                 lows[i] |= 1 << f
-    lock = 0
-    for m in lows:
-        lock |= m
-    locks = {(1 << len(gens)) - 1: lock}
-    # Each vertex but 0 with its edge towards vertex 0 and that edge's other
-    # end, parents before children.
-    below = t.side_tables[0]
-    depths = t.depths
-    up = []
+                lock |= 1 << f
+    _, order, parent = t._bfs
+    up = [0] * (n + 1)  # each vertex's edge to its parent
     for f, (u, v) in enumerate(t.edges):
-        if below[f] >> u & 1:
-            u, v = v, u
-        up.append((depths[v], v, f, u))
-    up.sort()
+        up[v if parent[v] == u else u] = f
     paths = [0] * (n + 1)
-    for _, v, f, u in up:
-        paths[v] = paths[u] | 1 << f
+    for v in order[1:]:
+        paths[v] = paths[parent[v]] | 1 << up[v]
     inside = [0] * n
     sub = [0] * (n + 1)  # the edges below each vertex
-    for _, v, f, u in reversed(up):
+    for v in reversed(order[1:]):
+        f = up[v]
         inside[f] = sub[v]
-        sub[u] |= sub[v] | 1 << f
-    entry = _targets[t] = (lockers, hitmask, lows, locks, paths, inside, {})
+        sub[parent[v]] |= sub[v] | 1 << f
+    entry = _targets[t] = (lockers, hitmask, lows, lock, paths, inside, {})
     return entry
 
 
@@ -317,13 +313,15 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     above its source bounds, less the locked ones. On entry to a depth, a
     mask holds the target generators not yet hit, and the lock mask is the
     union, over them, of the images each maps lower; using an image hits
-    every generator that moves it, and a hit generator stays hit. The
+    every generator that moves it, and a hit generator stays hit, so it
+    frees each image it maps lower that no unhit generator maps lower. The
     source's edge order, cut bounds and constraint schedule are one
     memoized plan, built in one pass once per tree. The target's tables
     are one memoized entry per tree, built in linear passes: its per-image
-    generator masks, and the root paths and subtrees that the leaf masks
-    read. The entry also memoizes each lock mask and each mask of the first
-    leaf kind (below) as searches ask for them.
+    generator masks and first lock, and the root paths and subtrees that
+    the leaf masks read, from the rooting of ``Tree._bfs``. The entry also
+    memoizes each mask of the first leaf kind (below) as searches ask for
+    them.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check between two inner (non-leaf)
@@ -367,7 +365,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         return Certificate(FRIENDLY, (), 0, 1)
 
     pos, bounds, complete, checks, new_leaf, old_leaves = _plan(k)
-    lockers, hitmask, lows, locks, paths, inside, unsplit = _target(k2)
+    lockers, hitmask, lows, lock, paths, inside, unsplit = _target(k2)
     below, ends = k2.side_tables
 
     img = [0] * n  # image of the edge mapped at each depth
@@ -383,7 +381,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     cut = [0] * n
     unused[0] = (1 << n) - 1
     unhit[0] = live = (1 << len(lows)) - 1
-    locked[0] = lock = locks[live]
+    locked[0] = lock
     todo[0] = unused[0] & ~lock
     last = n - 1
     depth = nodes = checked = 0
@@ -430,21 +428,17 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
             hit = live & hitmask[f]
             if hit:
                 live ^= hit
-                m = locks.get(live)
-                if m is None:
-                    # A hit generator locks no more: free each image it
-                    # mapped lower that no live generator still locks.
-                    while hit:
-                        bit = hit & -hit
-                        hit ^= bit
-                        m = lows[bit.bit_length() - 1]
-                        while m:
-                            bit = m & -m
-                            m ^= bit
-                            if not lockers[bit.bit_length() - 1] & live:
-                                lock &= ~bit
-                    m = locks[live] = lock
-                lock = m
+                # A hit generator locks no more: free each image it mapped
+                # lower that no live generator still locks.
+                while hit:
+                    bit = hit & -hit
+                    hit ^= bit
+                    m = lows[bit.bit_length() - 1]
+                    while m:
+                        bit = m & -m
+                        m ^= bit
+                        if not lockers[bit.bit_length() - 1] & live:
+                            lock &= ~bit
             depth += 1
             unused[depth] = free
             unhit[depth] = live

@@ -202,9 +202,9 @@ class TestFindRealizableBijection:
         assert [ref() for ref in refs] == [None, None]
 
     def test_target_only_tree_gets_no_plan(self, monkeypatch):
-        # A target's tables come from its generators and side tables, in an
-        # entry of their own: it gets no edge order, no constraint schedule
-        # and no entry in the plans' memo.
+        # A target's tables come from its generators and its rooting at
+        # vertex 0, in an entry of their own: it gets no edge order, no
+        # constraint schedule and no entry in the plans' memo.
         seen = []
         plan = realizability._plan
         pairs = realizability.even_vertex_pairs
@@ -243,8 +243,8 @@ class TestFindRealizableBijection:
     def test_planned_pair_reads_no_vertex_pairs(self, monkeypatch):
         # The constraint schedule is built in the plan's own pass, as the
         # edges are ordered: deciding a pair, the first time or again, walks
-        # no even-distance pair list. Only a witness's re-test walks the
-        # source's.
+        # no even-distance pair list. A witness's re-test groups the
+        # source's vertices by depth parity and builds no pair list either.
         calls = []
         pairs = realizability.even_vertex_pairs
         monkeypatch.setattr(
@@ -257,7 +257,7 @@ class TestFindRealizableBijection:
         assert find_realizable_bijection(g, h) == first
         assert calls == []
         assert find_realizable_bijection(h, h).verdict == FRIENDLY
-        assert calls == [h]
+        assert calls == []
 
     def test_fresh_pair_roots_each_tree_twice(self, monkeypatch):
         # Each tree is rooted at vertex 0 once, with its plain neighbour
@@ -623,6 +623,42 @@ def test_leaf_facts(t, data):
     a = data.draw(st.integers(1, (1 << n) - 1)) & ~(1 << f | 1 << g)
     if a:
         assert_leaf_facts(t, a, f, g)
+
+
+def assert_target_tables(t):
+    """``_target``'s tables against their definitions, read from the side
+    tables and the generators one edge or vertex at a time."""
+    lockers, hitmask, lows, lock, paths, inside, _ = realizability._target(t)
+    below, ends = t.side_tables
+    n = t.edge_count
+    moved = [dict(gen) for gen in t.automorphism_generators]
+    assert lows == [sum(1 << f for f, tf in m.items() if tf < f) for m in moved]
+    assert hitmask == [sum(1 << i for i, m in enumerate(moved) if f in m) for f in range(n)]
+    assert lockers == [sum(1 << i for i, m in enumerate(lows) if m >> f & 1) for f in range(n)]
+    union = 0
+    for m in lows:
+        union |= m
+    assert lock == union
+    assert paths == [
+        sum(1 << f for f in range(n) if below[f] >> v & 1) for v in range(t.vertex_count)
+    ]
+    assert inside == [sum(1 << f for f in range(n) if not ends[f] & ~below[g]) for g in range(n)]
+
+
+def test_target_tables_on_the_catalogues_and_large_trees():
+    # Every tree through 10 edges, and a 300-edge path and star: one long
+    # root path, and 299 generators over one vertex's edges.
+    for n in range(11):
+        for t in enumerate_trees(n).trees:
+            assert_target_tables(t)
+    assert_target_tables(Tree(301, [(i, i + 1) for i in range(300)]))
+    assert_target_tables(Tree(301, [(0, i) for i in range(1, 301)]))
+
+
+@settings(deadline=None)
+@given(trees(max_edges=30))
+def test_target_tables(t):
+    assert_target_tables(t)
 
 
 def realizable_bruteforce(k, k2, h):
