@@ -33,12 +33,9 @@ from .survey import (
 from .tree import (
     Tree,
     canonical_code,
-    delta,
     edge_mask,
     format_tree,
-    is_isomorphic,
     mask_ids,
-    parity,
     parse_tree,
     path_edges,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "build_H",
     "canonical_code",
     "certificate_to_text",
-    "delta",
     "dual_tree",
     "edge_mask",
     "enumerate_trees",
@@ -67,10 +63,8 @@ __all__ = [
     "find_realizable_bijection",
     "format_report",
     "format_tree",
-    "is_isomorphic",
     "is_realizable",
     "mask_ids",
-    "parity",
     "parse_certificate",
     "parse_nesting",
     "parse_report",

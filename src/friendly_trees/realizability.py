@@ -130,20 +130,22 @@ _plans: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
 
 
 def _plan(t: Tree) -> tuple:
-    # Everything the search reads of ``t`` as source, ``pos, bounds,
-    # complete, checks, new_leaf, old_leaves``: the search depth of each
-    # edge; per depth the earlier depths whose images bound it from below (a
-    # generator σ pairs the first depth ``d0`` whose edge it moves with
-    # ``d1``, the depth of that edge's image, and the search keeps
-    # ``img[d1] > img[d0]``); per depth the inner (non-leaf) vertices whose
-    # last edge it maps, each with the depths of all its edges; and per depth
-    # the even-distance pairs checked there, once both vertices are
-    # complete, split three ways. Two inner vertices go in ``checks``. A
-    # leaf mapped at this depth lists, in ``new_leaf``, the complete inner
-    # vertices it pairs with. An inner vertex complete here lists, in
-    # ``old_leaves``, the depths of its earlier edges and the depths of the
-    # complete leaves it pairs with. Two leaves are never listed: distinct
-    # edges are always unlinked.
+    # Everything the search reads of ``t`` as source, ``pos, bounds, closes,
+    # new_leaf``: the search depth of each edge; per depth the earlier depths
+    # whose images bound it from below (a generator σ pairs the first depth
+    # ``d0`` whose edge it moves with ``d1``, the depth of that edge's image,
+    # and the search keeps ``img[d1] > img[d0]``); and per depth the
+    # even-distance pairs checked there, once both vertices are complete. An
+    # inner (non-leaf) vertex is named by the depth that completes it. A
+    # depth completes at most one: were both ends of its edge inner and
+    # complete, the other edges at each end would be mapped before it, and
+    # the mapped edges, one subtree, could join them only through this edge.
+    # ``closes[depth]`` is ``None``, or for the inner vertex the depth
+    # completes, the depths of its other edges, the inner vertices of its
+    # depth parity complete before it, and the depths of the complete leaves
+    # of its parity. A leaf mapped at this depth lists, in ``new_leaf``, the
+    # complete inner vertices it pairs with. Two leaves are never listed:
+    # distinct edges are always unlinked.
     #
     # One pass orders the edges and fills the schedule as it goes. The
     # mapped edges grow as one subtree, so each even-distance pair is
@@ -152,9 +154,9 @@ def _plan(t: Tree) -> tuple:
     # and next to the subtree, that completes the most pairs, leaf pairs
     # included, then the one with the larger maximum endpoint degree, then
     # the lowest id. A vertex is complete once all its edges are mapped, and
-    # then closes one pair with each complete vertex of its depth parity.
-    # Each step scans the whole frontier: quadratic in the worst case, as
-    # the pairs are.
+    # then pairs with each complete vertex of its depth parity. Each step
+    # scans the whole frontier: quadratic in the worst case, as the pairs
+    # are.
     plan = _plans.get(t)
     if plan is not None:
         return plan
@@ -164,8 +166,8 @@ def _plan(t: Tree) -> tuple:
     parity = [d & 1 for d in t.depths]
     wide = [max(deg[u], deg[v]) for u, v in edges]
     left = list(deg)  # untaken edges at each vertex
-    # Complete vertices by depth parity: how many, the inner ones, and the
-    # depths of the leaves' edges.
+    # Complete vertices by depth parity: how many, the inner ones by the
+    # depth that completed them, and the depths of the leaves' edges.
     closed = [0, 0]
     inner: tuple[list[int], list[int]] = ([], [])
     leaves: tuple[list[int], list[int]] = ([], [])
@@ -182,10 +184,8 @@ def _plan(t: Tree) -> tuple:
         return score, wide[f], -f
 
     pos = [0] * n
-    complete: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    closes: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None] = [None] * n
     new_leaf: list[tuple[int, ...]] = [()] * n
-    old_leaves: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
     for depth in range(n):
         e = max(frontier, key=key)
         frontier.remove(e)
@@ -201,17 +201,14 @@ def _plan(t: Tree) -> tuple:
                     new_leaf[depth] = tuple(inner[p])
                     leaves[p].append(depth)
                     continue
-                at = tuple(sorted(pos[f] for _, f in t.adjacency[w]))
-                complete[depth].append((w, at))
-                checks[depth] += [(a, w) for a in inner[p]]
-                if leaves[p]:
-                    old_leaves[depth].append((at[:-1], tuple(leaves[p])))
-                inner[p].append(w)
+                at = tuple(pos[f] for _, f in t.adjacency[w] if f != e)
+                closes[depth] = (at, tuple(inner[p]), tuple(leaves[p]))
+                inner[p].append(depth)
     bounds: list[list[int]] = [[] for _ in range(n)]
     for gen in t.automorphism_generators:
         e0, e1 = min(gen, key=lambda moved: pos[moved[0]])
         bounds[pos[e1]].append(pos[e0])
-    plan = _plans[t] = (pos, bounds, complete, checks, new_leaf, old_leaves)
+    plan = _plans[t] = (pos, bounds, closes, new_leaf)
     return plan
 
 
@@ -325,13 +322,16 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check between two inner (non-leaf)
-    vertices is two mask tests on each candidate: when a source vertex's
-    last edge is mapped, its image set's side colouring ``S`` and endpoint
-    mask ``E`` are built from ``k2.side_tables``, and an even-distance pair
-    ``(a, b)`` is unlinked exactly when ``E[a] & S[b]`` is ``0`` or
-    ``E[a]`` and the same holds with ``a`` and ``b`` swapped. The two image
-    sets need no overlap test: vertices at even distance are not adjacent,
-    so their incident sets, and hence their images, are disjoint.
+    vertices is two mask tests on each candidate. Each depth maps the last
+    edge of at most one inner source vertex. On entry to that depth, the
+    side colouring ``S`` and endpoint mask ``E`` of the vertex's earlier
+    images (its head) are built once from ``k2.side_tables``, and a popped
+    candidate ``f`` adds its one image: ``S ^ below[f]`` and
+    ``E | ends[f]``. An even-distance pair ``(a, b)`` is unlinked exactly
+    when ``E[a] & S[b]`` is ``0`` or ``E[a]`` and the same holds with ``a``
+    and ``b`` swapped. The two image sets need no overlap test: vertices at
+    even distance are not adjacent, so their incident sets, and hence their
+    images, are disjoint.
 
     A pair with a leaf is decided for all of a depth's candidates at once,
     on entry to the depth (forward checking, Haralick and Elliott 1980). A
@@ -345,9 +345,9 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
       vertex of ``E(A)`` or of none. The mask of those ``f`` is memoized per
       target and ``E(A)``.
     - A complete leaf with image ``g``, against an inner vertex whose last
-      edge this depth maps and whose earlier images are ``W'``: the pair
-      fails for every candidate unless ``E(W')`` lies on one side of ``g``,
-      and then a candidate passes when both its ends lie on that side too.
+      edge this depth maps and whose head is ``W'``: the pair fails for
+      every candidate unless ``E(W')`` lies on one side of ``g``, and then
+      a candidate passes when both its ends lie on that side too.
       The images with both ends in ``below[g]`` are the edges under ``g``.
 
     The masks leave ``nodes`` and ``checked`` those of a search that pops
@@ -364,14 +364,17 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     if n == 0:
         return Certificate(FRIENDLY, (), 0, 1)
 
-    pos, bounds, complete, checks, new_leaf, old_leaves = _plan(k)
+    pos, bounds, closes, new_leaf = _plan(k)
     lockers, hitmask, lows, lock, paths, inside, unsplit = _target(k2)
     below, ends = k2.side_tables
 
     img = [0] * n  # image of the edge mapped at each depth
-    # S and E of each complete inner vertex's image set.
-    side = [0] * k.vertex_count
-    span = [0] * k.vertex_count
+    # S and E of the image set of the inner vertex each depth completes, and
+    # of its images at earlier depths (its head), built on entry.
+    side = [0] * n
+    span = [0] * n
+    head_side = [0] * n
+    head_span = [0] * n
     todo = [0] * n  # candidate images not yet tried at each depth
     # On entry to each depth: the unused images, the target generators not
     # yet hit, the images they lock, and the candidates a leaf mask removed.
@@ -396,26 +399,21 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         f = low.bit_length() - 1
         img[depth] = f
         nodes += 1
-        for v, at in complete[depth]:
-            s = e = 0
-            for d in at:
-                g = img[d]
-                s ^= below[g]
-                e |= ends[g]
-            side[v] = s
-            span[v] = e
         ok = True
-        for a, b in checks[depth]:
-            ea = span[a]
-            x = ea & side[b]
-            if x and x != ea:
-                ok = False
-                break
-            eb = span[b]
-            x = eb & side[a]
-            if x and x != eb:
-                ok = False
-                break
+        closing = closes[depth]
+        if closing is not None:
+            s = side[depth] = head_side[depth] ^ below[f]
+            e = span[depth] = head_span[depth] | ends[f]
+            for d in closing[1]:
+                x = e & side[d]
+                if x and x != e:
+                    ok = False
+                    break
+                ed = span[d]
+                x = ed & s
+                if x and x != ed:
+                    ok = False
+                    break
         if depth == last:
             checked += 1
             if ok:
@@ -447,17 +445,22 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
             for d in bounds[depth]:
                 free &= ~((2 << img[d]) - 1)
             keep = free
-            for a in new_leaf[depth]:
-                e = span[a]
+            for d in new_leaf[depth]:
+                e = span[d]
                 m = unsplit.get(e)
                 if m is None:
                     m = unsplit[e] = _unsplit(paths, e)
                 keep &= m
-            for prior, leaf_depths in old_leaves[depth]:
-                e = 0
-                for d in prior:
-                    e |= ends[img[d]]
-                for d in leaf_depths:
+            closing = closes[depth]
+            if closing is not None:
+                s = e = 0
+                for d in closing[0]:
+                    g = img[d]
+                    s ^= below[g]
+                    e |= ends[g]
+                head_side[depth] = s
+                head_span[depth] = e
+                for d in closing[2]:
                     g = img[d]
                     x = e & below[g]
                     if x and x != e:

@@ -285,23 +285,6 @@ def path_edges(t: Tree, a: int, b: int) -> int:
     return mask
 
 
-def parity(t: Tree, a: int, b: int) -> str:
-    """``"even"`` or ``"odd"`` length of the a-b path.
-
-    Even exactly when a and b fall in the same class of the tree's unique
-    bipartition, so depth parity from any fixed root decides it.
-    """
-    _check_vertex(t, a)
-    _check_vertex(t, b)
-    return "even" if ((t.depths[a] ^ t.depths[b]) & 1) == 0 else "odd"
-
-
-def delta(t: Tree, v: int) -> int:
-    """Mask of the edges incident to vertex ``v``."""
-    _check_vertex(t, v)
-    return edge_mask(eid for _, eid in t.adjacency[v])
-
-
 def rooted(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
     """``(order, parent)`` of the tree with neighbor lists ``adj`` rooted at
     ``root``: its vertices in BFS order, and each vertex's parent, ``-1`` at
@@ -397,11 +380,6 @@ def code_from_adjacency(n: int, adj: Sequence[Sequence[int]]) -> str:
 def canonical_code(t: Tree) -> str:
     """Canonical parenthesis code of ``t``; equal codes mean isomorphic trees."""
     return code_from_adjacency(t.vertex_count, vertex_adjacency(t))
-
-
-def is_isomorphic(a: Tree, b: Tree) -> bool:
-    """Isomorphism of free trees, decided by comparing canonical codes."""
-    return canonical_code(a) == canonical_code(b)
 
 
 def split_lines(text: str) -> list[str]:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from friendly_trees import realizability
 from friendly_trees.realizability import FRIENDLY, UNFRIENDLY, Certificate, even_vertex_pairs
-from friendly_trees.tree import Tree
+from friendly_trees.tree import Tree, edge_mask
 
 # The unordered unfriendly pairs of the 9-edge catalogue, by index.
 CATALOG9_UNFRIENDLY = {(9, 101), (9, 102), (16, 101), (41, 97), (60, 75), (74, 87), (74, 88)}
@@ -36,6 +36,11 @@ def random_tree(rng: random.Random, edge_count: int) -> Tree:
 def relabel(t: Tree, perm: list[int]) -> Tree:
     """Apply a vertex permutation, keeping edge ids in place."""
     return Tree(t.vertex_count, [(perm[u], perm[v]) for u, v in t.edges])
+
+
+def incident_mask(t: Tree, v: int) -> int:
+    """Mask of the edges incident to vertex ``v``."""
+    return edge_mask(eid for _, eid in t.adjacency[v])
 
 
 def brute_force_isomorphic(a: Tree, b: Tree) -> bool:
@@ -69,24 +74,34 @@ def trees_with_two_edge_sets(draw, max_edges: int = 10):
     return t, p, q
 
 
+def vertex_completions(k: Tree):
+    """The first pass of ``two_pass_schedule``: per depth of ``k``'s plan,
+    the vertices done there, each at the depth of its last edge, with the
+    sorted depths of all its edges. Each depth's entries are sorted."""
+    pos = realizability._plan(k)[0]
+    complete = [[] for _ in range(k.edge_count)]
+    for v, nbrs in enumerate(k.adjacency):
+        at = tuple(sorted(pos[e] for _, e in nbrs))
+        complete[at[-1]].append((v, at))
+    return [sorted(c) for c in complete]
+
+
 def two_pass_schedule(k: Tree):
     """The search's constraint schedule over every vertex and every
     even-distance pair of ``k``, rebuilt from the edge depths of its plan
     in two more passes: a vertex is done at the depth of its last edge, with
-    the depths of all its edges, and each pair of ``even_vertex_pairs`` is
-    checked at the later of its two. Each depth's entries are sorted, pairs
-    as ``(a, b)`` with ``a < b``."""
-    pos = realizability._plan(k)[0]
-    done = []
-    complete = [[] for _ in range(k.edge_count)]
-    for v, nbrs in enumerate(k.adjacency):
-        at = tuple(sorted(pos[e] for _, e in nbrs))
-        done.append(at[-1])
-        complete[at[-1]].append((v, at))
+    the depths of all its edges (``vertex_completions``), and each pair of
+    ``even_vertex_pairs`` is checked at the later of its two. Each depth's
+    entries are sorted, pairs as ``(a, b)`` with ``a < b``."""
+    complete = vertex_completions(k)
+    done = [0] * k.vertex_count
+    for depth, vertices in enumerate(complete):
+        for v, _ in vertices:
+            done[v] = depth
     checks = [[] for _ in range(k.edge_count)]
     for a, b in even_vertex_pairs(k):
         checks[max(done[a], done[b])].append((a, b))
-    return [sorted(c) for c in complete], [sorted(c) for c in checks]
+    return complete, [sorted(c) for c in checks]
 
 
 def reference_search(k: Tree, k2: Tree) -> Certificate:

@@ -14,9 +14,9 @@ from friendly_trees.linking import (
     unlinked_bruteforce,
 )
 from friendly_trees.survey import build_H
-from friendly_trees.tree import Tree, delta, edge_mask, mask_ids, path_edges
+from friendly_trees.tree import Tree, edge_mask, mask_ids, path_edges
 
-from helpers import random_tree, trees, trees_with_two_edge_sets
+from helpers import incident_mask, random_tree, trees, trees_with_two_edge_sets
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -37,7 +37,7 @@ class TestSameSide:
     def test_spider_hub_versus_leg_end(self):
         # every path between endpoints of the hub's incident set avoids the leg tip edge
         h = build_H()
-        p = delta(h, 0)
+        p = incident_mask(h, 0)
         q = edge_mask([4])
         ends = endpoints(h, p)
         assert len(ends) == 5
@@ -85,12 +85,12 @@ class TestEndpoints:
 class TestUnlinked:
     def test_spider_hub_and_leg_end(self):
         h = build_H()
-        assert unlinked(h, delta(h, 0), edge_mask([4]))
-        assert unlinked_bruteforce(h, delta(h, 0), edge_mask([4]))
+        assert unlinked(h, incident_mask(h, 0), edge_mask([4]))
+        assert unlinked_bruteforce(h, incident_mask(h, 0), edge_mask([4]))
 
     def test_sharing_an_edge_fails(self):
         h = build_H()
-        assert not unlinked(h, delta(h, 0), delta(h, 2))
+        assert not unlinked(h, incident_mask(h, 0), incident_mask(h, 2))
 
     def test_both_empty(self):
         assert unlinked(PATH3, 0, 0)

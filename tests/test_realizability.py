@@ -28,15 +28,17 @@ from friendly_trees.realizability import (
     recheck_certificate,
 )
 from friendly_trees.survey import build_G, build_H, parse_report
-from friendly_trees.tree import Tree, delta, edge_mask, line_records, mask_ids, parity
+from friendly_trees.tree import Tree, edge_mask, line_records, mask_ids, path_edges
 
 from helpers import (
     CATALOG9_UNFRIENDLY,
     attachment_tree,
+    incident_mask,
     random_tree,
     reference_search,
     trees,
     two_pass_schedule,
+    vertex_completions,
 )
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
@@ -58,8 +60,8 @@ class TestIsRealizable:
         # both even pairs of the path map to unlinked sets in the star
         h = tuple(range(3))
         for a, b in ((0, 2), (1, 3)):
-            assert parity(PATH3, a, b) == "even"
-            assert unlinked_bruteforce(STAR3, delta(PATH3, a), delta(PATH3, b))
+            assert path_edges(PATH3, a, b).bit_count() % 2 == 0
+            assert unlinked_bruteforce(STAR3, incident_mask(PATH3, a), incident_mask(PATH3, b))
         assert is_realizable(PATH3, STAR3, h)
 
     def test_rejects_an_unordered_map(self):
@@ -119,7 +121,7 @@ class TestEvenVertexPairs:
         for t in (build_G(), build_H(), STAR3):
             for a, b in even_vertex_pairs(t):
                 assert a < b
-                assert parity(t, a, b) == "even"
+                assert path_edges(t, a, b).bit_count() % 2 == 0
 
 
 class TestFindRealizableBijection:
@@ -665,7 +667,7 @@ def realizable_bruteforce(k, k2, h):
     """Realizability of ``h`` decided constraint by constraint with
     ``unlinked_bruteforce``."""
     def image(v):
-        return edge_mask([h[e] for e in mask_ids(delta(k, v))])
+        return edge_mask([h[e] for e in mask_ids(incident_mask(k, v))])
 
     return all(unlinked_bruteforce(k2, image(a), image(b)) for a, b in even_vertex_pairs(k))
 
@@ -902,64 +904,89 @@ def test_edge_order_matches_rescan_on_the_catalogues(n):
         assert plan_order(k) == edge_order_by_rescan(k), k
 
 
+# Trees past the reach of ``edge_order_by_rescan``, with parents computed,
+# not drawn, so they are the same on every Python.
+LARGE_TREES = [
+    Tree(1101, [(0, leaf) for leaf in range(1, 1101)]),
+    Tree(301, [(i, i + 1) for i in range(300)]),
+    attachment_tree([i // 2 for i in range(200)]),
+    attachment_tree([i // 3 for i in range(400)]),
+    attachment_tree([i * 37 % (i + 1) for i in range(600)]),
+    attachment_tree([i % 10 for i in range(1000)]),
+]
+
+
 def test_edge_order_pinned():
-    # Every catalogue tree with 0-12 edges, and large trees past the reach
-    # of ``edge_order_by_rescan``, with parents computed, not drawn, so the
-    # digest is the same on every Python. A moved order moves witnesses and
-    # node counts, and so every pinned report.
-    large = [
-        Tree(1101, [(0, leaf) for leaf in range(1, 1101)]),
-        Tree(301, [(i, i + 1) for i in range(300)]),
-        attachment_tree([i // 2 for i in range(200)]),
-        attachment_tree([i // 3 for i in range(400)]),
-        attachment_tree([i * 37 % (i + 1) for i in range(600)]),
-        attachment_tree([i % 10 for i in range(1000)]),
-    ]
+    # Every catalogue tree with 0-12 edges, and ``LARGE_TREES``. A moved
+    # order moves witnesses and node counts, and so every pinned report.
     digest = hashlib.sha256()
-    for k in [t for n in range(13) for t in enumerate_trees(n).trees] + large:
+    for k in [t for n in range(13) for t in enumerate_trees(n).trees] + LARGE_TREES:
         digest.update((" ".join(map(str, plan_order(k))) + "\n").encode())
     assert digest.hexdigest() == (
         "da630f81e33db772f9fbd633a7142c225da6111fe1f2fd3f88b6645aa367cf73"
     )
 
 
+def assert_one_inner_vertex_per_depth(k):
+    # The plan's layout rests on this: the mapped edges are one subtree, so
+    # no depth's edge is the last of both its ends when both are inner.
+    deg = k.degrees
+    for depth, done in enumerate(vertex_completions(k)):
+        assert sum(deg[v] > 1 for v, _ in done) <= 1, (k, depth)
+
+
+@pytest.mark.parametrize("n", [
+    *range(1, 11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))
+])
+def test_no_depth_completes_two_inner_vertices_on_the_catalogues(n):
+    for k in enumerate_trees(n).trees:
+        assert_one_inner_vertex_per_depth(k)
+
+
+@settings(deadline=None)
+@given(trees(min_edges=1, max_edges=30))
+def test_no_depth_completes_two_inner_vertices(k):
+    assert_one_inner_vertex_per_depth(k)
+
+
+@pytest.mark.parametrize("k", LARGE_TREES, ids=lambda k: f"{k.edge_count}edges")
+def test_no_depth_completes_two_inner_vertices_on_large_trees(k):
+    assert_one_inner_vertex_per_depth(k)
+
+
 def split_schedule(k):
-    """``two_pass_schedule`` split as the plan splits it, per depth: the
-    inner vertices done there; the pairs of two inner vertices; the inner
-    vertices paired with the leaf whose edge the depth maps; and, per inner
-    vertex done there with leaf partners, the depths of its earlier edges
-    and of its partners' edges. Pairs of two leaves go in none."""
+    """``two_pass_schedule`` laid out as the plan lays it out, per depth. An
+    inner vertex is named by the depth of its last edge. First, a list with
+    an entry per inner vertex done there: the depths of its other edges, its
+    inner partners and the edge depths of its leaf partners. Second, the
+    inner partners of the leaf whose edge the depth maps. Pairs of two
+    leaves go in none; every list is sorted."""
     complete, checks = two_pass_schedule(k)
-    pos = realizability._plan(k)[0]
-    inner = [v for v, d in enumerate(k.degrees) if d > 1]
-    leaf_depth = {v: pos[nbrs[0][1]] for v, nbrs in enumerate(k.adjacency) if len(nbrs) == 1}
-    at = {v: a for c in complete for v, a in c}
+    leaf = {v for v, d in enumerate(k.degrees) if d == 1}
+    done = {v: at[-1] for c in complete for v, at in c}
     split = []
     for depth, pairs in enumerate(checks):
-        new_leaf, old_leaves = [], {}
+        closes = {v: (at[:-1], [], []) for v, at in complete[depth] if v not in leaf}
+        new_leaf = []
         for a, b in pairs:
-            if a in leaf_depth and b in leaf_depth:
-                continue
-            for leaf, w in ((a, b), (b, a)):
-                if leaf_depth.get(leaf) == depth:
-                    new_leaf.append(w)
-                elif leaf in leaf_depth:
-                    old_leaves.setdefault(w, []).append(leaf_depth[leaf])
+            for v, w in ((a, b), (b, a)):
+                if v in closes and done[w] < depth:
+                    closes[v][2 if w in leaf else 1].append(done[w])
+                elif v in leaf and w not in leaf and done[v] == depth:
+                    new_leaf.append(done[w])
         split.append((
-            [(v, a) for v, a in complete[depth] if v in inner],
-            [(a, b) for a, b in pairs if a in inner and b in inner],
+            sorted((at, tuple(sorted(inner)), tuple(sorted(leaves)))
+                   for at, inner, leaves in closes.values()),
             sorted(new_leaf),
-            sorted((at[w][:-1], tuple(sorted(ds))) for w, ds in old_leaves.items()),
         ))
     return split
 
 
 def assert_plan_matches_two_passes(k):
-    _, _, complete, checks, new_leaf, old_leaves = realizability._plan(k)
+    _, _, closes, new_leaf = realizability._plan(k)
     plan = [
-        (sorted(c), sorted(tuple(sorted(p)) for p in ch), sorted(nl),
-         sorted((prior, tuple(sorted(ds))) for prior, ds in ol))
-        for c, ch, nl, ol in zip(complete, checks, new_leaf, old_leaves)
+        ([] if c is None else [tuple(tuple(sorted(part)) for part in c)], sorted(nl))
+        for c, nl in zip(closes, new_leaf)
     ]
     assert plan == split_schedule(k), k
 
@@ -983,12 +1010,12 @@ def test_plan_schedule_matches_two_passes(k):
 def test_plan_schedule_matches_two_passes_on_a_large_star():
     # 604,450 pairs, all among the leaves: two distinct edges are always
     # unlinked, so the plan lists none of them.
-    star = Tree(1101, [(0, leaf) for leaf in range(1, 1101)])
+    star = LARGE_TREES[0]
     assert_plan_matches_two_passes(star)
     assert sum(map(len, two_pass_schedule(star)[1])) == 1100 * 1099 // 2
-    _, _, complete, checks, new_leaf, old_leaves = realizability._plan(star)
-    assert complete[-1] == [(0, tuple(range(1100)))]
-    assert not any(checks) and not any(new_leaf) and not any(old_leaves)
+    _, _, closes, new_leaf = realizability._plan(star)
+    assert closes[-1] == (tuple(range(1099)), (), ())
+    assert closes[:-1] == [None] * 1099 and not any(new_leaf)
 
 
 @settings(deadline=None)
