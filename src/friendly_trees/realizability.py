@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache, partial
+from itertools import combinations, permutations
 from weakref import WeakKeyDictionary
 
 from .linking import unlinked
@@ -74,18 +75,6 @@ def _check_bijection(n: int, h: EdgeBijection) -> tuple[int, ...]:
         ids = " on edge ids 0..%d" % (n - 1) if n else ": the trees have no edge ids"
         raise ValueError("map is not a bijection" + ids)
     return h
-
-
-def even_vertex_pairs(k: Tree) -> tuple[tuple[int, int], ...]:
-    """Unordered pairs of distinct vertices joined by an even-length path."""
-    depths = k.depths
-    n = k.vertex_count
-    return tuple(
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if ((depths[a] ^ depths[b]) & 1) == 0
-    )
 
 
 def _realizes(k: Tree, k2: Tree, h: EdgeBijection) -> bool:
@@ -492,39 +481,46 @@ def exhaustive_search(k: Tree, k2: Tree) -> Certificate:
 
     Used to recheck unfriendly verdicts independently of the pruned search:
     every one of the ``n!`` bijections is tested (``checked`` counts them),
-    each against every constraint until one fails. It shares no edge order,
-    cut or per-depth table with the search, only the side test of
-    ``linking``, which is held to the brute-force oracle. No bijection is
-    skipped; what bijections share is the verdict on an image pair. Each
-    distinct pair of image masks is decided once by ``unlinked`` and
-    memoized for the rest of the call: the two masks are disjoint, so there
-    are at most 3^n distinct pairs (6,561 at 8 edges, against 40,320
-    bijections). Every scan has ``nodes == checked``, the empty bijection of
-    a zero-edge pair included.
+    each against every constraint until one fails. A constraint is a pair of
+    source vertices of one depth parity, which are the pairs at even
+    distance, and names their incident edge ids. The scan shares no edge
+    order, cut or per-depth table with the search, only the depths of
+    ``Tree`` and the side test of ``linking``, which is held to the
+    brute-force oracle. No bijection is skipped; what bijections share is
+    the verdict on an image pair. Each distinct pair of image masks is
+    decided once by ``unlinked``, through a ``functools.cache`` made for the
+    call: the two masks are disjoint, so there are at most 3^n distinct
+    pairs (6,561 at 8 edges, against 40,320 bijections). Every scan has
+    ``nodes == checked``, the empty bijection of a zero-edge pair included.
     Above ``MAX_RECHECK_EDGES`` edges the scan is refused with a
     ``ValueError``.
 
     The constraints are tried in the order of their last failure: the one
     that failed a bijection moves to the front of this call's list.
     Neighbours in lexicographic order share most images, so it mostly fails
-    the next one too; on the unfriendly pairs through 9 edges a bijection
-    costs 1.2-1.7 constraint tests instead of 1.9-3.3. The order changes no
-    output: a bijection is realizable exactly when all its constraints
-    hold, in whatever order they are tried, and the bijections are still
-    visited, counted and returned in lexicographic order. The order lives
-    and dies with the call.
+    the next one too; on the unfriendly pairs through 9 edges, both ways, a
+    bijection costs 1.1-1.7 constraint tests instead of the 1.8-4.7 of a
+    fixed order. The order changes no output: a bijection is realizable
+    exactly when all its constraints hold, in whatever order they are
+    tried, and the bijections are still visited, counted and returned in
+    lexicographic order. The order and the cache live and die with the
+    call.
     """
     n = _check_edge_counts(k, k2)
     if n > MAX_RECHECK_EDGES:
         raise ValueError(
             f"the unpruned scan supports at most {MAX_RECHECK_EDGES} edges, got {n}"
         )
-    # Source edge ids incident to each vertex of every even-distance pair.
-    ids = [tuple(eid for _, eid in nbrs) for nbrs in k.adjacency]
-    constraints = [(ids[a], ids[b]) for a, b in even_vertex_pairs(k)]
+    # Source edge ids incident to each vertex, by depth parity: the pairs
+    # within one parity are the even-distance pairs.
+    groups: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
+    for v, nbrs in enumerate(k.adjacency):
+        groups[k.depths[v] & 1].append(tuple(eid for _, eid in nbrs))
+    constraints = [c for group in groups for c in combinations(group, 2)]
     bits = [1 << f for f in range(n)]
-    # ``unlinked`` is pure in ``(k2, ma, mb)``, so one memo serves every bijection.
-    memo: dict[tuple[int, int], bool] = {}
+    # ``unlinked`` is pure in ``(k2, ma, mb)``, so one cache serves every
+    # bijection of this call, and dies with it.
+    decide = cache(partial(unlinked, k2))
     checked = 0
     for h in permutations(range(n)):
         checked += 1
@@ -536,11 +532,7 @@ def exhaustive_search(k: Tree, k2: Tree) -> Certificate:
             mb = 0
             for e in ids_b:
                 mb |= bits[h[e]]
-            key = (ma, mb)
-            ok = memo.get(key)
-            if ok is None:
-                ok = memo[key] = unlinked(k2, ma, mb)
-            if not ok:
+            if not decide(ma, mb):
                 # Fail first. The loop ends here, so it never iterates the
                 # list it changed.
                 if c is not constraints[0]:

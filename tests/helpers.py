@@ -9,7 +9,7 @@ from itertools import permutations
 from hypothesis import strategies as st
 
 from friendly_trees import realizability
-from friendly_trees.realizability import FRIENDLY, UNFRIENDLY, Certificate, even_vertex_pairs
+from friendly_trees.realizability import FRIENDLY, UNFRIENDLY, Certificate
 from friendly_trees.tree import Tree, edge_mask
 
 # The unordered unfriendly pairs of the 9-edge catalogue, by index.
@@ -41,6 +41,30 @@ def relabel(t: Tree, perm: list[int]) -> Tree:
 def incident_mask(t: Tree, v: int) -> int:
     """Mask of the edges incident to vertex ``v``."""
     return edge_mask(eid for _, eid in t.adjacency[v])
+
+
+def bfs_two_coloring(t: Tree) -> list[int]:
+    """Colour 0 or 1 per vertex, alternating along a breadth-first walk from
+    vertex 0, with no use of ``Tree.depths``."""
+    color = [0] * t.vertex_count
+    seen = [False] * t.vertex_count
+    seen[0] = True
+    queue = [0]
+    for x in queue:
+        for y, _ in t.adjacency[x]:
+            if not seen[y]:
+                seen[y] = True
+                color[y] = color[x] ^ 1
+                queue.append(y)
+    return color
+
+
+def even_pairs(t: Tree) -> list[tuple[int, int]]:
+    """The vertex pairs ``a < b`` at even distance: those of one colour of
+    ``bfs_two_coloring``."""
+    color = bfs_two_coloring(t)
+    n = t.vertex_count
+    return [(a, b) for a in range(n) for b in range(a + 1, n) if color[a] == color[b]]
 
 
 def brute_force_isomorphic(a: Tree, b: Tree) -> bool:
@@ -91,7 +115,7 @@ def two_pass_schedule(k: Tree):
     even-distance pair of ``k``, rebuilt from the edge depths of its plan
     in two more passes: a vertex is done at the depth of its last edge, with
     the depths of all its edges (``vertex_completions``), and each pair of
-    ``even_vertex_pairs`` is checked at the later of its two. Each depth's
+    ``even_pairs`` is checked at the later of its two. Each depth's
     entries are sorted, pairs as ``(a, b)`` with ``a < b``."""
     complete = vertex_completions(k)
     done = [0] * k.vertex_count
@@ -99,7 +123,7 @@ def two_pass_schedule(k: Tree):
         for v, _ in vertices:
             done[v] = depth
     checks = [[] for _ in range(k.edge_count)]
-    for a, b in even_vertex_pairs(k):
+    for a, b in even_pairs(k):
         checks[max(done[a], done[b])].append((a, b))
     return complete, [sorted(c) for c in checks]
 

@@ -20,7 +20,6 @@ from friendly_trees.realizability import (
     UNFRIENDLY,
     Certificate,
     certificate_to_text,
-    even_vertex_pairs,
     exhaustive_search,
     find_realizable_bijection,
     is_realizable,
@@ -33,6 +32,7 @@ from friendly_trees.tree import Tree, edge_mask, line_records, mask_ids, path_ed
 from helpers import (
     CATALOG9_UNFRIENDLY,
     attachment_tree,
+    even_pairs,
     incident_mask,
     random_tree,
     reference_search,
@@ -113,15 +113,18 @@ def test_zero_edge_errors_say_there_are_no_edge_ids(call, message):
     assert str(info.value) == message
 
 
-class TestEvenVertexPairs:
-    def test_path(self):
-        assert even_vertex_pairs(PATH3) == ((0, 2), (1, 3))
-
+class TestEvenPairs:
     def test_all_pairs_even_and_distinct(self):
-        for t in (build_G(), build_H(), STAR3):
-            for a, b in even_vertex_pairs(t):
-                assert a < b
-                assert path_edges(t, a, b).bit_count() % 2 == 0
+        # The tests' oracle list, ``helpers.even_pairs``, is exactly the pairs
+        # ``a < b`` whose path has an even number of edges.
+        for t in (build_G(), build_H(), STAR3, PATH3):
+            n = t.vertex_count
+            assert even_pairs(t) == [
+                (a, b)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if path_edges(t, a, b).bit_count() % 2 == 0
+            ]
 
 
 class TestFindRealizableBijection:
@@ -209,11 +212,7 @@ class TestFindRealizableBijection:
         # constraint schedule and no entry in the plans' memo.
         seen = []
         plan = realizability._plan
-        pairs = realizability.even_vertex_pairs
         monkeypatch.setattr(realizability, "_plan", lambda t: seen.append(t) or plan(t))
-        monkeypatch.setattr(
-            realizability, "even_vertex_pairs", lambda t: seen.append(t) or pairs(t)
-        )
         for g, h in ((build_G(), build_H()), (build_H(), build_H())):
             find_realizable_bijection(g, h)
             assert h not in realizability._plans
@@ -242,24 +241,17 @@ class TestFindRealizableBijection:
             5525,
         )
 
-    def test_planned_pair_reads_no_vertex_pairs(self, monkeypatch):
+    def test_planned_pair_reads_no_vertex_pairs(self):
         # The constraint schedule is built in the plan's own pass, as the
-        # edges are ordered: deciding a pair, the first time or again, walks
-        # no even-distance pair list. A witness's re-test groups the
-        # source's vertices by depth parity and builds no pair list either.
-        calls = []
-        pairs = realizability.even_vertex_pairs
-        monkeypatch.setattr(
-            realizability, "even_vertex_pairs", lambda t: calls.append(t) or pairs(t)
-        )
+        # edges are ordered, and a witness's re-test groups the source's
+        # vertices by depth parity: the library keeps no even-distance pair
+        # list for a decision to walk, the first time or again.
         g, h = build_G(), build_H()
         first = find_realizable_bijection(g, h)
         assert first.verdict == UNFRIENDLY
         assert g in realizability._plans
         assert find_realizable_bijection(g, h) == first
-        assert calls == []
         assert find_realizable_bijection(h, h).verdict == FRIENDLY
-        assert calls == []
 
     def test_fresh_pair_roots_each_tree_twice(self, monkeypatch):
         # Each tree is rooted at vertex 0 once, with its plain neighbour
@@ -669,7 +661,7 @@ def realizable_bruteforce(k, k2, h):
     def image(v):
         return edge_mask([h[e] for e in mask_ids(incident_mask(k, v))])
 
-    return all(unlinked_bruteforce(k2, image(a), image(b)) for a, b in even_vertex_pairs(k))
+    return all(unlinked_bruteforce(k2, image(a), image(b)) for a, b in even_pairs(k))
 
 
 @settings(deadline=None)
@@ -713,6 +705,19 @@ def test_exhaustive_search_matches_bruteforce_scan_up_to_five_edges():
                 assert (cert.verdict, cert.witness, cert.checked) == expected, (a, b2)
 
 
+@pytest.mark.parametrize("n", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_exhaustive_search_matches_bruteforce_scan_on_every_ordered_pair(n):
+    # The scan's constraints are the pairs within one depth parity; the
+    # oracle's are ``even_pairs``, from its own two-colouring. At 7 edges
+    # this includes the fixture pair's classes, both ways round.
+    unfriendly = 0
+    for a, b in product(enumerate_trees(n).trees, repeat=2):
+        cert = exhaustive_search(a, b)
+        assert (cert.verdict, cert.witness, cert.checked) == bruteforce_scan(a, b), (a, b)
+        unfriendly += cert.verdict == UNFRIENDLY
+    assert unfriendly == {6: 0, 7: 2}[n]
+
+
 def test_constraint_order_moves_no_witness():
     # The scan tries the last failing constraint first. Listing the target's
     # edges in other orders moves the first witness around the scan, and
@@ -730,20 +735,25 @@ def test_constraint_order_moves_no_witness():
 
 def counted_scan(monkeypatch, k, k2):
     """The certificate of ``exhaustive_search`` and its ``unlinked`` calls,
-    one per distinct image pair it decided."""
+    one per distinct image pair it decided: no pair is decided twice in one
+    call."""
     calls = []
     with monkeypatch.context() as m:
-        m.setattr(realizability, "unlinked", lambda t, p, q: calls.append(1) or unlinked(t, p, q))
-        return exhaustive_search(k, k2), len(calls)
+        m.setattr(
+            realizability, "unlinked", lambda t, p, q: calls.append((p, q)) or unlinked(t, p, q)
+        )
+        cert = exhaustive_search(k, k2)
+    assert len(set(calls)) == len(calls)
+    return cert, len(calls)
 
 
 def test_scan_tries_the_last_failing_constraint_first(monkeypatch):
     # The image pairs the scan decides depend on the order it tries the
     # constraints in, so their count pins that order: a fixed order decides
-    # 519 and 362 of them.
+    # 534 and 382 of them.
     g, h = build_G(), build_H()
-    assert counted_scan(monkeypatch, g, h) == (Certificate(UNFRIENDLY, None, 5040, 5040), 587)
-    assert counted_scan(monkeypatch, h, g) == (Certificate(UNFRIENDLY, None, 5040, 5040), 374)
+    assert counted_scan(monkeypatch, g, h) == (Certificate(UNFRIENDLY, None, 5040, 5040), 622)
+    assert counted_scan(monkeypatch, h, g) == (Certificate(UNFRIENDLY, None, 5040, 5040), 382)
 
 
 def test_scan_keeps_no_order_between_calls(monkeypatch):
@@ -843,7 +853,7 @@ def pairs_closed(k, taken, eid):
     return sum(
         (complete(a, after) and complete(b, after))
         and not (complete(a, taken) and complete(b, taken))
-        for a, b in even_vertex_pairs(k)
+        for a, b in even_pairs(k)
     )
 
 

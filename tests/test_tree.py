@@ -23,7 +23,14 @@ from friendly_trees.tree import (
     vertex_adjacency,
 )
 
-from helpers import brute_force_isomorphic, incident_mask, random_tree, relabel, trees
+from helpers import (
+    bfs_two_coloring,
+    brute_force_isomorphic,
+    incident_mask,
+    random_tree,
+    relabel,
+    trees,
+)
 
 PATH3 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR3 = Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -261,20 +268,6 @@ class TestPathEdges:
         assert ab.bit_count() <= (
             path_edges(t, a, c).bit_count() + path_edges(t, c, b).bit_count()
         )
-
-
-def bfs_two_coloring(t):
-    color = [0] * t.vertex_count
-    seen = [False] * t.vertex_count
-    seen[0] = True
-    queue = [0]
-    for x in queue:
-        for y, _ in t.adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                color[y] = color[x] ^ 1
-                queue.append(y)
-    return color
 
 
 def even(t, a, b):
