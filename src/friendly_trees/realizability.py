@@ -201,26 +201,65 @@ def _plan(t: Tree) -> tuple:
     return plan
 
 
-# Each target's cut tables, for as long as the tree lives, like ``_plans``.
+# Each target's search tables, for as long as the tree lives, like ``_plans``.
 _targets: WeakKeyDictionary[Tree, tuple] = WeakKeyDictionary()
 
 
 def _target(t: Tree) -> tuple:
-    # Everything the search reads of ``t`` as target, ``lockers, hitmask,
-    # lows, lock, paths, inside, unsplit``. Per image ``f``: the generators
-    # that map ``f`` lower (``lockers``) and those that move ``f``
-    # (``hitmask``), generator ``i`` as bit ``1 << i``. Per generator, the
-    # images it maps lower (``lows``), and their union, the lock before any
-    # generator is hit (``lock``). Per vertex, the edges on its path to
-    # vertex 0, the edges whose ``below`` holds it (``paths``). Per image
-    # ``g``, the images with both ends in ``below[g]`` (``inside``). And a
-    # memo of ``_unsplit`` masks, filled as searches ask for them. The paths
-    # and subtrees are one pass each way over ``Tree._bfs``, the rooting
-    # that ``side_tables`` reads.
+    # Everything the search reads of ``t`` as target, ``edge_of, below,
+    # ends, lockers, hitmask, lows, lock, paths, inside, unsplit``, with
+    # every image named by its rank, a canonical order of the edges:
+    # ``edge_of[r]`` is the edge id of rank ``r``. Rooted at the centroid
+    # with the smaller code (the rule of ``code_from_adjacency``), with each
+    # vertex's children in ascending code order, an edge's rank is the
+    # place of its child end in BFS order. Isomorphic trees get the same
+    # ranked tree, whatever their labels, and so the same search.
+    #
+    # Per rank, ``below`` and ``ends`` of ``Tree.side_tables``. Per image
+    # ``f``: the generators that map ``f`` lower (``lockers``) and those
+    # that move ``f`` (``hitmask``), generator ``i`` as bit ``1 << i``. Per
+    # generator, the images it maps lower (``lows``), and their union, the
+    # lock before any generator is hit (``lock``). Per vertex, the edges on
+    # its path to vertex 0, the edges whose ``below`` holds it (``paths``).
+    # Per image ``g``, the images with both ends in ``below[g]``
+    # (``inside``). And a memo of ``_unsplit`` masks, filled as searches ask
+    # for them. The ranks read the centroid rooting of the generators
+    # (``Tree._centroid``); the paths and subtrees are one pass each way
+    # over ``Tree._bfs``, the rooting that ``side_tables`` reads.
     entry = _targets.get(t)
     if entry is not None:
         return entry
     n = t.edge_count
+    rooting, edge_up, kids, other = t._centroid
+    code = rooting.code
+    root = rooting.order[0]
+    if other:
+        # Rooted at the other centroid ``c``, the root and its other
+        # children become a child of ``c`` with the code ``half``.
+        (c,) = other
+        rest = [a for a in kids[root] if a != c]
+        half = "(" + "".join(code[a] for a in rest) + ")"
+        below_c = sorted([code[a] for a in kids[c]] + [half])
+        if "(" + "".join(below_c) + ")" < code[root]:
+            kids = kids[:]
+            kids[root] = rest
+            i = below_c.index(half)
+            kids[c] = kids[c][:i] + [root] + kids[c][i:]
+            edge_up = edge_up[:]
+            edge_up[root] = edge_up[c]
+            root = c
+    edge_of = []
+    queue = [root]
+    for v in queue:
+        for w in kids[v]:
+            edge_of.append(edge_up[w])
+            queue.append(w)
+    rank = [0] * n
+    for r, f in enumerate(edge_of):
+        rank[f] = r
+    below, ends = t.side_tables
+    below = tuple(below[f] for f in edge_of)
+    ends = tuple(ends[f] for f in edge_of)
     gens = t.automorphism_generators
     lockers = [0] * n
     hitmask = [0] * n
@@ -228,15 +267,16 @@ def _target(t: Tree) -> tuple:
     lock = 0
     for i, gen in enumerate(gens):
         for f, tf in gen:
+            f, tf = rank[f], rank[tf]
             hitmask[f] |= 1 << i
             if tf < f:
                 lockers[f] |= 1 << i
                 lows[i] |= 1 << f
                 lock |= 1 << f
     _, order, parent = t._bfs
-    up = [0] * (n + 1)  # each vertex's edge to its parent
+    up = [0] * (n + 1)  # the rank of each vertex's edge to its parent
     for f, (u, v) in enumerate(t.edges):
-        up[v if parent[v] == u else u] = f
+        up[v if parent[v] == u else u] = rank[f]
     paths = [0] * (n + 1)
     for v in order[1:]:
         paths[v] = paths[parent[v]] | 1 << up[v]
@@ -246,7 +286,7 @@ def _target(t: Tree) -> tuple:
         f = up[v]
         inside[f] = sub[v]
         sub[parent[v]] |= sub[v] | 1 << f
-    entry = _targets[t] = (lockers, hitmask, lows, lock, paths, inside, {})
+    entry = _targets[t] = (edge_of, below, ends, lockers, hitmask, lows, lock, paths, inside, {})
     return entry
 
 
@@ -270,8 +310,12 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     mapped edges as a single subtree and next takes the edge that completes
     the most even-distance pairs (``_plan`` gives the rule), so each
     pair is checked as early as it can be. Candidate images go in ascending
-    edge id, so the search reaches bijections in lexicographic order of
-    their images in that edge order. Two kinds of cut prune a branch:
+    canonical rank (``_target`` gives the rule): the order of a BFS from a
+    centroid that lists children by their subtree codes. So the search
+    reaches bijections in lexicographic order of their images' ranks in
+    that edge order, and a relabelling of ``k2`` changes no verdict, node
+    count or check count, only the edge ids the witness names. The witness
+    is mapped back to ``k2``'s edge ids. Two kinds of cut prune a branch:
 
     - Constraint: an even-distance vertex pair is checked the moment both its
       incident sets are fully mapped. Mapped images never change, so a
@@ -287,7 +331,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
       and ``t∘h`` first differ at the first depth whose image ``t`` moves:
       the target rule keeps the first image used from ``t``'s moved set the
       lower of its pair, so until one is used the candidates exclude
-      ``{f moved by t : t(f) < f}``.
+      ``{f moved by t : t(f) < f}``. Images compare by rank throughout.
 
     The first realizable bijection in search order is the least element of
     its orbit, so it comes before each of its images under a generator and
@@ -303,11 +347,12 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     frees each image it maps lower that no unhit generator maps lower. The
     source's edge order, cut bounds and constraint schedule are one
     memoized plan, built in one pass once per tree. The target's tables
-    are one memoized entry per tree, built in linear passes: its per-image
-    generator masks and first lock, and the root paths and subtrees that
-    the leaf masks read, from the rooting of ``Tree._bfs``. The entry also
-    memoizes each mask of the first leaf kind (below) as searches ask for
-    them.
+    are one memoized entry per tree, each indexed by rank and built in
+    linear passes: the ranks from the centroid rooting of the generators,
+    the side tables in rank order, its per-image generator masks and first
+    lock, and the root paths and subtrees that the leaf masks read, from
+    the rooting of ``Tree._bfs``. The entry also memoizes each mask of the
+    first leaf kind (below) as searches ask for them.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check between two inner (non-leaf)
@@ -354,8 +399,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         return Certificate(FRIENDLY, (), 0, 1)
 
     pos, bounds, closes, new_leaf = _plan(k)
-    lockers, hitmask, lows, lock, paths, inside, unsplit = _target(k2)
-    below, ends = k2.side_tables
+    edge_of, below, ends, lockers, hitmask, lows, lock, paths, inside, unsplit = _target(k2)
 
     img = [0] * n  # image of the edge mapped at each depth
     # S and E of the image set of the inner vertex each depth completes, and
@@ -406,7 +450,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
         if depth == last:
             checked += 1
             if ok:
-                witness = tuple(img[pos[eid]] for eid in range(n))
+                witness = tuple(edge_of[img[pos[eid]]] for eid in range(n))
                 break
         elif ok:
             free = unused[depth] ^ low

@@ -188,6 +188,27 @@ class Tree:
         return below, ends
 
     @cached_property
+    def _centroid(self) -> tuple[RootedCodes, list[int], list[list[int]], list[int]]:
+        """``(rooting, up, kids, other)``: ``rooted_codes`` at the lower
+        centroid; per vertex the edge id to its parent (``-1`` at the root)
+        and its children in ascending code order, ties by edge id; and the
+        other centroid, a child of the root, if there is one. The
+        automorphism generators and the search's canonical edge order both
+        read it."""
+        n = self.vertex_count
+        adj, order, parent = self._bfs
+        root, *other = centroids(order, parent)
+        rooting = rooted_codes(n, adj, root)
+        up = [-1] * n
+        for eid, (u, v) in enumerate(self.edges):
+            up[v if rooting.parent[v] == u else u] = eid
+        # BFS lists each vertex's children in edge-id order; the sort is stable.
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v in sorted(rooting.order[1:], key=rooting.code.__getitem__):
+            kids[rooting.parent[v]].append(v)
+        return rooting, up, kids, other
+
+    @cached_property
     def automorphism_generators(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Involutions that generate the tree's automorphism group, acting on
         edge ids: each is the ascending tuple of its moved ``(edge id,
@@ -203,17 +224,8 @@ class Tree:
         on height, and one that exchanges two centroids is the flip times
         such a product. Built without recursion.
         """
-        n = self.vertex_count
-        adj, order, parent = self._bfs
-        root, *other = centroids(order, parent)
-        order, parent, _, code, _ = rooted_codes(n, adj, root)
-        up = [-1] * n  # edge id to the parent
-        for eid, (u, v) in enumerate(self.edges):
-            up[v if parent[v] == u else u] = eid
-        # BFS lists each vertex's children in edge-id order; the sort is stable.
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for v in sorted(order[1:], key=code.__getitem__):
-            kids[parent[v]].append(v)
+        (order, _, _, code, _), up, kids, other = self._centroid
+        root = order[0]
 
         def exchange(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
             # Map each branch of a pair onto the other, child by child.

@@ -128,29 +128,105 @@ def two_pass_schedule(k: Tree):
     return complete, [sorted(c) for c in checks]
 
 
+def rooted_code_table(t: Tree, root: int) -> tuple[list[int], list[int], list[str]]:
+    """``(order, up, code)`` of ``t`` rooted at ``root``, walked with
+    ``Tree.adjacency`` and no helper of ``tree``: the vertices in BFS order,
+    each vertex's edge id to its parent (``-1`` at the root) and the AHU
+    code of its subtree, its children's codes sorted and wrapped in one
+    more pair."""
+    up = [-1] * t.vertex_count
+    seen = {root}
+    order = [root]
+    for x in order:
+        for y, eid in t.adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                up[y] = eid
+                order.append(y)
+    kids = [[] for _ in range(t.vertex_count)]
+    code = [""] * t.vertex_count
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(kids[v])) + ")"
+        if up[v] >= 0:
+            u, w = t.edges[up[v]]
+            kids[u if w == v else w].append(code[v])
+    return order, up, code
+
+
+def canonical_edge_order(t: Tree) -> list[int]:
+    """The edge ids of ``t`` by canonical rank, built the plain way: root at
+    the centroid whose rooted code is smaller (the lower vertex id on a
+    tie), list each vertex's children by ascending code, ties by edge id,
+    and take each edge at its child end's place in BFS order."""
+    n = t.vertex_count
+    order, up, _ = rooted_code_table(t, 0)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        u, w = t.edges[up[v]]
+        size[u if w == v else w] += size[v]
+
+    def largest_part(v):
+        # The largest component left by removing ``v``.
+        parts = [n - size[v]] + [size[y] for y, eid in t.adjacency[v] if eid != up[v]]
+        return max(parts)
+
+    least = min(map(largest_part, range(n)))
+    tables = [rooted_code_table(t, c) for c in range(n) if largest_part(c) == least]
+    order, up, code = min(tables, key=lambda table: table[2][table[0][0]])
+    kids = [[] for _ in range(n)]
+    for v in sorted(order[1:], key=lambda v: (code[v], up[v])):
+        u, w = t.edges[up[v]]
+        kids[u if w == v else w].append(v)
+    ranked = []
+    queue = [order[0]]
+    for v in queue:
+        ranked += (up[w] for w in kids[v])
+        queue += kids[v]
+    return ranked
+
+
+def relabel_randomly(t: Tree, rng: random.Random) -> tuple[Tree, list[int]]:
+    """``t`` with its vertices, its edge ids and each edge's two ends
+    shuffled, and the new id of each old edge id."""
+    perm = list(range(t.vertex_count))
+    rng.shuffle(perm)
+    new_id = list(range(t.edge_count))
+    rng.shuffle(new_id)
+    edges = [None] * t.edge_count
+    for f, (u, v) in enumerate(t.edges):
+        edges[new_id[f]] = (u, v) if rng.random() < 0.5 else (v, u)
+    return relabel(Tree(t.vertex_count, edges), perm), new_id
+
+
 def reference_search(k: Tree, k2: Tree) -> Certificate:
     """The friendliness search with one candidate per loop pass, the
     reference for the kernel's image masks and node counts.
 
     It reads the kernel's edge order and source bounds from ``_plan`` and
-    nothing else of it. Each popped candidate is skipped, uncounted, while a
-    target generator not yet hit maps it lower; otherwise it counts as a node
-    and is tested against every even-distance pair its depth completes,
-    leaves included, by the two mask tests of ``Tree.side_tables``. A
-    certificate of the kernel is equal to this one."""
+    nothing else of it, and tries the target's images in the rank order of
+    ``canonical_edge_order``. Each popped candidate is skipped, uncounted,
+    while a target generator not yet hit maps it lower in that order;
+    otherwise it counts as a node and is tested against every
+    even-distance pair its depth completes, leaves included, by the two
+    mask tests of ``Tree.side_tables``. A certificate of the kernel is
+    equal to this one."""
     n = k.edge_count
     if n == 0:
         return Certificate(FRIENDLY, (), 0, 1)
     pos, bounds = realizability._plan(k)[:2]
     complete, checks = two_pass_schedule(k)
+    edge_of = canonical_edge_order(k2)
+    rank = [0] * n
+    for r, f in enumerate(edge_of):
+        rank[f] = r
     lockers = [0] * n
     hitmask = [0] * n
     for i, gen in enumerate(k2.automorphism_generators):
         for f, tf in gen:
-            hitmask[f] |= 1 << i
-            if tf < f:
-                lockers[f] |= 1 << i
-    below, ends = k2.side_tables
+            hitmask[rank[f]] |= 1 << i
+            if rank[tf] < rank[f]:
+                lockers[rank[f]] |= 1 << i
+    below, ends = ([table[f] for f in edge_of] for table in k2.side_tables)
     img = [0] * n
     side = [0] * k.vertex_count
     span = [0] * k.vertex_count
@@ -188,7 +264,7 @@ def reference_search(k: Tree, k2: Tree) -> Certificate:
         if depth == n - 1:
             checked += 1
             if ok:
-                witness = tuple(img[pos[eid]] for eid in range(n))
+                witness = tuple(edge_of[img[pos[eid]]] for eid in range(n))
                 return Certificate(FRIENDLY, witness, nodes, checked)
         elif ok:
             free = unused[depth] ^ low

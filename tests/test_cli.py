@@ -269,8 +269,8 @@ class TestVerifyTheorem1:
         # 7 edges: the unpruned recheck tests all 7! = 5040 bijections each way
         assert main(["verify-theorem1"]) == 0
         assert capsys.readouterr().out == (
-            "forward unfriendly nodes=417 checked=15\n"
-            "reverse unfriendly nodes=320 checked=10\n"
+            "forward unfriendly nodes=418 checked=19\n"
+            "reverse unfriendly nodes=321 checked=9\n"
             "recheck forward=pass reverse=pass\n"
             "recheck checked forward=5040 reverse=5040\n"
             "theorem1 holds\n"

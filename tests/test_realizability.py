@@ -32,10 +32,12 @@ from friendly_trees.tree import Tree, edge_mask, line_records, mask_ids, path_ed
 from helpers import (
     CATALOG9_UNFRIENDLY,
     attachment_tree,
+    canonical_edge_order,
     even_pairs,
     incident_mask,
     random_tree,
     reference_search,
+    relabel_randomly,
     trees,
     two_pass_schedule,
     vertex_completions,
@@ -162,8 +164,8 @@ class TestFindRealizableBijection:
         path = Tree(301, [(i, i + 1) for i in range(300)])
         cert = find_realizable_bijection(path, path)
         assert cert.verdict == FRIENDLY
-        assert cert.witness == tuple(range(300))
-        assert (cert.nodes, cert.checked) == (300, 1)
+        assert is_realizable(path, path, cert.witness)
+        assert (cert.nodes, cert.checked) == (375, 1)
 
     def test_unsound_witness_raises(self, monkeypatch):
         # The search re-tests its witness whole before returning it.
@@ -172,8 +174,12 @@ class TestFindRealizableBijection:
             find_realizable_bijection(PATH3, STAR3)
 
     def test_deterministic(self):
-        a = find_realizable_bijection(build_H(), build_G())
-        assert a == find_realizable_bijection(build_H(), build_G())
+        # Fresh trees, and the same trees again once their plan and target
+        # tables are memoized.
+        g, h = build_G(), build_H()
+        first = find_realizable_bijection(h, g)
+        assert first == find_realizable_bijection(build_H(), build_G())
+        assert first == find_realizable_bijection(h, g)
 
     def test_source_plan_built_once_per_tree_and_not_kept(self, monkeypatch):
         # A survey reuses its trees as sources and targets; a tree made for
@@ -207,9 +213,10 @@ class TestFindRealizableBijection:
         assert [ref() for ref in refs] == [None, None]
 
     def test_target_only_tree_gets_no_plan(self, monkeypatch):
-        # A target's tables come from its generators and its rooting at
-        # vertex 0, in an entry of their own: it gets no edge order, no
-        # constraint schedule and no entry in the plans' memo.
+        # A target's tables come from its generators, their centroid
+        # rooting and its rooting at vertex 0, in an entry of their own: it
+        # gets no edge order, no constraint schedule and no entry in the
+        # plans' memo.
         seen = []
         plan = realizability._plan
         monkeypatch.setattr(realizability, "_plan", lambda t: seen.append(t) or plan(t))
@@ -236,22 +243,10 @@ class TestFindRealizableBijection:
             nodes += cert.nodes
             checked += cert.checked
         assert (digest.hexdigest(), nodes, checked) == (
-            "386bacc09e26a6f96384f8be8be06b3ad9f870f35b94b1c7c76444ad54c3aed6",
-            382625,
-            5525,
+            "8979ff12c645fccb490047f93af25203499d0af831aa58e9d7cebefc462b54f2",
+            114058,
+            2421,
         )
-
-    def test_planned_pair_reads_no_vertex_pairs(self):
-        # The constraint schedule is built in the plan's own pass, as the
-        # edges are ordered, and a witness's re-test groups the source's
-        # vertices by depth parity: the library keeps no even-distance pair
-        # list for a decision to walk, the first time or again.
-        g, h = build_G(), build_H()
-        first = find_realizable_bijection(g, h)
-        assert first.verdict == UNFRIENDLY
-        assert g in realizability._plans
-        assert find_realizable_bijection(g, h) == first
-        assert find_realizable_bijection(h, h).verdict == FRIENDLY
 
     def test_fresh_pair_roots_each_tree_twice(self, monkeypatch):
         # Each tree is rooted at vertex 0 once, with its plain neighbour
@@ -474,9 +469,9 @@ def test_search_output_pinned_through_eight_edges():
             unfriendly += cert.verdict == UNFRIENDLY
             nodes += cert.nodes
             checked += cert.checked
-    assert (pairs, unfriendly, nodes, checked) == (2910, 8, 164_995, 12_097)
+    assert (pairs, unfriendly, nodes, checked) == (2910, 8, 149_315, 11_693)
     assert digest.hexdigest() == (
-        "3f3d19f95906f39383128e0fc0bf4752076a0e1ed97f54851d4ce2e7e10d2b03"
+        "f2075091545b52ae95455d499f3d17b6181f090253a5fd7f47d3765dfe8ee935"
     )
 
 
@@ -497,7 +492,7 @@ def test_nine_edge_sweep():
             checked += cert.checked
             if cert.verdict == UNFRIENDLY:
                 unfriendly.append((i, j))
-    assert (nodes, checked) == (2_067_679, 77_767)
+    assert (nodes, checked) == (1_728_211, 73_929)
     both_ways = CATALOG9_UNFRIENDLY | {(j, i) for i, j in CATALOG9_UNFRIENDLY}
     assert sorted(unfriendly) == sorted(both_ways)
     for i, j in unfriendly:
@@ -515,29 +510,35 @@ def test_nine_edge_certificates_pinned():
     for k, k2 in product(enumerate_trees(9).trees, repeat=2):
         digest.update(certificate_to_text(find_realizable_bijection(k, k2)).encode())
     assert digest.hexdigest() == (
-        "bd039d7097dddf8274649599437d44ae3550102c526f59089934fc07df7eb092"
+        "31d32192ac93f1ddbb0177f768e28de4379599069faf57f56507ec0a054ef276"
     )
 
 
-def test_recorded_ten_edge_pairs_pinned():
-    # The 100 random 10-edge pairs of the benchmark's pair file, read only.
+def recorded_ten_edge_pairs():
+    """The 100 random 10-edge pairs of the benchmark's pair file, read only,
+    as two trees and the recorded verdict."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "pairs10.txt"
-    digest = hashlib.sha256()
-    nodes = checked = 0
     for _, fields in line_records(path.read_text(encoding="utf-8")):
         if fields[0].startswith("#"):
             continue
         a, b = (tuple(map(int, f.split(","))) for f in fields[:2])
         m = len(a) + 2
-        cert = find_realizable_bijection(Tree(m, decode_prufer(a, m)), Tree(m, decode_prufer(b, m)))
-        assert cert.verdict == fields[2]
+        yield Tree(m, decode_prufer(a, m)), Tree(m, decode_prufer(b, m)), fields[2]
+
+
+def test_recorded_ten_edge_pairs_pinned():
+    digest = hashlib.sha256()
+    nodes = checked = 0
+    for a, b, verdict in recorded_ten_edge_pairs():
+        cert = find_realizable_bijection(a, b)
+        assert cert.verdict == verdict
         digest.update(certificate_to_text(cert).encode())
         nodes += cert.nodes
         checked += cert.checked
     assert (digest.hexdigest(), nodes, checked) == (
-        "097c98b97e8ebd4087e374b267d212b7dcb4f7adec8dc87d22b3245a3f59cd70",
-        372_145,
-        4_322,
+        "df54149472fe91f5b70f72872054bd65e47c8866d67f6a5558d3602629c0eb8b",
+        226_646,
+        1_786,
     )
 
 
@@ -584,15 +585,17 @@ def assert_leaf_facts(t, a, f, g):
     - ``a`` plus ``f``, and ``g``, are unlinked iff ``E(a)`` lies on one
       side of ``g``, and ``f`` wholly on that side: ``f`` is in
       ``inside[g]`` or outside it, as ``E(a)`` is.
+
+    The masks of ``_target`` name an edge by its rank, ``rf`` and ``rg``.
     """
-    below = t.side_tables[0]
-    paths, inside = realizability._target(t)[4:6]
+    edge_of, below, _, _, _, _, _, paths, inside, _ = realizability._target(t)
+    rf, rg = edge_of.index(f), edge_of.index(g)
     bf, bg = 1 << f, 1 << g
     assert unlinked_bruteforce(t, bf, bg)
     e = span_of(t, a)
-    assert bool(realizability._unsplit(paths, e) & bf) == unlinked_bruteforce(t, bf, a)
-    x = e & below[g]
-    holds = (not x or x == e) and bool((inside[g] if x else ~inside[g]) & bf)
+    assert bool(realizability._unsplit(paths, e) >> rf & 1) == unlinked_bruteforce(t, bf, a)
+    x = e & below[rg]
+    holds = (not x or x == e) and bool((inside[rg] if x else ~inside[rg]) >> rf & 1)
     assert holds == unlinked_bruteforce(t, a | bf, bg)
 
 
@@ -621,11 +624,14 @@ def test_leaf_facts(t, data):
 
 def assert_target_tables(t):
     """``_target``'s tables against their definitions, read from the side
-    tables and the generators one edge or vertex at a time."""
-    lockers, hitmask, lows, lock, paths, inside, _ = realizability._target(t)
-    below, ends = t.side_tables
+    tables and the generators one edge or vertex at a time, with each edge
+    named by its rank in ``canonical_edge_order``."""
+    edge_of, below, ends, lockers, hitmask, lows, lock, paths, inside, _ = realizability._target(t)
+    assert edge_of == canonical_edge_order(t)
+    assert (below, ends) == tuple(tuple(table[f] for f in edge_of) for table in t.side_tables)
     n = t.edge_count
-    moved = [dict(gen) for gen in t.automorphism_generators]
+    rank = {f: r for r, f in enumerate(edge_of)}
+    moved = [{rank[f]: rank[tf] for f, tf in gen} for gen in t.automorphism_generators]
     assert lows == [sum(1 << f for f, tf in m.items() if tf < f) for m in moved]
     assert hitmask == [sum(1 << i for i, m in enumerate(moved) if f in m) for f in range(n)]
     assert lockers == [sum(1 << i for i, m in enumerate(lows) if m >> f & 1) for f in range(n)]
@@ -653,6 +659,65 @@ def test_target_tables_on_the_catalogues_and_large_trees():
 @given(trees(max_edges=30))
 def test_target_tables(t):
     assert_target_tables(t)
+
+
+def test_ranks_match_the_plain_construction_on_the_catalogues_and_large_trees():
+    # Every tree through 10 edges, and trees far deeper or wider than the
+    # recursion limit: a 3,000-vertex path (two centroids), a caterpillar
+    # and a 1,100-edge star.
+    large = [
+        Tree(3000, [(i, i + 1) for i in range(2999)]),
+        Tree(3000, [(i, i + 1) for i in range(1499)] + [(i, 1500 + i) for i in range(1500)]),
+        Tree(1101, [(0, leaf) for leaf in range(1, 1101)]),
+    ]
+    for t in [t for n in range(11) for t in enumerate_trees(n).trees] + large:
+        assert realizability._target(t)[0] == canonical_edge_order(t), t
+
+
+def shares_an_end(t, f, g):
+    return bool(set(t.edges[f]) & set(t.edges[g]))
+
+
+def assert_target_labels_do_not_matter(k, k2, rng):
+    """Relabel the target's vertices, edge ids and edge ends at random: the
+    verdict, ``nodes`` and ``checked`` stay. The witness gives each source
+    edge an image of the same rank, so it moves with the edge ids up to a
+    symmetry of the target: the ranks order twin branches by edge id."""
+    cert = find_realizable_bijection(k, k2)
+    moved, new_id = relabel_randomly(k2, rng)
+    again = find_realizable_bijection(k, moved)
+    assert (again.verdict, again.nodes, again.checked) == (cert.verdict, cert.nodes, cert.checked)
+    if cert.witness is None:
+        return
+    old, new = canonical_edge_order(k2), canonical_edge_order(moved)
+    rank = {f: r for r, f in enumerate(old)}
+    assert again.witness == tuple(new[rank[f]] for f in cert.witness)
+    # Each rank's edge of ``moved``, read back in ``k2``'s ids: an edge map
+    # that keeps which edges meet, so a symmetry of ``k2`` (Whitney 1932).
+    back = {g: f for f, g in enumerate(new_id)}
+    sym = {f: back[g] for f, g in zip(old, new)}
+    for f, g in combinations_with_replacement(range(k2.edge_count), 2):
+        assert shares_an_end(k2, f, g) == shares_an_end(k2, sym[f], sym[g])
+
+
+def test_target_labels_do_not_matter_through_six_edges():
+    rng = random.Random(7)
+    for n in range(7):
+        for k, k2 in product(enumerate_trees(n).trees, repeat=2):
+            assert_target_labels_do_not_matter(k, k2, rng)
+
+
+@settings(deadline=None)
+@given(trees(max_edges=12), st.data(), st.randoms(use_true_random=False))
+def test_target_labels_do_not_matter(k, data, rng):
+    k2 = data.draw(trees(max_edges=k.edge_count, min_edges=k.edge_count))
+    assert_target_labels_do_not_matter(k, k2, rng)
+
+
+def test_target_labels_do_not_matter_on_the_recorded_ten_edge_pairs():
+    rng = random.Random(10)
+    for a, b, _ in recorded_ten_edge_pairs():
+        assert_target_labels_do_not_matter(a, b, rng)
 
 
 def realizable_bruteforce(k, k2, h):
@@ -837,10 +902,12 @@ def plan_order(k):
     return order
 
 
-def search_key(k, h):
-    """``h``'s images in the search's edge order: the search reaches
-    bijections in ascending order of this key."""
-    return tuple(h[eid] for eid in plan_order(k))
+def search_key(k, k2, h):
+    """The ranks in ``canonical_edge_order(k2)`` of ``h``'s images, in the
+    search's edge order: the search reaches bijections in ascending order of
+    this key."""
+    rank = {f: r for r, f in enumerate(canonical_edge_order(k2))}
+    return tuple(rank[h[eid]] for eid in plan_order(k))
 
 
 def pairs_closed(k, taken, eid):
@@ -1049,23 +1116,25 @@ def test_generators_keep_a_witness_realizable(k, data):
         images.append(tuple(t.get(f, f) for f in h))
     for image in images:
         assert is_realizable(k, k2, image)
-        assert search_key(k, h) < search_key(k, image)
+        assert search_key(k, k2, h) < search_key(k, k2, image)
 
 
 def test_witness_is_first_realizable_in_search_order():
-    # The search reaches bijections in lexicographic order of the images it
-    # gives the source edges in the plan's edge order. The automorphism cut claims
-    # never to skip the first realizable one, so a plain scan in that order finds
-    # exactly the search's witness, or nothing when the verdict is unfriendly.
+    # The search reaches bijections in lexicographic order of the ranks of
+    # the images it gives the source edges in the plan's edge order. The
+    # automorphism cut claims never to skip the first realizable one, so a
+    # plain scan in that order finds exactly the search's witness, or nothing
+    # when the verdict is unfriendly.
     for n in range(7):
         catalog = enumerate_trees(n).trees
         for k, k2 in product(catalog, repeat=2):
             order = plan_order(k)
+            edge_of = canonical_edge_order(k2)
             first = None
-            for images in permutations(range(n)):
+            for ranks in permutations(range(n)):
                 h = [0] * n
-                for eid, f in zip(order, images):
-                    h[eid] = f
+                for eid, r in zip(order, ranks):
+                    h[eid] = edge_of[r]
                 if is_realizable(k, k2, tuple(h)):
                     first = tuple(h)
                     break
@@ -1097,7 +1166,7 @@ def test_twelve_edge_tail_pairs():
         assert cert.verdict == FRIENDLY
         assert is_realizable(k, k2, cert.witness)
         nodes.append(cert.nodes)
-    assert nodes == [83_837, 34_803, 143_256]
+    assert nodes == [60_744, 34_652, 58_389]
 
 
 @pytest.mark.slow
@@ -1109,7 +1178,7 @@ def test_hardest_ten_edge_pair():
     # direction is re-derived by the unpruned scan of all 10! bijections.
     catalog = enumerate_trees(10).trees
     spider, target = catalog[229], catalog[38]
-    assert find_realizable_bijection(spider, target).nodes < 500
+    assert find_realizable_bijection(spider, target).nodes == 528
     for k, k2 in ((spider, target), (target, spider)):
         assert find_realizable_bijection(k, k2).verdict == UNFRIENDLY
         cert = exhaustive_search(k, k2)

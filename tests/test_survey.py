@@ -49,19 +49,19 @@ GOOD_SUMMARY = "SUMMARY friendly=1 unfriendly=0"
 # they pin the search order, not just the verdicts. A change that alters the
 # search order on purpose re-pins them and says so.
 REPORT_SHA256 = {
-    7: "946696fde390c8ed9ee61377d8c8717488c173b02ecf86f16a392c4e09838d98",
-    8: "a806f7444601a8ff389a4e14508d754b6ff67573dc8b97eb2468534be96d1ed4",
-    9: "aec978232e8582d6979a6ca76d73ae0ec76957c8942ad486a179bafe0135abaf",
+    7: "49d38bb3b4222a8e455df43c480b6f94f4c1e6e09f7d5ce98e879719e046a410",
+    8: "f6434332068d7c2143becf6789ba6130c2eabedbd33c0c2aabdbaa0860f493bd",
+    9: "b06120c60fa5e1fe513a43faf1033a7f85d5f0384bc3d5c602ca486963d6f724",
 }
-G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=417 checked=15\n"
-H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=320 checked=10\n"
+G_TO_H_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=418 checked=19\n"
+H_TO_G_CERTIFICATE = "VERDICT unfriendly\nSTATS nodes=321 checked=9\n"
 # The same reports with every ``nodes=`` field stripped: verdicts, witnesses
 # and codes only. A pruning that never cuts the first realizable bijection in
 # search order moves the pins above but must leave these alone.
 WITNESS_SHA256 = {
-    7: "191d661c35a8d9330dc46ad010695f8dc326e9ad88c6486381655c9ca20c3536",
-    8: "7ad9a8bb190e2f820f7acf11ee2e2c092cb6a5c366fd31d57c9ea30da5f74f04",
-    9: "b976f1d60153dbb748f50ca12bb950a93147057cdd6ad8a2042a24f6edd989aa",
+    7: "ade77fd89608ab17a5965edfc78aaa00f1c204f0f911fb698bfd30cf396152c2",
+    8: "25c5641147c23356a7ec226eaf4825954f5abfd8a0778b234c9d0c1479d75b02",
+    9: "4fb48c9ac5ea7b3063b4006f642292151d396df201826a8cd0fdf1712fc17917",
 }
 # The same reports with witnesses stripped too: verdicts and codes only. A
 # new edge order moves every pin above but must leave these alone.
