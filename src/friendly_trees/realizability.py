@@ -209,11 +209,11 @@ def _target(t: Tree) -> tuple:
     # Everything the search reads of ``t`` as target, ``edge_of, below,
     # ends, lockers, hitmask, lows, lock, paths, inside, unsplit``, with
     # every image named by its rank, a canonical order of the edges:
-    # ``edge_of[r]`` is the edge id of rank ``r``. Rooted at the centroid
-    # with the smaller code (the rule of ``code_from_adjacency``), with each
-    # vertex's children in ascending code order, an edge's rank is the
-    # place of its child end in BFS order. Isomorphic trees get the same
-    # ranked tree, whatever their labels, and so the same search.
+    # ``edge_of[r]`` is the edge id of rank ``r``. An edge's rank is the
+    # place of its child end in a BFS of ``Tree._centroid``, the rooting at
+    # the centroid of the canonical code, each vertex's children in
+    # ascending code order. Isomorphic trees get the same ranked tree,
+    # whatever their labels, and so the same search.
     #
     # Per rank, ``below`` and ``ends`` of ``Tree.side_tables``. Per image
     # ``f``: the generators that map ``f`` lower (``lockers``) and those
@@ -223,33 +223,15 @@ def _target(t: Tree) -> tuple:
     # its path to vertex 0, the edges whose ``below`` holds it (``paths``).
     # Per image ``g``, the images with both ends in ``below[g]``
     # (``inside``). And a memo of ``_unsplit`` masks, filled as searches ask
-    # for them. The ranks read the centroid rooting of the generators
-    # (``Tree._centroid``); the paths and subtrees are one pass each way
-    # over ``Tree._bfs``, the rooting that ``side_tables`` reads.
+    # for them. The paths and subtrees are one pass each way over
+    # ``Tree._bfs``, the rooting that ``side_tables`` reads.
     entry = _targets.get(t)
     if entry is not None:
         return entry
     n = t.edge_count
-    rooting, edge_up, kids, other = t._centroid
-    code = rooting.code
-    root = rooting.order[0]
-    if other:
-        # Rooted at the other centroid ``c``, the root and its other
-        # children become a child of ``c`` with the code ``half``.
-        (c,) = other
-        rest = [a for a in kids[root] if a != c]
-        half = "(" + "".join(code[a] for a in rest) + ")"
-        below_c = sorted([code[a] for a in kids[c]] + [half])
-        if "(" + "".join(below_c) + ")" < code[root]:
-            kids = kids[:]
-            kids[root] = rest
-            i = below_c.index(half)
-            kids[c] = kids[c][:i] + [root] + kids[c][i:]
-            edge_up = edge_up[:]
-            edge_up[root] = edge_up[c]
-            root = c
+    rooting, edge_up, kids, _ = t._centroid
     edge_of = []
-    queue = [root]
+    queue = [rooting.order[0]]
     for v in queue:
         for w in kids[v]:
             edge_of.append(edge_up[w])
@@ -310,12 +292,13 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     mapped edges as a single subtree and next takes the edge that completes
     the most even-distance pairs (``_plan`` gives the rule), so each
     pair is checked as early as it can be. Candidate images go in ascending
-    canonical rank (``_target`` gives the rule): the order of a BFS from a
-    centroid that lists children by their subtree codes. So the search
-    reaches bijections in lexicographic order of their images' ranks in
-    that edge order, and a relabelling of ``k2`` changes no verdict, node
-    count or check count, only the edge ids the witness names. The witness
-    is mapped back to ``k2``'s edge ids. Two kinds of cut prune a branch:
+    canonical rank (``_target`` gives the rule): the order of a BFS from the
+    centroid of the canonical code that lists children by their subtree
+    codes. So the search reaches bijections in lexicographic order of their
+    images' ranks in that edge order, and a relabelling of ``k2`` changes
+    no verdict, node count or check count, only the edge ids the witness
+    names. The witness is mapped back to ``k2``'s edge ids. Two kinds of
+    cut prune a branch:
 
     - Constraint: an even-distance vertex pair is checked the moment both its
       incident sets are fully mapped. Mapped images never change, so a
@@ -348,11 +331,12 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     source's edge order, cut bounds and constraint schedule are one
     memoized plan, built in one pass once per tree. The target's tables
     are one memoized entry per tree, each indexed by rank and built in
-    linear passes: the ranks from the centroid rooting of the generators,
-    the side tables in rank order, its per-image generator masks and first
-    lock, and the root paths and subtrees that the leaf masks read, from
-    the rooting of ``Tree._bfs``. The entry also memoizes each mask of the
-    first leaf kind (below) as searches ask for them.
+    linear passes: the ranks from a BFS of the generators' rooting at the
+    canonical centroid (``Tree._centroid``), the side tables in rank order,
+    its per-image generator masks and first lock, and the root paths and
+    subtrees that the leaf masks read, from the rooting of ``Tree._bfs``.
+    The entry also memoizes each mask of the first leaf kind (below) as
+    searches ask for them.
 
     The search is an explicit per-depth loop, so no tree size exhausts the
     recursion limit. A constraint check between two inner (non-leaf)

@@ -189,16 +189,18 @@ class Tree:
 
     @cached_property
     def _centroid(self) -> tuple[RootedCodes, list[int], list[list[int]], list[int]]:
-        """``(rooting, up, kids, other)``: ``rooted_codes`` at the lower
-        centroid; per vertex the edge id to its parent (``-1`` at the root)
-        and its children in ascending code order, ties by edge id; and the
-        other centroid, a child of the root, if there is one. The
-        automorphism generators and the search's canonical edge order both
-        read it."""
+        """``(rooting, up, kids, other)``: ``rooted_codes`` at the canonical
+        centroid, the one whose rooted code is smaller (the rule of
+        ``code_from_adjacency``), the lower id on a tie; per vertex the edge
+        id to its parent (``-1`` at the root) and its children in ascending
+        code order, ties by edge id; and the other centroid, a child of the
+        root, if there is one. The automorphism generators and the search's
+        canonical edge order both read it."""
         n = self.vertex_count
         adj, order, parent = self._bfs
-        root, *other = centroids(order, parent)
-        rooting = rooted_codes(n, adj, root)
+        centres = centroids(order, parent)
+        rooting = min((rooted_codes(n, adj, c) for c in centres), key=lambda r: r.code[r.order[0]])
+        other = [c for c in centres if c != rooting.order[0]]
         up = [-1] * n
         for eid, (u, v) in enumerate(self.edges):
             up[v if rooting.parent[v] == u else u] = eid

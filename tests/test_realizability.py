@@ -248,11 +248,11 @@ class TestFindRealizableBijection:
             2421,
         )
 
-    def test_fresh_pair_roots_each_tree_twice(self, monkeypatch):
+    def test_fresh_pair_roots_each_tree_once_more_than_its_centroids(self, monkeypatch):
         # Each tree is rooted at vertex 0 once, with its plain neighbour
         # lists (``Tree._bfs``): the depths, the side tables and the
-        # centroid all read that rooting. The generators' codes root it once
-        # more, at its centroid.
+        # centroids all read that rooting. The generators' codes root it
+        # once more at each centroid, to pick the one with the smaller code.
         calls = Counter()
         for name in ("rooted", "vertex_adjacency"):
             real = getattr(tree, name)
@@ -263,6 +263,11 @@ class TestFindRealizableBijection:
         a, b = random_tree(rng, 8), random_tree(rng, 8)
         find_realizable_bijection(a, b)
         assert calls == {"rooted": 4, "vertex_adjacency": 2}
+        # G has two centroids and H one.
+        g, h = build_G(), build_H()
+        calls.clear()
+        find_realizable_bijection(g, h)
+        assert calls == {"rooted": 5, "vertex_adjacency": 2}
 
     def test_agrees_with_unpruned_search_up_to_six_edges(self):
         for n in range(7):
@@ -1001,6 +1006,18 @@ def test_edge_order_pinned():
         digest.update((" ".join(map(str, plan_order(k))) + "\n").encode())
     assert digest.hexdigest() == (
         "da630f81e33db772f9fbd633a7142c225da6111fe1f2fd3f88b6645aa367cf73"
+    )
+
+
+def test_automorphism_generators_pinned():
+    # Every catalogue tree with 0-10 edges, and ``LARGE_TREES``. A moved
+    # generator moves the source's bounds or the target's locks, and so the
+    # node counts of every pinned certificate.
+    digest = hashlib.sha256()
+    for k in [t for n in range(11) for t in enumerate_trees(n).trees] + LARGE_TREES:
+        digest.update((repr(k.automorphism_generators) + "\n").encode())
+    assert digest.hexdigest() == (
+        "59d57ef3a0416eb06941ab8895d76bd8d640f80cf37dd309a17e61cd9ac0758f"
     )
 
 
