@@ -220,20 +220,22 @@ def _target(t: Tree) -> tuple:
     # that move ``f`` (``hitmask``), generator ``i`` as bit ``1 << i``. Per
     # generator, the images it maps lower (``lows``), and their union, the
     # lock before any generator is hit (``lock``). Per vertex, the edges on
-    # its path to vertex 0, the edges whose ``below`` holds it (``paths``).
+    # its path to the root, the edges whose ``below`` holds it (``paths``).
     # Per image ``g``, the images with both ends in ``below[g]``
     # (``inside``). And a memo of ``_unsplit`` masks, filled as searches ask
-    # for them. The paths and subtrees are one pass each way over
-    # ``Tree._bfs``, the rooting that ``side_tables`` reads.
+    # for them. ``side_tables`` reads the same rooting, so the paths come
+    # with the ranks, and the subtrees in one pass back up the ranks' BFS.
     entry = _targets.get(t)
     if entry is not None:
         return entry
     n = t.edge_count
     rooting, edge_up, kids, _ = t._centroid
     edge_of = []
+    paths = [0] * (n + 1)
     queue = [rooting.order[0]]
     for v in queue:
         for w in kids[v]:
+            paths[w] = paths[v] | 1 << len(edge_of)
             edge_of.append(edge_up[w])
             queue.append(w)
     rank = [0] * n
@@ -255,19 +257,12 @@ def _target(t: Tree) -> tuple:
                 lockers[f] |= 1 << i
                 lows[i] |= 1 << f
                 lock |= 1 << f
-    _, order, parent = t._bfs
-    up = [0] * (n + 1)  # the rank of each vertex's edge to its parent
-    for f, (u, v) in enumerate(t.edges):
-        up[v if parent[v] == u else u] = rank[f]
-    paths = [0] * (n + 1)
-    for v in order[1:]:
-        paths[v] = paths[parent[v]] | 1 << up[v]
     inside = [0] * n
     sub = [0] * (n + 1)  # the edges below each vertex
-    for v in reversed(order[1:]):
-        f = up[v]
+    for v in reversed(queue[1:]):
+        f = rank[edge_up[v]]
         inside[f] = sub[v]
-        sub[parent[v]] |= sub[v] | 1 << f
+        sub[rooting.parent[v]] |= sub[v] | 1 << f
     entry = _targets[t] = (edge_of, below, ends, lockers, hitmask, lows, lock, paths, inside, {})
     return entry
 
@@ -334,7 +329,7 @@ def find_realizable_bijection(k: Tree, k2: Tree) -> Certificate:
     linear passes: the ranks from a BFS of the generators' rooting at the
     canonical centroid (``Tree._centroid``), the side tables in rank order,
     its per-image generator masks and first lock, and the root paths and
-    subtrees that the leaf masks read, from the rooting of ``Tree._bfs``.
+    subtrees that the leaf masks read, from the same BFS.
     The entry also memoizes each mask of the first leaf kind (below) as
     searches ask for them.
 

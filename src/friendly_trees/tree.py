@@ -4,8 +4,9 @@ Vertices are dense integers ``0..vertex_count-1``. Edges are unordered vertex
 pairs kept in a fixed list; the list position is the edge id, and every edge
 set in this package is a plain ``int`` bitmask over those ids, the cheapest
 and most convenient representation here. Every per-tree table derives from
-one rooted traversal, ``rooted``, in linear passes, so trees of thousands
-of vertices are served as well as the dozen-edge trees of a survey.
+one rooting, at the centroid of the canonical code (``Tree._centroid``), in
+linear passes, so trees of thousands of vertices are served as well as the
+dozen-edge trees of a survey.
 """
 
 from __future__ import annotations
@@ -149,16 +150,9 @@ class Tree:
         return tuple(len(a) for a in self.adjacency)
 
     @cached_property
-    def _bfs(self) -> tuple[list[list[int]], list[int], list[int]]:
-        """``(adj, order, parent)``: the plain neighbor lists of
-        ``vertex_adjacency``, and the tree rooted at vertex 0."""
-        adj = vertex_adjacency(self)
-        return (adj, *rooted(adj, 0))
-
-    @cached_property
     def depths(self) -> tuple[int, ...]:
-        """Distance of every vertex from vertex 0."""
-        _, order, parent = self._bfs
+        """Distance of every vertex from the root of ``_centroid``."""
+        order, parent, *_ = self._centroid[0]
         depth = [0] * self.vertex_count
         for v in order[1:]:
             depth[v] = depth[parent[v]] + 1
@@ -167,7 +161,7 @@ class Tree:
     @cached_property
     def side_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(below, ends)``: per edge id, the vertex mask of the subtree
-        under the edge (rooted at vertex 0) and the mask of its two
+        under the edge (rooted as ``_centroid``) and the mask of its two
         endpoints. Built once per tree; every fast side test reads them.
 
         One bottom-up pass gives each vertex's subtree mask, and ``below``
@@ -178,8 +172,10 @@ class Tree:
         ``q``'s side colouring. With ``S(q)`` that XOR and ``E(p)`` the OR
         of ``ends`` over ``p``, a set ``p`` disjoint from ``q`` is on one
         side of ``q`` exactly when ``E(p) & S(q)`` is ``0`` or ``E(p)``.
+        Any root would do: another one complements ``S(q)`` or leaves it,
+        and the test is the same for a set and its complement.
         """
-        _, order, parent = self._bfs
+        order, parent, *_ = self._centroid[0]
         sub = [1 << v for v in range(self.vertex_count)]
         for v in reversed(order[1:]):
             sub[parent[v]] |= sub[v]
@@ -194,11 +190,13 @@ class Tree:
         ``code_from_adjacency``), the lower id on a tie; per vertex the edge
         id to its parent (``-1`` at the root) and its children in ascending
         code order, ties by edge id; and the other centroid, a child of the
-        root, if there is one. The automorphism generators and the search's
-        canonical edge order both read it."""
+        root, if there is one. It is the tree's one rooting: the depths, the
+        side tables, the automorphism generators and the search's canonical
+        edge order all read it. The centroids come from a rooting at vertex
+        0, as in ``code_from_adjacency``."""
         n = self.vertex_count
-        adj, order, parent = self._bfs
-        centres = centroids(order, parent)
+        adj = vertex_adjacency(self)
+        centres = centroids(*rooted(adj, 0))
         rooting = min((rooted_codes(n, adj, c) for c in centres), key=lambda r: r.code[r.order[0]])
         other = [c for c in centres if c != rooting.order[0]]
         up = [-1] * n

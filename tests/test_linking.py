@@ -1,11 +1,13 @@
 import random
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from friendly_trees import tree
 from friendly_trees.linking import (
     endpoints,
     same_side,
@@ -13,7 +15,7 @@ from friendly_trees.linking import (
     unlinked,
     unlinked_bruteforce,
 )
-from friendly_trees.survey import build_H
+from friendly_trees.survey import build_G, build_H
 from friendly_trees.tree import Tree, edge_mask, mask_ids, path_edges
 
 from helpers import incident_mask, random_tree, trees, trees_with_two_edge_sets
@@ -190,6 +192,20 @@ def test_side_tables_are_built_once_per_tree():
     # one pair of tables, cached on the tree.
     t = build_H()
     assert t.side_tables is t.side_tables
+
+
+def test_first_side_test_roots_a_fresh_tree_once_more_than_its_centroids(monkeypatch):
+    # The side tables read the rooting at the canonical centroid, so a tree's
+    # first side test pays for the centroids' codes: one rooting at vertex 0
+    # finds the centroids, and one more at each picks the smaller code. H has
+    # one centroid and G two.
+    calls = Counter()
+    real = tree.rooted
+    monkeypatch.setattr(tree, "rooted", lambda *args: calls.update(["rooted"]) or real(*args))
+    for t, rootings in ((build_H(), 2), (build_G(), 3)):
+        calls.clear()
+        same_side(t, 1, 2)
+        assert calls == {"rooted": rootings}, t
 
 
 @st.composite

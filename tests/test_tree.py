@@ -318,16 +318,26 @@ class TestIncidentEdges:
 class TestSideTables:
     def test_long_path(self):
         below, ends = LONG_PATH.side_tables
-        # Edge (i, i+1) has vertices i+1..2999 below it.
+        # Rooted at vertex 1,499: the two centroids have equal codes, so the
+        # lower id wins. Edge (i, i+1) has vertices 0..i below it left of
+        # the root, and i+1..2999 from the root on.
         everything = (1 << 3000) - 1
-        assert below == tuple(everything ^ ((1 << (i + 1)) - 1) for i in range(2999))
+        assert below == tuple(
+            (1 << (i + 1)) - 1 if i < 1499 else everything ^ ((1 << (i + 1)) - 1)
+            for i in range(2999)
+        )
         assert ends == tuple(3 << i for i in range(2999))
 
     def test_caterpillar(self):
         below, ends = CATERPILLAR.side_tables
-        # Spine edge (i, i+1) has spine vertices i+1..1499 and their legs
-        # below it; leg edge (i, 1500+i) has its leaf alone.
-        spine = [(1 << 1500) - (1 << (i + 1)) for i in range(1499)]
+        # Rooted at spine vertex 749, the lower of two centroids with equal
+        # codes. Spine edge (i, i+1) has spine vertices 0..i and their legs
+        # below it left of the root, and i+1..1499 and theirs from the root
+        # on; leg edge (i, 1500+i) has its leaf alone.
+        spine = [
+            (1 << (i + 1)) - 1 if i < 749 else (1 << 1500) - (1 << (i + 1))
+            for i in range(1499)
+        ]
         assert below == tuple(m | m << 1500 for m in spine) + tuple(
             1 << (1500 + i) for i in range(1500)
         )
@@ -579,6 +589,30 @@ class TestCentroidRooting:
     @given(trees(max_edges=30))
     def test_any_labelling(self, t):
         assert_rooted_at_the_canonical_centroid(t)
+
+
+def assert_tables_read_the_centroid_rooting(t):
+    # ``below[f]`` is the component of T - f without the root of
+    # ``_centroid``, the vertices whose path to the root crosses ``f``, and
+    # ``depths[v]`` is the length of that path.
+    root = t._centroid[0].order[0]
+    paths = [path_edges(t, root, v) for v in range(t.vertex_count)]
+    below, _ = t.side_tables
+    assert below == tuple(
+        sum(1 << v for v, path in enumerate(paths) if path >> f & 1) for f in range(t.edge_count)
+    ), t
+    assert t.depths == tuple(path.bit_count() for path in paths), t
+
+
+class TestTablesRooting:
+    def test_every_tree_through_ten_edges(self):
+        for n in range(11):
+            for t in enumerate_trees(n).trees:
+                assert_tables_read_the_centroid_rooting(t)
+
+    @given(trees(max_edges=30))
+    def test_any_labelling(self, t):
+        assert_tables_read_the_centroid_rooting(t)
 
 
 class TestCanonicalCode:
